@@ -42,8 +42,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .spectral import (BoundaryTrace, FourierState, TRACE_FREQ, cosine_state,
-                       mixed_state, sine_state)
+from .spectral import (BoundaryTrace, FourierState, TRACE_FREQ, mixed_state,
+                       sine_state)
 from .linear_flow import (ClampedBasis, ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -123,20 +123,18 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     freqs = h.n.astype(np.float64) * TRACE_FREQ
-    out = np.zeros((len(times), len(omegas)), dtype=np.complex128)
+    a = np.asarray(h.a, dtype=np.complex128)
+    diff = freqs[:, None] - omegas[None, :]                 # (M, K)
+    res = np.abs(diff) <= res_tol * (1.0 + np.abs(omegas))
+    # a_m / (i (nu_m - w_k)), zero on resonant pairs; the other gaps are
+    # at least pi^4, so the two-exponential form below does not cancel
+    coef = np.divide(a[:, None], 1j * diff, where=~res,
+                     out=np.zeros(diff.shape, dtype=np.complex128))
     e_w = np.exp(1j * np.outer(times, omegas))             # (T, K)
     e_n = np.exp(1j * np.outer(times, freqs))              # (T, M)
-    for m, (nu, a) in enumerate(zip(freqs, h.a)):
-        if a == 0:
-            continue
-        diff = nu - omegas
-        res = np.abs(diff) <= res_tol * (1.0 + np.abs(omegas))
-        term = np.empty_like(e_w)
-        nz = ~res
-        term[:, nz] = (e_n[:, m:m + 1] - e_w[:, nz]) / (1j * diff[nz])
-        if np.any(res):
-            term[:, res] = times[:, None] * e_w[:, res]
-        out += a * term
+    out = e_n @ coef - e_w * coef.sum(axis=0)
+    for m, k in zip(*np.nonzero(res)):                      # t e^{i w t}
+        out[:, k] += a[m] * (times * e_w[:, k])
     return out
 
 

@@ -228,6 +228,8 @@ def _run_solve(payload, outdir, seed):
         "residual": rec.residual,
         "mode_residual": rec.mode_residual,
     }
+    if spec.family != NAVIER:
+        summary["mode_residual_note"] = "not computed for the clamped family"
     checks = {"converged": bool(rec.residual <= max(spec.tol * 10.0, 1e-12))
               if spec.lam != 0 else True}
     return summary, checks
@@ -384,28 +386,41 @@ def run(cfg: Dict, outdir, seed: int = 0) -> int:
     try:
         summary, checks = _RUNNERS[mode](payload, outdir, seed)
     except (RuntimeError, OverflowError, ArithmeticError) as e:
-        record = {"mode": mode, "seed": seed, "error": str(e), "checks": {}}
-        (outdir / "summary.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True, default=_json_default) + "\n",
-            encoding="utf-8")
+        _write_summary(outdir, {"mode": mode, "seed": seed, "error": str(e),
+                                "checks": {}})
         return 1
     passed = all(v for k, v in checks.items() if isinstance(v, (bool, np.bool_)))
-    record = {"mode": mode, "seed": seed, "checks": checks,
-              "pass": bool(passed), "summary": summary}
-    (outdir / "summary.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8")
+    _write_summary(outdir, {"mode": mode, "seed": seed, "checks": checks,
+                            "pass": bool(passed), "summary": summary})
     return 0 if passed else 1
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    raise TypeError(f"not JSON serializable: {type(o)}")
+def _write_summary(outdir: Path, record: Dict) -> None:
+    (outdir / "summary.json").write_text(
+        json.dumps(_strict(record), indent=2, sort_keys=True, allow_nan=False)
+        + "\n",
+        encoding="utf-8")
+
+
+def _strict(o):
+    """``o`` with numpy scalars as Python ones and non-finite floats as None.
+
+    A dict field that becomes None gets a ``<field>_note`` with the value it
+    replaced, unless the runner already wrote a note for it.
+    """
+    if isinstance(o, dict):
+        out = {k: _strict(v) for k, v in o.items()}
+        for k, v in o.items():
+            if out[k] is None and v is not None:
+                out.setdefault(f"{k}_note", f"non-finite value {float(v)!r}")
+        return out
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_strict(v) for v in o]
+    if isinstance(o, np.generic):
+        o = o.item()
+    if isinstance(o, float) and not math.isfinite(o):
+        return None
+    return o
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -3,8 +3,9 @@
 Five independent studies:
 
 * ``count_lambda4``     — resonance-multiplicity count for the quartic symbol,
-* ``kato_sweep``        — boundary-trace smoothing exponents of the free flow
-  (``kato_increment_sweep`` re-measures them with a second estimator),
+* ``kato_sweep``        — time-regularity exponents of the lattice series of
+  the free flow (``kato_increment_sweep`` re-measures them with a second
+  estimator),
 * ``optimality_run``    — sharpness probe for the boundary-to-interior map,
 * ``trace_regularity_r``— norms of the synthetic clamped traces r1..r4,
 * ``identity_checks`` / ``tail_bound_spotcheck`` — closed-form series checks.
@@ -158,12 +159,15 @@ def _kato_row(s: float, i: int, eps: float, samples: List[float]) -> Dict:
 
 
 def kato_sweep(sweep: RegularitySweep) -> List[Dict]:
-    """Measure boundary-trace exponents of the free hinged flow.
+    """Time-regularity exponents of the lattice series of the free hinged flow.
 
-    The flow rotates each mode by exp(i (k pi)^4 t), so the order-i endpoint
-    trace lives on the sparse time-frequency lattice n = k^4 with coefficient
-    envelope (k pi)^i q_k; the sweep measures the series
-    g_i(t) = sum_k (k pi)^i q_k e^{i (k pi)^4 t}.  ``measured_trace_exponent``
+    The flow rotates each mode by exp(i (k pi)^4 t), and the sweep measures
+    the series g_i(t) = sum_k (k pi)^i q_k e^{i (k pi)^4 t}, i = 0, 1, 2, on
+    the sparse time-frequency lattice n = k^4.  Only g_1 is a nonzero endpoint
+    trace of the flow: it is the slope u_x(0, t).  For a sine series the
+    order-0 and order-2 values sin(k pi x) and -(k pi)^2 sin(k pi x) vanish
+    identically at x = 0, so rows i = 0, 2 measure the lattice series g_0 and
+    g_2, not traces.  ``measured_trace_exponent``
     is applied per sample and the per-(s, i) median is reported next to
     ``predicted``, the exact threshold max(0, (s-i+eps)/4), and
     ``boundary_exponent``, the paper's (s+3-i)/4.
@@ -182,15 +186,15 @@ def kato_sweep(sweep: RegularitySweep) -> List[Dict]:
     * Ingham.  The lattice gaps (k+1)^4 - k^4 grow without bound, so by
       Ingham's inequality (Ingham 1936) (1/T) int_0^T |sum_k a_k e^{i w_k t}|^2 dt
       is equivalent to sum_k |a_k|^2 for every T > 0, and the H^alpha(0, T)
-      norm of the trace to the lattice-weighted sum above.  No finite time
+      norm of g_i to the lattice-weighted sum above.  No finite time
       window sees more than the threshold; ``increment_trace_exponent``
       checks this without using the equivalence.
     * The paper's exponent.  H^((s+3-j)/4)_loc(R^+) is the space the paper
       takes the order-j boundary *data* of the IBVP from, so that the
       solution stays in H^s (its sharpness is what ``optimality_run``
-      probes).  It is not a regularity that traces of the free flow on (0, 1)
-      attain: for this ensemble those sit (3-eps)/4 lower (less where the
-      threshold clamps at 0).  On the half-line
+      probes).  It is not a regularity that the series g_i of the free flow
+      on (0, 1) attain: for this ensemble they sit (3-eps)/4 lower (less where
+      the threshold clamps at 0).  On the half-line
       the traces do gain, to H^((2s+3-2i)/8) (Ozsari-Yolcu 2019), but that
       gain comes from continuous spectrum, which the interval does not have.
     """

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -217,15 +216,22 @@ def _interval_weights(z: np.ndarray):
 
 
 def duhamel_history(F: ForcingHistory) -> np.ndarray:
-    """V[j, k] = int_0^{t_j} exp(i w_k (t_j - tau)) f_k(tau) dtau at every node."""
+    """V[j, k] = int_0^{t_j} exp(i w_k (t_j - tau)) f_k(tau) dtau at every node.
+
+    The weights depend on the step only, so they are computed once per
+    distinct step length (a ``linspace`` grid has a handful) and the
+    recurrence indexes those rows.
+    """
     t, c, w = F.times, F.coeffs, F.omegas
     V = np.zeros_like(c)
-    for j in range(len(t) - 1):
-        dt = t[j + 1] - t[j]
-        z = 1j * w * dt
-        g0, g1 = _interval_weights(z)
-        J = dt * (c[j + 1] * g0 + (c[j] - c[j + 1]) * g1)
-        V[j + 1] = np.exp(z) * V[j] + J
+    steps, which = np.unique(np.diff(t), return_inverse=True)
+    z = 1j * w[None, :] * steps[:, None]
+    g0, g1 = _interval_weights(z)
+    ez = np.exp(z)
+    for j, s in enumerate(which):
+        dt = steps[s]
+        J = dt * (c[j + 1] * g0[s] + (c[j] - c[j + 1]) * g1[s])
+        V[j + 1] = ez[s] * V[j] + J
     return V
 
 
@@ -252,7 +258,3 @@ def duhamel(F: ForcingHistory, t: float) -> np.ndarray:
     J = dt * (f_end * g0 + (F.coeffs[j] - f_end) * g1)
     return np.exp(z) * V[j] + J
 
-
-def duhamel_state(F: ForcingHistory, t: float) -> FourierState:
-    """Sine-basis wrapper around ``duhamel`` (hinged flow eigenvalues)."""
-    return sine_state(duhamel(F, t), t=t)

@@ -10,24 +10,25 @@ Two pipelines:
   odd/even split), correct the boundary mismatch with the clamped-family
   kernels on h_i - r_i, and iterate the remainder w in the clamped eigenbasis.
 
-Existence time T* adapts by halving whenever the empirical contraction factor
-stays above 1/2.
+Existence time T* adapts by halving whenever ``max_iter`` iterations pass
+without the Picard distance falling below ``tol``; the contraction factors
+are recorded but do not steer the halving.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from . import boundary_ops as bops
 from . import linear_flow as lf
-from .spectral import (BoundaryTrace, FourierState, MIXED, SINE,
-                       FourierState as _FS, mixed_state, odd_even_extend,
-                       reconstruct, sine_coefficients, sine_state,
-                       sobolev_weights, zero_state)
+from .spectral import (BoundaryTrace, FourierState, SINE, mixed_state,
+                       odd_even_extend, reconstruct, sine_coefficients,
+                       sine_state, sobolev_weights, zero_state)
 
 NAVIER = "navier"
 DIRICHLET = "dirichlet"
@@ -200,28 +201,47 @@ def nonlinearity(state: FourierState, p: float, lam: float,
     return mixed_state(q, pcoef, p0, t=state.t)
 
 
+@functools.lru_cache(maxsize=8)
+def _sine_transform(N: int, M: int):
+    """Read-only (M+1, N) sine matrix on M intervals and twice its trapezoid weights."""
+    x = np.linspace(0.0, 1.0, M + 1)
+    k = np.arange(1, N + 1)
+    S = np.sin(np.pi * np.outer(x, k))
+    h = x[1] - x[0]
+    w2 = np.full(M + 1, 2.0 * h)
+    w2[0] = w2[-1] = h
+    S.flags.writeable = False
+    w2.flags.writeable = False
+    return S, w2
+
+
 def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
                          p: float, lam: float, N: int) -> np.ndarray:
     """Vectorized sine-projected nonlinearity along a coefficient history.
 
     ``v_hist``: (T, N) sine coefficients; ``gamma_vals``: optional stationary
-    grid values added before the pointwise power.
+    grid values added before the pointwise power.  The sine matrix is real, so
+    both transforms run as one real product on the stacked (re; im) rows.
     """
-    M = _dealias_points(N, p)
-    x = np.linspace(0.0, 1.0, M + 1)
-    k = np.arange(1, N + 1)
-    S = np.sin(np.pi * np.outer(x, k))           # (M+1, N)
-    u = v_hist @ S.T                              # (T, M+1)
+    S, w2 = _sine_transform(N, _dealias_points(N, p))
+    T = len(v_hist)
+    u = np.concatenate((v_hist.real, v_hist.imag)) @ S.T     # (2T, M+1)
+    re, im = u[:T], u[T:]
     if gamma_vals is not None:
-        u = u + gamma_vals[None, :]
-    mag = np.abs(u)
-    vals = lam * np.where(mag > 0, mag ** (p - 2.0), 0.0) * u
-    if not np.all(np.isfinite(vals.view(np.float64))):
+        re += gamma_vals.real
+        im += gamma_vals.imag
+    fac = np.hypot(re, im)                 # |u|; p >= 3 keeps 0 ** (p-2) = 0
+    fac **= p - 2.0
+    fac *= lam
+    re *= fac
+    im *= fac
+    if not np.all(np.isfinite(u)):
         raise OverflowError("nonlinearity overflow: blow-up candidate")
-    h = x[1] - x[0]
-    w = np.full(M + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    return 2.0 * (vals * w[None, :]) @ S          # (T, N)
+    u *= w2
+    q = u @ S                                                 # (2T, N)
+    out = np.empty((T, N), dtype=np.complex128)
+    out.real, out.imag = q[:T], q[T:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +314,6 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
                 break
         if converged:
             break
-        bad = [f for f in factors[-3:] if f > 0.5]
         T_star *= 0.5
         if T_star < spec.dt:
             raise RuntimeError(
@@ -303,7 +322,7 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
 
     # fixed-point residual (one more application of the map)
     if spec.lam == 0:
-        residual = 0.0
+        nl, residual = None, 0.0
     else:
         nl = _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N)
         F = lf.ForcingHistory(times, nl, omegas)
@@ -317,9 +336,7 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
                                  "u1": tr1 + (gamma(1.0) if lift else 0.0)},
                          tstar=T_star, contraction_factors=factors,
                          iterations=it, residual=residual)
-    rec.mode_residual = _mode_residual(times, v, omegas,
-                                       None if spec.lam == 0 else
-                                       _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N),
+    rec.mode_residual = _mode_residual(times, v, omegas, nl,
                                        bdry_forcing(ht, times, N))
     return rec
 

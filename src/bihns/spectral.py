@@ -114,10 +114,7 @@ class FourierState:
         return self + (-1.0) * other
 
     def __rmul__(self, c: complex) -> "FourierState":
-        basis = self.basis
-        if basis == SINE and c == 0:
-            pass
-        return FourierState(basis, c * self.q, c * self.p, c * self.p0, self.t)
+        return FourierState(self.basis, c * self.q, c * self.p, c * self.p0, self.t)
 
     def with_time(self, t: float) -> "FourierState":
         return replace(self, t=t)

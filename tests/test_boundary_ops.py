@@ -106,6 +106,28 @@ def test_convolve_series_resonant_branch():
     assert abs(I[1, 1] - 0.03 * np.exp(1j * w[1] * 0.03)) < 1e-13
 
 
+def test_convolve_series_mixed_resonance_per_column():
+    # column k = 1 meets n = 1 at resonance and n = 0, 3, 16 off it; column
+    # k = 2 meets n = 16 at resonance; each term is checked on its own
+    n = np.array([0, 1, 3, 16])
+    a = np.array([0.3 - 0.1j, 1.0, -0.7j, 0.4 + 0.2j])
+    h = BoundaryTrace.from_series(n, a)
+    k = np.array([1, 2])
+    w = navier_eigenvalues(2)
+    t = np.linspace(0.0, 0.05, 11)
+    expect = np.zeros((len(t), 2), dtype=complex)
+    for nm, am in zip(n, a):
+        nu = nm * TRACE_FREQ
+        for col in range(2):
+            if nm == k[col] ** 4:
+                expect[:, col] += am * t * np.exp(1j * w[col] * t)
+            else:
+                expect[:, col] += am * (np.exp(1j * nu * t) - np.exp(1j * w[col] * t)) \
+                    / (1j * (nu - w[col]))
+    I = bops.convolve_series(w, h, t)
+    assert np.max(np.abs(I - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 def test_series_and_sampled_routes_agree():
     times = np.linspace(0.0, 0.02, 2001)
     Is = bops.convolve_series(navier_eigenvalues(3), H_SIN2, times)

@@ -187,3 +187,42 @@ def test_csv_uses_full_precision_floats(tmp_path):
     body = (out / "optimality.csv").read_text().splitlines()[2]
     ratio_field = body.split(",")[3]
     assert len(ratio_field.split(".")[-1].rstrip("0")) >= 10  # %.17g emission
+
+
+# ---------------------------------------------------------------------------
+# strict JSON
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+STRICT_RUNS = [
+    ("solve", {"family": "navier", "s": 1.0, "N": 16, "T": 0.002, "dt": 2e-4,
+               "phi": {"kind": "sine", "coefficients": [[0.5, 0.0]]},
+               "h1": {"kind": "series", "n": [0, 1],
+                      "a": [[0.1, 0.0], [-0.1, 0.0]]}}),
+    ("solve", {"family": "dirichlet", "s": 2.0, "p": 5.0, "N": 16,
+               "K_clamped": 8, "T": 2e-4, "dt": 2e-5,
+               "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [1, 0],
+                                                        [-2, 0], [1, 0]]}}),
+    ("kato_sweep", {"s_grid": [1.0], "ensemble": 8, "N": 64}),
+    ("lambda4", {"K": 20}),
+    ("optimality", {"n_grid": [4, 8]}),
+    ("identities", {"a_grid": [1.0], "K_grid": [256]}),
+    ("traces", {"s_grid": [1.5], "N": 32}),
+]
+
+
+@pytest.mark.parametrize("mode,payload", STRICT_RUNS,
+                         ids=[p.get("family", m) for m, p in STRICT_RUNS])
+def test_summary_json_is_strict(tmp_path, mode, payload):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})
+    out = tmp_path / "o"
+    assert main([mode, "--config", cfg, "--out", str(out)]) in (0, 1)
+    record = json.loads((out / "summary.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert "error" not in record
+    if mode == "solve" and payload["family"] == "dirichlet":
+        assert record["summary"]["mode_residual"] is None
+        assert record["summary"]["mode_residual_note"]

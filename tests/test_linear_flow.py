@@ -186,6 +186,33 @@ def test_duhamel_midinterval_evaluation():
     assert abs(got - expect) < 1e-12
 
 
+def _duhamel_per_step(F):
+    """Reference recurrence with the weights recomputed on every step."""
+    from bihns.linear_flow import _interval_weights
+    t, c, w = F.times, F.coeffs, F.omegas
+    V = np.zeros_like(c)
+    for j in range(len(t) - 1):
+        dt = t[j + 1] - t[j]
+        z = 1j * w * dt
+        g0, g1 = _interval_weights(z)
+        J = dt * (c[j + 1] * g0 + (c[j] - c[j + 1]) * g1)
+        V[j + 1] = np.exp(z) * V[j] + J
+    return V
+
+
+@pytest.mark.parametrize("grid", ["linspace", "random"])
+def test_duhamel_history_matches_per_step_weights_exactly(grid):
+    # hoisting the weights per distinct step must not change a single bit;
+    # the frequencies straddle the small-phase switch |w dt| = 1e-3
+    t = (np.linspace(0.0, 0.013, 301) if grid == "linspace"
+         else np.cumsum(np.concatenate(([0.0], rng.uniform(1e-5, 1e-4, 300)))))
+    w = np.concatenate(([0.0, 1.0, 20.0], navier_eigenvalues(12)))
+    shape = (len(t), len(w))
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    F = ForcingHistory(t, c, w)
+    assert np.array_equal(duhamel_history(F), _duhamel_per_step(F))
+
+
 def test_duhamel_out_of_range():
     t = np.linspace(0.0, 0.1, 5)
     F = ForcingHistory(t, np.zeros((5, 1), dtype=complex), np.array([1.0]))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bihns.nonlinear import (ProblemSpec, homogenize_navier, nonlinearity,
+from bihns.nonlinear import (ProblemSpec, _nonlin_sine_history,
+                             homogenize_navier, nonlinearity,
                              picard_dirichlet, picard_navier)
 from bihns.spectral import (BoundaryTrace, mixed_state, reconstruct,
                             sine_state, sobolev_norm)
@@ -108,6 +109,19 @@ def test_nonlinearity_mixed_roundtrip_consistency():
     target = np.abs(u) * u
     got = reconstruct(out, x)
     assert np.max(np.abs(got - target)) < 5e-2  # truncation-limited, not exact
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_nonlin_sine_history_rows_match_nonlinearity(p):
+    # the stacked real transform of the history must agree row by row with
+    # the single-state collocation route
+    N, T = 24, 7
+    v = (rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))) \
+        / np.arange(1, N + 1) ** 2
+    hist = _nonlin_sine_history(v, None, p, 1.3, N)
+    for row, got in zip(v, hist):
+        expect = nonlinearity(sine_state(row), p, 1.3).q
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 # ---------------------------------------------------------------------------
