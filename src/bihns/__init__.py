@@ -5,14 +5,14 @@ boundary data."""
 from .spectral import (BoundaryTrace, FourierState, SobolevIndex,
                        mixed_state, odd_even_extend, reconstruct,
                        reconstruct_derivative, sine_coefficients, sine_state,
-                       sobolev_norm, trace_sobolev_norm, zero_state)
+                       sobolev_norm, trace_sobolev_norm)
 from .linear_flow import (ClampedBasis, ForcingHistory, build_clamped_basis,
                           duhamel, duhamel_history, navier_eigenvalues,
                           propagate_dirichlet, propagate_navier,
                           propagate_periodic)
 from .boundary_ops import (BetaTable, build_beta_table, boundary_convolution,
-                           dirichlet_boundary_history, dirichlet_lift,
-                           dirichlet_linear_history, dirichlet_traces, mirror,
+                           dirichlet_lift, dirichlet_linear_history,
+                           dirichlet_traces, mirror,
                            navier_boundary_history, navier_lift,
                            w0d, w0n, w1d, w2n)
 from .nonlinear import (ProblemSpec, SolutionRecord, homogenize_navier,

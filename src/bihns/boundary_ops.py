@@ -8,7 +8,14 @@ weights:
   derivative data) -- see ``BetaTable.navier0/navier2``;
 * clamped family: the beta coefficients b01, b02 (value data -> sine/cosine
   parts) and b11, b12 (first-derivative data), obtained by eliminating a cubic
-  lift, see ``BetaTable``.
+  lift, see ``BetaTable``; the single-time kernels ``w0d``/``w1d`` use them.
+
+Clamped *histories* (``dirichlet_linear_history`` and the clamped solver) are
+not built from those kernels: the data ride on four cubic lifts and the rest
+on the clamped eigenbasis (``clamped_lift_response``), so the boundary data
+are attained identically.  ``clamped_mixed_history`` projects such a history
+onto the half-weight mixed basis, and ``clamped_grid`` is the one trapezoid
+rule behind every clamped projection.
 
 Note on orientation: integrating int_0^1 u_xxxx sin(k pi x) dx by parts gives
 the mode ODE  i q_k' + (k pi)^4 q_k = 2(k pi)^3 (h1 - cos(k pi) h2)
@@ -22,10 +29,10 @@ lift in the half-weight sine/cosine convention gives the b01/b11/b12 closed
 forms of ``BetaTable`` exactly, but its cosine coefficient for value data is
 12(1 - cos k pi)/(k pi)^4, not the reference closed form 12(1 - k pi)/(k pi)^4
 recorded as b02 (and the lift's cell average is h1/4 + h3/24).  The solution
-maps ``w0d``/``w1d`` and the history assembly use the expansion-consistent
-values -- that is what makes the reconstructed solution actually attain its
-boundary data; ``BetaTable`` keeps the reference forms verbatim for the
-bit-exactness check.
+maps ``w0d``/``w1d`` and the lift coefficients of ``clamped_mixed_history``
+use the expansion-consistent values -- that is what makes the reconstructed
+solution actually attain its boundary data; ``BetaTable`` keeps the reference
+forms verbatim for the bit-exactness check.
 
 Convolutions support two routes sharing one contract:
 
@@ -238,36 +245,6 @@ def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
     return out
 
 
-def dirichlet_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
-                               h3: BoundaryTrace, h4: BoundaryTrace,
-                               times: np.ndarray, N: int):
-    """(sine, cosine, p0) history of w0d(h1)+w1d(h3)+mirror(w0d(h2)+w1d(h4))."""
-    wq1, wp1, wq3, wp3 = _clamped_solution_weights(N)
-    k = np.arange(1, N + 1)
-    sgn_q = np.where(k % 2 == 0, -1.0, 1.0)
-    sgn_p = -sgn_q
-    T = len(times)
-    q = np.zeros((T, N), dtype=np.complex128)
-    p = np.zeros((T, N), dtype=np.complex128)
-    p0 = np.zeros(T, dtype=np.complex128)
-    specs = ((h1, wq1, wp1, 0.25, 1.0),
-             (h3, wq3, wp3, 1.0 / 24.0, 1.0),
-             (h2, wq1, wp1, 0.25, -1.0),
-             (h4, wq3, wp3, 1.0 / 24.0, -1.0))
-    for h, wq, wp, c0, flip in specs:
-        if not (np.any(h.a != 0) or h.sample_t is not None):
-            continue
-        I = boundary_convolution(h, times, N)
-        if flip > 0:
-            q += I * wq
-            p += I * wp
-        else:  # mirrored endpoint
-            q += I * wq * sgn_q
-            p += I * wp * sgn_p
-        p0 += c0 * complex(h(0.0))
-    return q, p, p0
-
-
 def _lift_mixed_coeffs(N: int):
     """Half-weight sine/cosine/mean coefficients of the two clamped lifts.
 
@@ -284,81 +261,100 @@ def _lift_mixed_coeffs(N: int):
     return (q1, p1, 0.25), (q3, p3, 1.0 / 24.0)
 
 
+def clamped_grid(N: int, K: int):
+    """Uniform trapezoid nodes and weights on 4 max(N, K) + 1 points of [0, 1].
+
+    The one quadrature of the clamped family: every integrand it meets
+    (initial datum, lift or nonlinearity times phi_j; phi_j times sin/cos)
+    has a vanishing first derivative at both ends, so the rule is O(h^4).
+    """
+    M = 4 * max(N, K)
+    x = np.linspace(0.0, 1.0, M + 1)
+    w = np.full(M + 1, 1.0 / M)
+    w[0] = w[-1] = 0.5 / M
+    return x, w
+
+
+def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
+                          h3: BoundaryTrace, h4: BoundaryTrace,
+                          times: np.ndarray, basis: ClampedBasis,
+                          x: np.ndarray, w: np.ndarray):
+    """Boundary part of the clamped family on the four cubic lifts.
+
+        u_b = sum_i h_i(t) lift_i(x) + sum_j c_j(t) phi_j(x),
+
+    with phi_j the clamped eigenfunctions and c_j the Duhamel response to the
+    forcing -i sum_i h_i'(t) <lift_i, phi_j>; every phi_j satisfies all four
+    homogeneous conditions, so u_b attains (h1, h2, h3, h4) identically
+    (orientation: u(0)=h1, u(1)=h2, u_x(0)=h3, u_x(1)=h4).
+
+    Returns (vals, lift, a, c): the data h_i(t_j) (T, 4), the lift rows on the
+    grid x (4, len(x)), their projections <lift_i, phi_j> under the weights w
+    (4, K) and the response c (T, K); inactive data contribute zeros.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    u = 1.0 - x
+    lift = np.stack((3.0 * u ** 2 - 2.0 * u ** 3,
+                     3.0 * x ** 2 - 2.0 * x ** 3,
+                     u ** 2 - u ** 3,
+                     -(x ** 2 - x ** 3)))
+    a = (lift * w) @ basis.evaluate(x).T
+    T = len(times)
+    vals = np.zeros((T, 4), dtype=np.complex128)
+    forcing = np.zeros((T, basis.K), dtype=np.complex128)
+    active = False
+    for i, h in enumerate((h1, h2, h3, h4)):
+        if not (np.any(h.a != 0) or h.sample_t is not None):
+            continue
+        active = True
+        vals[:, i] = h(times)
+        forcing += -1j * np.asarray(h.derivative()(times))[:, None] * a[i]
+    c = (-1j * duhamel_history(ForcingHistory(times, forcing, basis.eigenvalues))
+         if active else forcing)
+    return vals, lift, a, c
+
+
+def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
+                          x: np.ndarray, w: np.ndarray, N: int):
+    """Half-weight mixed (q, p, p0) histories of sum_i vals_i lift_i + sum_j c_j phi_j.
+
+    The lifts go through their closed-form coefficients; the eigen part
+    (``phi`` sampled on the grid x) through the quadrature weights w.
+    """
+    (q1, p1, c01), (q3, p3, c03) = _lift_mixed_coeffs(N)
+    k = np.arange(1, N + 1)
+    sgn = np.where(k % 2 == 0, -1.0, 1.0)       # (-1)^(k+1)
+    # rows in the order (h1, h2, h3, h4); h2 and h4 are the lifts mirrored
+    # through x -> 1-x, h4 with a minus so that d/dx at x=1 equals +h4
+    lq = np.stack((q1, sgn * q1, q3, -sgn * q3))
+    lp = np.stack((p1, -sgn * p1, p3, sgn * p3))
+    l0 = np.array([c01, c01, c03, -c03])
+    arg = np.pi * np.outer(x, k)
+    pw = phi * w
+    q = vals @ lq + c @ (pw @ np.sin(arg))
+    p = vals @ lp + c @ (pw @ np.cos(arg))
+    p0 = vals @ l0 + 0.5 * (c @ pw.sum(axis=1))
+    return q, p, p0
+
+
 def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
                              h3: BoundaryTrace, h4: BoundaryTrace,
                              times: np.ndarray, N: int,
                              basis: Optional[ClampedBasis] = None, K: int = 48):
     """Mixed-basis history of the clamped solution driven by boundary data.
 
-    The closed-form kernel assembly (``dirichlet_boundary_history``) inherits
-    an N-independent boundary defect from its construction -- its derivation
-    solves the periodic forced problem, whose restriction does not vanish at
-    the endpoints.  This route is exact up to truncation instead:
-
-        u_b = sum_i lift_i(h_i)(x) + sum_j c_j(t) phi_j(x),
-
-    with phi_j the clamped eigenfunctions and c_j the Duhamel response to the
-    forcing -i sum_i h_i'(t) lift_i(x); every phi_j satisfies all four
-    homogeneous conditions, so u_b attains (h1, h2, h3, h4) identically
-    (orientation: u(0)=h1, u(1)=h2, u_x(0)=h3, u_x(1)=h4).  The result is
-    projected onto the half-weight mixed basis; boundary-value extraction
-    from that projection is Gibbs-limited in N by design.
+    The solution is built on the cubic lifts plus the clamped eigenbasis
+    (``clamped_lift_response``) and projected onto the half-weight mixed
+    basis; boundary-value extraction from that projection is Gibbs-limited
+    in N by design.
 
     Returns (q, p, p0) histories shaped (len(times), N) / (len(times),).
     """
-    times = np.asarray(times, dtype=np.float64)
     if basis is None:
         basis = build_clamped_basis(K)
-    K = basis.K
-    (q1, p1, c01), (q3, p3, c03) = _lift_mixed_coeffs(N)
-    k = np.arange(1, N + 1)
-    sgn = np.where(k % 2 == 0, -1.0, 1.0)       # (-1)^(k+1)
-
-    # per-datum lift coefficient rows (sine, cosine, mean); h4 uses the
-    # mirrored slope lift with a minus so that d/dx at x=1 equals +h4
-    lifts = ((h1, q1, p1, c01),
-             (h2, sgn * q1, -sgn * p1, c01),
-             (h3, q3, p3, c03),
-             (h4, -sgn * q3, sgn * p3, -c03))
-
-    # quadrature pieces for the eigenbasis correction
-    xg_, wg_ = np.polynomial.legendre.leggauss(max(256, 8 * max(K, N)))
-    xg = 0.5 * (xg_ + 1.0)
-    wg = 0.5 * wg_
-    phi = basis.evaluate(xg)                     # (K, M)
-    u = 1.0 - xg
-    lift_grid = (3.0 * u ** 2 - 2.0 * u ** 3,
-                 3.0 * xg ** 2 - 2.0 * xg ** 3,
-                 u ** 2 - u ** 3,
-                 -(xg ** 2 - xg ** 3))
-    a = np.stack([phi @ (wg * g) for g in lift_grid])   # (4, K)
-
-    T = len(times)
-    q = np.zeros((T, N), dtype=np.complex128)
-    p = np.zeros((T, N), dtype=np.complex128)
-    p0 = np.zeros(T, dtype=np.complex128)
-    forcing = np.zeros((T, K), dtype=np.complex128)
-    active = False
-    for i, (h, qi, pi, ci) in enumerate(lifts):
-        if not (np.any(h.a != 0) or h.sample_t is not None):
-            continue
-        active = True
-        vals = np.asarray(h(times))
-        dvals = np.asarray(h.derivative()(times))
-        q += vals[:, None] * qi[None, :]
-        p += vals[:, None] * pi[None, :]
-        p0 += ci * vals
-        forcing += -1j * dvals[:, None] * a[i][None, :]
-    if not active:
-        return q, p, p0
-    F = ForcingHistory(times, forcing, basis.eigenvalues)
-    c = -1j * duhamel_history(F)                 # (T, K)
-    S = np.sin(np.pi * np.outer(k, xg))          # (N, M)
-    Cc = np.cos(np.pi * np.outer(k, xg))
-    q += c @ (phi * wg[None, :]) @ S.T
-    p += c @ (phi * wg[None, :]) @ Cc.T
-    p0 += 0.5 * c @ (phi @ wg)
-    return q, p, p0
+    x, w = clamped_grid(N, basis.K)
+    vals, _, _, c = clamped_lift_response(h1, h2, h3, h4, times, basis, x, w)
+    return clamped_mixed_history(vals, c, basis.evaluate(x), x, w, N)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +395,7 @@ def dirichlet_lift(h1: complex, h3: complex, x, order: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# trace series of the periodic flow (clamped split)
+# trace series of the periodic flow of the odd/even split (trace study)
 
 
 def dirichlet_traces(phi_o: FourierState, phi_e: FourierState

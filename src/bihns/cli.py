@@ -85,6 +85,8 @@ def _build_problem(payload: Dict) -> ProblemSpec:
     family = payload.get("family")
     if family not in (NAVIER, DIRICHLET):
         raise ConfigError(f"family must be 'navier' or 'dirichlet' (got {family!r})")
+    if payload.get("metric", "hs") != "hs":
+        raise ConfigError(f"metric must be 'hs' (got {payload['metric']!r})")
     traces = {key: _trace_from_config(payload.get(key), key)
               for key in ("h1", "h2", "h3", "h4", "h5", "h6")}
     try:
@@ -100,7 +102,6 @@ def _build_problem(payload: Dict) -> ProblemSpec:
             tol=float(payload.get("tol", 1e-8)),
             max_iter=int(payload.get("max_iter", 25)),
             K_clamped=int(payload.get("K_clamped", 32)),
-            metric=payload.get("metric", "hs"),
             **traces,
         )
     except ValueError as e:

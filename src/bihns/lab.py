@@ -394,7 +394,6 @@ def _book_keeping(s) -> Dict:
     return {
         "s": float(s),
         "(s+3)/8<s": (sf + 3) / 8 < sf,
-        "s-1/2<s": True,
         "(s+10)/8<s": (sf + 10) / 8 < sf,
     }
 

@@ -89,20 +89,24 @@ def _find_root(k: int) -> float:
 
 @dataclass(frozen=True)
 class ClampedBasis:
-    """L2-orthonormal eigenfunctions of d^4/dx^4 with u = u' = 0 at 0 and 1."""
+    """L2-orthonormal eigenfunctions of d^4/dx^4 with u = u' = 0 at 0 and 1.
+
+    In the form (cosh - cos)(mu x) - sigma (sinh - sin)(mu x) with
+    sigma = (cosh mu - cos mu)/(sinh mu - sin mu) every mode has unit L2(0,1)
+    norm exactly, so no normalization constants are carried.
+    """
 
     K: int
     mu: np.ndarray         # characteristic values, eigenvalues are mu**4
     sigma: np.ndarray      # shape ratio (cosh-cos)/(sinh-sin), scaled form
     delta_hat: np.ndarray  # (1-sigma)*exp(mu), cancellation-free
-    norm: np.ndarray       # L2(0,1) normalization constants
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.mu ** 4
 
-    def _raw(self, x: np.ndarray, order: int = 0):
-        """Unnormalized eigenfunctions (or first derivatives) at points x.
+    def evaluate(self, x, order: int = 0) -> np.ndarray:
+        """Matrix phi_k(x_j) (or phi_k'(x_j)), shape K x len(x).
 
         Uses the rescaled form
           cosh(mu x) - sigma sinh(mu x)
@@ -125,10 +129,6 @@ class ClampedBasis:
             return mu * (hyp + trig)
         raise ValueError("order must be 0 or 1")
 
-    def evaluate(self, x, order: int = 0) -> np.ndarray:
-        """Matrix phi_k(x_j) (shape K x len(x)), L2-normalized."""
-        return self._raw(x, order) / self.norm[:, None]
-
     def project(self, values: np.ndarray, x: np.ndarray, wts: np.ndarray) -> np.ndarray:
         """Coefficients c_k = int f phi_k via supplied quadrature nodes/weights."""
         phi = self.evaluate(x)
@@ -136,11 +136,6 @@ class ClampedBasis:
 
     def synthesize(self, coeffs: np.ndarray, x) -> np.ndarray:
         return coeffs @ self.evaluate(x)
-
-
-def _gauss_nodes(n: int):
-    y, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (y + 1.0), 0.5 * w
 
 
 def build_clamped_basis(K: int) -> ClampedBasis:
@@ -151,11 +146,7 @@ def build_clamped_basis(K: int) -> ClampedBasis:
     d = 0.5 * (1.0 - em ** 2) - np.sin(mu) * em          # (sinh-sin) e^{-mu}
     sigma = (0.5 * (1.0 + em ** 2) - np.cos(mu) * em) / d  # (cosh-cos)/(sinh-sin)
     delta_hat = (np.cos(mu) - np.sin(mu) - em) / d         # (1-sigma) e^{mu}
-    basis = ClampedBasis(K, mu, sigma, delta_hat, np.ones(K))
-    x, w = _gauss_nodes(max(256, 24 * K))
-    raw = basis._raw(x)
-    norms = np.sqrt((raw ** 2) @ w)
-    return ClampedBasis(K, mu, sigma, delta_hat, norms)
+    return ClampedBasis(K, mu, sigma, delta_hat)
 
 
 def propagate_dirichlet(coeffs: np.ndarray, basis: ClampedBasis, t: float) -> np.ndarray:

@@ -6,9 +6,13 @@ Two pipelines:
 * hinged family ("navier"): homogenize the corner data with a stationary cubic
   gamma, then iterate v -> free flow + i Duhamel(nonlinearity(v + gamma))
   + boundary-kernel terms, in the sup-in-time truncated H^s metric;
-* clamped family ("dirichlet"): split off u = u_o + u_e (periodic flow of the
-  odd/even split), correct the boundary mismatch with the clamped-family
-  kernels on h_i - r_i, and iterate the remainder w in the clamped eigenbasis.
+* clamped family ("dirichlet"): write u = sum_i h_i(t) lift_i(x) +
+  sum_j c_j(t) phi_j(x) with the four cubic lifts of the boundary data and
+  the clamped eigenfunctions phi_j; the linear history is e^{i mu^4 t} c(0) -
+  Duhamel(sum_i h_i' <lift_i, phi_j>), and c -> linear +
+  i Duhamel(<nonlinearity(u), phi_j>) is iterated in the sup-in-time
+  H^s-weighted eigen-coefficients.  One trapezoid grid on 4 max(N, K) + 1
+  points carries every projection.
 
 Existence time T* adapts by halving whenever ``max_iter`` iterations pass
 without the Picard distance falling below ``tol``; the contraction factors
@@ -26,9 +30,11 @@ import numpy as np
 
 from . import boundary_ops as bops
 from . import linear_flow as lf
-from .spectral import (BoundaryTrace, FourierState, SINE, mixed_state,
-                       odd_even_extend, reconstruct, sine_coefficients,
-                       sine_state, sobolev_weights, zero_state)
+from .spectral import (BoundaryTrace, FourierState, SINE, _sample, mixed_state,
+                       reconstruct, sine_coefficients, sine_state,
+                       sobolev_weights)
+# unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
+from .spectral import odd_even_extend
 
 NAVIER = "navier"
 DIRICHLET = "dirichlet"
@@ -64,7 +70,6 @@ class ProblemSpec:
     tol: float = 1e-8
     max_iter: int = 25
     K_clamped: int = 32
-    metric: str = "hs"  # "hs" or the experimental discrete "l4"
 
     def __post_init__(self):
         if self.family not in (NAVIER, DIRICHLET):
@@ -74,10 +79,7 @@ class ProblemSpec:
             raise ValueError(
                 f"s={s} excluded: s != n+1/2 (trace-exception exponents)")
         if self.family == NAVIER:
-            if self.metric == "l4":
-                if not (0.0 <= s < 0.5):
-                    raise ValueError("the l4 experimental metric is for s in [0, 1/2)")
-            elif not (NAVIER_S_MIN < s < NAVIER_S_MAX):
+            if not (NAVIER_S_MIN < s < NAVIER_S_MAX):
                 raise ValueError(
                     f"hinged family requires 1/2 < s < 9/2 (got s={s})")
         else:
@@ -100,7 +102,7 @@ class SolutionRecord:
     """Time-stamped solution with reconstruction helpers and diagnostics."""
 
     times: np.ndarray
-    states: List[FourierState]          # the spectral part (v or u_o+u_e+v+w)
+    states: List[FourierState]          # hinged v, or clamped u on the mixed basis
     lift: Optional[Callable] = None     # stationary x-polynomial added back
     traces: Dict[str, np.ndarray] = field(default_factory=dict)
     tstar: float = 0.0
@@ -374,106 +376,67 @@ def _mode_residual(times, coeff_hist, omegas, nonlin_hist, forcing_hist) -> floa
 
 
 def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
-    """Clamped-family pipeline u = u_o + u_e + v + w (see module docstring)."""
+    """Clamped-family pipeline on cubic lifts plus the clamped eigenbasis.
+
+    u = sum_i h_i(t) lift_i(x) + sum_j c_j(t) phi_j(x) (see module docstring);
+    the record holds u projected once onto the half-weight mixed basis.
+    """
     if spec.family != DIRICHLET:
         raise ValueError("spec is not a clamped-family problem")
-    N = spec.N
-    T_cap = min(spec.T, 1.0)
-    times_full = _grid(T_cap, spec.dt)
+    N, K = spec.N, spec.K_clamped
+    basis = lf.build_clamped_basis(K)
+    x, wq = bops.clamped_grid(N, K)
+    phi_x = basis.evaluate(x)                              # (K, M+1)
+    c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
+             if spec.phi is not None else np.zeros(K, dtype=np.complex128))
+    hs = (spec.h1, spec.h2, spec.h3, spec.h4)
+    wgt = (1.0 + basis.mu ** 2) ** spec.s
 
-    # periodic flow of the odd/even split and its boundary series
-    if spec.phi is not None:
-        phi_o, phi_e = odd_even_extend(spec.phi, N)
-    else:
-        phi_o, phi_e = zero_state(N), zero_state(N, basis="cosine")
-    r1, r2, r3, r4 = bops.dirichlet_traces(phi_o, phi_e)
-
-    def minus(h: BoundaryTrace, r: BoundaryTrace) -> BoundaryTrace:
-        """h - r, sampled on the working grid (r's lattice indices are huge)."""
-        vals = np.asarray(h(times_full)) - np.asarray(r(times_full))
-        return BoundaryTrace(sample_t=times_full, sample_h=vals)
-
-    ht = (minus(spec.h1, r1), minus(spec.h2, r2),
-          minus(spec.h3, r3), minus(spec.h4, r4))
-
-    omegas_per = lf.navier_eigenvalues(N)
-    basis = lf.build_clamped_basis(spec.K_clamped)
-
-    T_star = T_cap
+    T_star = min(spec.T, 1.0)
     while True:
         times = _grid(T_star, spec.dt)
-        nt = len(times)
-        phases = np.exp(1j * np.outer(times, omegas_per))
-        uo = phi_o.q[None, :] * phases
-        ue = phi_e.p[None, :] * phases
-        vq, vp, vp0 = bops.dirichlet_linear_history(
-            *(BoundaryTrace(h.n, h.a, sample_t=h.sample_t[:nt], sample_h=h.sample_h[:nt])
-              for h in ht), times, N, basis=basis)
+        vals, lift, a, c_b = bops.clamped_lift_response(*hs, times, basis, x, wq)
+        c0 = c_phi - vals[0] @ a
+        lin = c0 * np.exp(1j * np.outer(times, basis.eigenvalues)) + c_b
+        u_b = vals @ lift                                  # (T, M+1)
 
-        # dense grid for the inter-basis collocation
-        Mx = 4 * max(N, spec.K_clamped) + 1
-        xg = np.linspace(0.0, 1.0, Mx)
-        wq_ = np.full(Mx, xg[1] - xg[0])
-        wq_[0] = wq_[-1] = 0.5 * (xg[1] - xg[0])
-        k = np.arange(1, N + 1)
-        Sx = np.sin(np.pi * np.outer(xg, k))
-        Cx = np.cos(np.pi * np.outer(xg, k))
-        base_grid = ((uo + vq) @ Sx.T + (ue + vp) @ Cx.T
-                     + (phi_e.p0 + vp0)[:, None])
-        phi_mat = basis.evaluate(xg)              # (K, Mx)
-
-        wgt = (1.0 + basis.mu ** 2) ** spec.s
-        w_c = np.zeros((nt, spec.K_clamped), dtype=np.complex128)
+        c = lin
         factors: List[float] = []
-        converged = False
         last_dist = None
         proj_res = 0.0
-        for it in range(1, spec.max_iter + 1):
-            u_grid = base_grid + w_c @ phi_mat
-            mag = np.abs(u_grid)
-            nl = spec.lam * np.where(mag > 0, mag ** (spec.p - 2.0), 0.0) * u_grid
+        it = 0
+        converged = spec.lam == 0
+        while not converged and it < spec.max_iter:
+            it += 1
+            u = u_b + c @ phi_x
+            nl = spec.lam * np.abs(u) ** (spec.p - 2.0) * u   # p >= 3: 0 ** (p-2) = 0
             if not np.all(np.isfinite(nl.view(np.float64))):
                 raise OverflowError("nonlinearity overflow: blow-up candidate")
-            nl_c = (nl * wq_[None, :]) @ phi_mat.T      # clamped projection
-            proj = nl_c @ phi_mat
+            nl_c = (nl * wq) @ phi_x.T                     # clamped projection
             denom = np.abs(nl).max()
-            proj_res = (float(np.abs(nl - proj).max() / denom) if denom > 0 else 0.0)
+            proj_res = (float(np.abs(nl - nl_c @ phi_x).max() / denom)
+                        if denom > 0 else 0.0)
             F = lf.ForcingHistory(times, nl_c, basis.eigenvalues)
-            w_new = 1j * lf.duhamel_history(F)
-            dist = float(np.sqrt((np.abs(w_new - w_c) ** 2 @ wgt).max()))
+            c_new = lin + 1j * lf.duhamel_history(F)
+            dist = _hs_dist(c_new, c, wgt)
             if last_dist is not None and last_dist > 0:
                 factors.append(dist / last_dist)
             last_dist = dist
-            w_c = w_new
-            if dist < spec.tol:
-                converged = True
-                break
-        if converged or spec.lam == 0:
+            c = c_new
+            converged = dist < spec.tol
+        if converged:
             break
         T_star *= 0.5
         if T_star < spec.dt:
             raise RuntimeError("no contraction: T* underflowed below dt")
 
-    # final states: spectral part on the mixed basis + clamped remainder
-    # projected onto the same mixed representation for bookkeeping
-    w_grid = w_c @ phi_mat
-    qw = 2.0 * (w_grid * wq_[None, :]) @ Sx
-    pw = 2.0 * (w_grid * wq_[None, :]) @ Cx
-    p0w = (w_grid * wq_[None, :]).sum(axis=1)
-    # the mixed series of w uses the half-weight split (odd+even parts)
-    states = [mixed_state(uo[j] + vq[j] + 0.5 * qw[j],
-                          ue[j] + vp[j] + 0.5 * pw[j],
-                          phi_e.p0 + vp0[j] + 0.5 * p0w[j], t=times[j])
-              for j in range(len(times))]
-
-    trace0 = np.array([2.0 * (st.p0 + st.p.sum()) for st in states])
-    k = np.arange(1, N + 1)
-    cos_kpi = np.where(k % 2 == 0, 1.0, -1.0)
-    trace1 = np.array([2.0 * (st.p0 + st.p @ cos_kpi) for st in states])
-    rec = SolutionRecord(times=times, states=states, lift=None,
-                         traces={"u0": trace0, "u1": trace1},
-                         tstar=T_star, contraction_factors=factors,
-                         iterations=it if spec.lam != 0 else 0,
-                         residual=last_dist if last_dist is not None else 0.0,
-                         projection_residual=proj_res)
-    return rec
+    q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, x, wq, N)
+    states = [mixed_state(q[j], p[j], p0[j], t=times[j]) for j in range(len(times))]
+    cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
+    return SolutionRecord(times=times, states=states, lift=None,
+                          traces={"u0": 2.0 * (p0 + p.sum(axis=1)),
+                                  "u1": 2.0 * (p0 + p @ cos_kpi)},
+                          tstar=T_star, contraction_factors=factors,
+                          iterations=it,
+                          residual=last_dist if last_dist is not None else 0.0,
+                          projection_residual=proj_res)

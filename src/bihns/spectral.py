@@ -12,8 +12,9 @@ apart here:
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
   transform; used by the hinged/Navier pipeline).
 * ``odd_even_extend``    -- q_k = int_0^1 f sin, p_k = int_0^1 f cos,
-  p0 = int_0^1 f  (half-weight coefficients of the odd/even *split*
-  f = f_o + f_e; used by the clamped/Dirichlet pipeline).
+  p0 = (1/2) int_0^1 f  (half-weight coefficients of the odd/even *split*
+  f = f_o + f_e; the clamped/Dirichlet solver records its states in this
+  convention, and the clamped trace study splits data this way).
 
 Boundary signals h(t) are almost-periodic series over the frequency lattice
 {n pi^4} (period 2/pi^3), see ``BoundaryTrace``.
@@ -22,7 +23,7 @@ Boundary signals h(t) are almost-periodic series over the frequency lattice
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -133,11 +134,6 @@ def cosine_state(p, p0: complex = 0.0, t: float = 0.0) -> FourierState:
 def mixed_state(q, p, p0: complex = 0.0, t: float = 0.0) -> FourierState:
     q = _as_c128(q)
     return FourierState(MIXED, q, _as_c128(p, len(q)), p0, t)
-
-
-def zero_state(N: int, basis: str = SINE) -> FourierState:
-    z = np.zeros(N, dtype=np.complex128)
-    return FourierState(basis, z, z.copy(), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +299,6 @@ class BoundaryTrace:
             object.__setattr__(self, "sample_t", st)
             object.__setattr__(self, "sample_h", sh)
 
-    @property
-    def has_series(self) -> bool:
-        return bool(np.any(self.a != 0)) or self.sample_t is None
-
     def __call__(self, t) -> np.ndarray:
         """Evaluate the series (preferred) or the sampled interpolant."""
         t = np.asarray(t, dtype=np.float64)
@@ -348,15 +340,6 @@ class BoundaryTrace:
         design = np.exp(1j * np.outer(t, TRACE_FREQ * n.astype(np.float64)))
         coef, *_ = np.linalg.lstsq(design, h, rcond=None)
         return BoundaryTrace(n, coef, sample_t=t, sample_h=h)
-
-    @staticmethod
-    def from_callable(fn: Callable, T: float, dt: float) -> "BoundaryTrace":
-        """Sampled-only trace from a time callable (no series part)."""
-        t = np.arange(0.0, T + 0.5 * dt, dt)
-        h = np.asarray([fn(ti) for ti in t], dtype=np.complex128)
-        return BoundaryTrace(np.zeros(1, dtype=np.int64),
-                             np.zeros(1, dtype=np.complex128),
-                             sample_t=t, sample_h=h)
 
 
 def trace_sobolev_norm(h: BoundaryTrace, alpha: float) -> float:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from bihns.cli import ConfigError, _build_problem
 from bihns.nonlinear import (ProblemSpec, _nonlin_sine_history,
                              homogenize_navier, nonlinearity,
                              picard_dirichlet, picard_navier)
@@ -27,9 +31,10 @@ def test_dirichlet_threshold_rejected():
 def test_navier_range():
     with pytest.raises(ValueError):
         ProblemSpec(family="navier", s=0.3)
-    ProblemSpec(family="navier", s=0.3, metric="l4")  # experimental path
-    with pytest.raises(ValueError):
-        ProblemSpec(family="navier", s=0.7, metric="l4")
+    # only the H^s metric exists; any other metric is a config error
+    for s in (0.3, 0.7):
+        with pytest.raises(ConfigError, match="metric"):
+            _build_problem({"family": "navier", "s": s, "metric": "l4"})
 
 
 def test_power_and_differentiability():
@@ -215,3 +220,48 @@ def test_picard_dirichlet_tstar_capped_at_one():
                        dt=0.05, K_clamped=4)
     rec = picard_dirichlet(spec)
     assert rec.tstar <= 1.0 + 1e-12
+
+
+def _exact_clamped_flow(datum, times, x, K=64):
+    """Free clamped flow sum_k c_k e^{i mu_k^4 t} phi_k(x) from brentq roots.
+
+    Eigenfunctions in the overflow-free (cosh - cos) - sigma (sinh - sin)
+    form, normalized and projected by Gauss-Legendre quadrature; nothing is
+    taken from ``build_clamped_basis``.
+    """
+    mu = np.array([brentq(lambda m: math.cos(m) - 1.0 / math.cosh(m),
+                          (k + 0.5) * math.pi - 0.7, (k + 0.5) * math.pi + 0.7,
+                          xtol=1e-15) for k in range(1, K + 1)])
+    em = np.exp(-mu)
+    d = 0.5 * (1.0 - em ** 2) - np.sin(mu) * em
+    sigma = ((0.5 * (1.0 + em ** 2) - np.cos(mu) * em) / d)[:, None]
+    tail = ((np.cos(mu) - np.sin(mu) - em) / d)[:, None]
+
+    def shapes(y):
+        my = np.outer(mu, y)
+        return (0.5 * (1.0 + sigma) * np.exp(-my) + 0.5 * tail * np.exp(my - mu[:, None])
+                - np.cos(my) + sigma * np.sin(my))
+
+    yg, wg = np.polynomial.legendre.leggauss(16 * K)
+    yg, wg = 0.5 * (yg + 1.0), 0.5 * wg
+    norm = np.sqrt(shapes(yg) ** 2 @ wg)
+    c = (shapes(yg) / norm[:, None]) @ (wg * datum(yg))
+    return (c * np.exp(1j * np.outer(times, mu ** 4))) @ (shapes(x) / norm[:, None])
+
+
+def test_picard_dirichlet_free_flow_oracle():
+    # lam = 0, zero boundary data, clamped-compatible datum: the solve is the
+    # exact eigen-flow; the mixed-series record truncates at O(N^-3)
+    datum = lambda x: x ** 2 * (1.0 - x) ** 2 * np.exp(x) + 0j
+    T = 2e-3
+    x = np.linspace(0.1, 0.9, 81)
+    errs = []
+    for N in (64, 128):
+        spec = ProblemSpec(family="dirichlet", s=1.8, p=4.0, lam=0.0, T=T,
+                           dt=T / 50, N=N, K_clamped=32, phi=datum)
+        rec = picard_dirichlet(spec)
+        got = np.array([rec.evaluate(j, x) for j in range(len(rec.times))])
+        exact = _exact_clamped_flow(datum, rec.times, x)
+        errs.append(float(np.abs(got - exact).max() / np.abs(exact).max()))
+    assert errs[0] <= 1e-4
+    assert errs[1] <= errs[0] / 4.0
