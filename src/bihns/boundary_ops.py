@@ -14,8 +14,9 @@ Clamped *histories* (``dirichlet_linear_history`` and the clamped solver) are
 not built from those kernels: the data ride on four cubic lifts and the rest
 on the clamped eigenbasis (``clamped_lift_response``), so the boundary data
 are attained identically.  ``clamped_mixed_history`` projects such a history
-onto the half-weight mixed basis, and ``clamped_grid`` is the one trapezoid
-rule behind every clamped projection.
+onto the half-weight mixed basis, and ``clamped_grid`` (the shared
+``spectral.uniform_grid`` on 4 max(N, K) intervals) is the one trapezoid rule
+behind every clamped projection.
 
 Note on orientation: integrating int_0^1 u_xxxx sin(k pi x) dx by parts gives
 the mode ODE  i q_k' + (k pi)^4 q_k = 2(k pi)^3 (h1 - cos(k pi) h2)
@@ -50,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .spectral import (BoundaryTrace, FourierState, TRACE_FREQ, mixed_state,
-                       sine_state)
+                       sine_state, uniform_grid)
 from .linear_flow import (ClampedBasis, ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -262,17 +263,14 @@ def _lift_mixed_coeffs(N: int):
 
 
 def clamped_grid(N: int, K: int):
-    """Uniform trapezoid nodes and weights on 4 max(N, K) + 1 points of [0, 1].
+    """The shared uniform grid (x, w, S, C) on 4 max(N, K) intervals of [0, 1].
 
     The one quadrature of the clamped family: every integrand it meets
     (initial datum, lift or nonlinearity times phi_j; phi_j times sin/cos)
-    has a vanishing first derivative at both ends, so the rule is O(h^4).
+    has a vanishing first derivative at both ends, so the trapezoid rule is
+    O(h^4).  S and C carry the record's N sine/cosine modes.
     """
-    M = 4 * max(N, K)
-    x = np.linspace(0.0, 1.0, M + 1)
-    w = np.full(M + 1, 1.0 / M)
-    w[0] = w[-1] = 0.5 / M
-    return x, w
+    return uniform_grid(N, 4 * max(N, K))
 
 
 def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
@@ -315,12 +313,14 @@ def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
 
 
 def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
-                          x: np.ndarray, w: np.ndarray, N: int):
+                          w: np.ndarray, S: np.ndarray, C: np.ndarray):
     """Half-weight mixed (q, p, p0) histories of sum_i vals_i lift_i + sum_j c_j phi_j.
 
     The lifts go through their closed-form coefficients; the eigen part
-    (``phi`` sampled on the grid x) through the quadrature weights w.
+    (``phi`` sampled on the grid of ``clamped_grid``) through its quadrature
+    weights w and sin/cos matrices S, C.
     """
+    N = S.shape[1]
     (q1, p1, c01), (q3, p3, c03) = _lift_mixed_coeffs(N)
     k = np.arange(1, N + 1)
     sgn = np.where(k % 2 == 0, -1.0, 1.0)       # (-1)^(k+1)
@@ -329,10 +329,9 @@ def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
     lq = np.stack((q1, sgn * q1, q3, -sgn * q3))
     lp = np.stack((p1, -sgn * p1, p3, sgn * p3))
     l0 = np.array([c01, c01, c03, -c03])
-    arg = np.pi * np.outer(x, k)
     pw = phi * w
-    q = vals @ lq + c @ (pw @ np.sin(arg))
-    p = vals @ lp + c @ (pw @ np.cos(arg))
+    q = vals @ lq + c @ (pw @ S)
+    p = vals @ lp + c @ (pw @ C)
     p0 = vals @ l0 + 0.5 * (c @ pw.sum(axis=1))
     return q, p, p0
 
@@ -352,9 +351,9 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     """
     if basis is None:
         basis = build_clamped_basis(K)
-    x, w = clamped_grid(N, basis.K)
+    x, w, S, C = clamped_grid(N, basis.K)
     vals, _, _, c = clamped_lift_response(h1, h2, h3, h4, times, basis, x, w)
-    return clamped_mixed_history(vals, c, basis.evaluate(x), x, w, N)
+    return clamped_mixed_history(vals, c, basis.evaluate(x), w, S, C)
 
 
 # ---------------------------------------------------------------------------

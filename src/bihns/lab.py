@@ -11,7 +11,7 @@ Five independent studies:
 * ``identity_checks`` / ``tail_bound_spotcheck`` — closed-form series checks.
 
 Each function is pure (seeded RNG in, table out); the CLI layer handles
-parallelism and emission.
+emission.
 """
 
 from __future__ import annotations

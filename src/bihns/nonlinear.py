@@ -21,7 +21,6 @@ are recorded but do not steer the halving.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -30,9 +29,9 @@ import numpy as np
 
 from . import boundary_ops as bops
 from . import linear_flow as lf
-from .spectral import (BoundaryTrace, FourierState, SINE, _sample, mixed_state,
-                       reconstruct, sine_coefficients, sine_state,
-                       sobolev_weights)
+from .spectral import (BoundaryTrace, FourierState, SINE, _sample, matmul_real,
+                       mixed_state, reconstruct, sine_coefficients, sine_state,
+                       sobolev_weights, uniform_grid)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
 from .spectral import odd_even_extend
 
@@ -109,7 +108,6 @@ class SolutionRecord:
     contraction_factors: List[float] = field(default_factory=list)
     iterations: int = 0
     residual: float = float("nan")
-    mode_residual: float = float("nan")
     projection_residual: float = float("nan")
 
     def evaluate(self, j: int, x) -> np.ndarray:
@@ -172,49 +170,26 @@ def nonlinearity(state: FourierState, p: float, lam: float,
                  pad: Optional[int] = None) -> FourierState:
     """Collocation evaluation of lam |u|^(p-2) u projected back onto the basis.
 
-    Reconstruct on M >= ceil(p/2)*N + 1 intervals, apply the pointwise power
-    (principal real power of |u|; u = 0 contributes 0), project with the
-    shared trapezoid transform.  Exact modulo the padding rule for integer p.
+    Synthesize on the shared grid of M >= ceil(p/2)*N + 1 intervals, apply the
+    pointwise power (principal real power of |u|; u = 0 contributes 0),
+    project with the trapezoid weights.  Exact modulo the padding rule for
+    integer p.
     """
     if p < 3:
         raise ValueError("need p >= 3")
-    M = _dealias_points(state.N, p, pad)
-    x = np.linspace(0.0, 1.0, M + 1)
-    u = reconstruct(state, x)
+    _, w, S, C = uniform_grid(state.N, _dealias_points(state.N, p, pad))
+    u = matmul_real(state.q, S.T) + matmul_real(state.p, C.T) + state.p0
     mag = np.abs(u)
     with np.errstate(invalid="ignore"):
         vals = lam * np.where(mag > 0, mag ** (p - 2.0), 0.0) * u
     if not np.all(np.isfinite(vals.view(np.float64))):
         raise OverflowError("nonlinearity overflow: blow-up candidate")
-    k = np.arange(1, state.N + 1)
-    arg = np.pi * np.outer(k, x)
-    h = x[1] - x[0]
-
-    def trap(rows):
-        return h * (rows[:, 1:-1].sum(axis=1) + 0.5 * (rows[:, 0] + rows[:, -1]))
-
+    vw = vals * w
+    q = matmul_real(vw, S)
     if state.basis == SINE:
-        q = 2.0 * trap(np.sin(arg) * vals)
-        return sine_state(q, t=state.t)
+        return sine_state(2.0 * q, t=state.t)
     # mixed/cosine: half-weight extension convention (round-trips reconstruct)
-    q = trap(np.sin(arg) * vals)
-    pcoef = trap(np.cos(arg) * vals)
-    p0 = 0.5 * h * (vals[1:-1].sum() + 0.5 * (vals[0] + vals[-1]))
-    return mixed_state(q, pcoef, p0, t=state.t)
-
-
-@functools.lru_cache(maxsize=8)
-def _sine_transform(N: int, M: int):
-    """Read-only (M+1, N) sine matrix on M intervals and twice its trapezoid weights."""
-    x = np.linspace(0.0, 1.0, M + 1)
-    k = np.arange(1, N + 1)
-    S = np.sin(np.pi * np.outer(x, k))
-    h = x[1] - x[0]
-    w2 = np.full(M + 1, 2.0 * h)
-    w2[0] = w2[-1] = h
-    S.flags.writeable = False
-    w2.flags.writeable = False
-    return S, w2
+    return mixed_state(q, matmul_real(vw, C), 0.5 * vw.sum(), t=state.t)
 
 
 def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
@@ -222,28 +197,20 @@ def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
     """Vectorized sine-projected nonlinearity along a coefficient history.
 
     ``v_hist``: (T, N) sine coefficients; ``gamma_vals``: optional stationary
-    grid values added before the pointwise power.  The sine matrix is real, so
-    both transforms run as one real product on the stacked (re; im) rows.
+    values on the shared grid, added before the pointwise power.
     """
-    S, w2 = _sine_transform(N, _dealias_points(N, p))
-    T = len(v_hist)
-    u = np.concatenate((v_hist.real, v_hist.imag)) @ S.T     # (2T, M+1)
-    re, im = u[:T], u[T:]
+    _, w, S, _ = uniform_grid(N, _dealias_points(N, p))
+    u = matmul_real(v_hist, S.T)                             # (T, M+1)
     if gamma_vals is not None:
-        re += gamma_vals.real
-        im += gamma_vals.imag
-    fac = np.hypot(re, im)                 # |u|; p >= 3 keeps 0 ** (p-2) = 0
+        u += gamma_vals
+    fac = np.abs(u)                        # p >= 3 keeps 0 ** (p-2) = 0
     fac **= p - 2.0
     fac *= lam
-    re *= fac
-    im *= fac
-    if not np.all(np.isfinite(u)):
+    u *= fac
+    if not np.all(np.isfinite(u.view(np.float64))):
         raise OverflowError("nonlinearity overflow: blow-up candidate")
-    u *= w2
-    q = u @ S                                                 # (2T, N)
-    out = np.empty((T, N), dtype=np.complex128)
-    out.real, out.imag = q[:T], q[T:]
-    return out
+    u *= 2.0 * w
+    return matmul_real(u, S)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +251,16 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
 
     omegas = lf.navier_eigenvalues(N)
     wgt = sobolev_weights(N, spec.s)
-    M_pad = _dealias_points(N, spec.p)
-    gamma_vals = (gamma(np.linspace(0.0, 1.0, M_pad + 1))
+    gamma_vals = (gamma(uniform_grid(N, _dealias_points(N, spec.p))[0])
                   if any(abs(c) > 0 for c in corner) else None)
 
     T_star = min(spec.T, 1.0)
     while True:
         times = _grid(T_star, spec.dt)
-        free = phi_v[None, :] * np.exp(1j * np.outer(times, omegas))
-        bdry = bops.navier_boundary_history(*ht, times, N)
-        lin = free + bdry
+        lin = phi_v[None, :] * np.exp(1j * np.outer(times, omegas))
+        lin += bops.navier_boundary_history(*ht, times, N)
 
-        v = lin.copy()
+        v = lin
         factors: List[float] = []
         converged = False
         last_dist = None
@@ -324,7 +289,7 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
 
     # fixed-point residual (one more application of the map)
     if spec.lam == 0:
-        nl, residual = None, 0.0
+        residual = 0.0
     else:
         nl = _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N)
         F = lf.ForcingHistory(times, nl, omegas)
@@ -333,42 +298,11 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     states = [sine_state(v[j], t=times[j]) for j in range(len(times))]
     lift = (lambda x: gamma(x)) if gamma_vals is not None else None
     tr0, tr1 = bops.sine_endpoint_values(v)
-    rec = SolutionRecord(times=times, states=states, lift=lift,
-                         traces={"u0": tr0 + (gamma(0.0) if lift else 0.0),
-                                 "u1": tr1 + (gamma(1.0) if lift else 0.0)},
-                         tstar=T_star, contraction_factors=factors,
-                         iterations=it, residual=residual)
-    rec.mode_residual = _mode_residual(times, v, omegas, nl,
-                                       bdry_forcing(ht, times, N))
-    return rec
-
-
-def bdry_forcing(ht, times, N) -> np.ndarray:
-    """Right-hand side 2(k pi)^3 (h1 - cos k pi h2) - 2 k pi (h5 - cos k pi h6)."""
-    h1, h2, h5, h6 = ht
-    k = np.arange(1, N + 1)
-    kp = k * np.pi
-    cos_kpi = np.where(k % 2 == 0, 1.0, -1.0)
-    out = np.zeros((len(times), N), dtype=np.complex128)
-    for h, w in ((h1, 2.0 * kp ** 3), (h2, -2.0 * kp ** 3 * cos_kpi),
-                 (h5, -2.0 * kp), (h6, 2.0 * kp * cos_kpi)):
-        if np.any(h.a != 0) or h.sample_t is not None:
-            out += np.asarray(h(times))[:, None] * w[None, :]
-    return out
-
-
-def _mode_residual(times, coeff_hist, omegas, nonlin_hist, forcing_hist) -> float:
-    """Max |i q' + w q + nonlin - forcing| via centered differences (O(dt^2))."""
-    if len(times) < 3:
-        return 0.0
-    dt = times[1] - times[0]
-    dq = (coeff_hist[2:] - coeff_hist[:-2]) / (2.0 * dt)
-    res = 1j * dq + omegas[None, :] * coeff_hist[1:-1]
-    if nonlin_hist is not None:
-        res = res + nonlin_hist[1:-1]
-    if forcing_hist is not None:
-        res = res - forcing_hist[1:-1]
-    return float(np.abs(res).max())
+    return SolutionRecord(times=times, states=states, lift=lift,
+                          traces={"u0": tr0 + (gamma(0.0) if lift else 0.0),
+                                  "u1": tr1 + (gamma(1.0) if lift else 0.0)},
+                          tstar=T_star, contraction_factors=factors,
+                          iterations=it, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +319,7 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
         raise ValueError("spec is not a clamped-family problem")
     N, K = spec.N, spec.K_clamped
     basis = lf.build_clamped_basis(K)
-    x, wq = bops.clamped_grid(N, K)
+    x, wq, S, C = bops.clamped_grid(N, K)
     phi_x = basis.evaluate(x)                              # (K, M+1)
     c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
@@ -430,7 +364,7 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
         if T_star < spec.dt:
             raise RuntimeError("no contraction: T* underflowed below dt")
 
-    q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, x, wq, N)
+    q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
     states = [mixed_state(q[j], p[j], p0[j], t=times[j]) for j in range(len(times))]
     cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
     return SolutionRecord(times=times, states=states, lift=None,

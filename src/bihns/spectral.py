@@ -5,9 +5,13 @@ Functions on (0,1) are represented by truncated series
     f(x) = p0 + sum_k p_k cos(k pi x) + sum_k q_k sin(k pi x),   k = 1..N,
 
 which is simultaneously a function on the two-periodic extension cell [-1,1]
-(sine part = odd reflection, cosine part = even reflection).  Two transform
-conventions coexist in the boundary-value machinery and are kept strictly
-apart here:
+(sine part = odd reflection, cosine part = even reflection).
+
+Every projection and synthesis on a uniform grid runs on one cached grid per
+(N, M), ``uniform_grid``: the M+1 nodes of [0,1], their trapezoid weights w
+and the read-only (M+1, N) matrices S = sin(k pi x) and C = cos(k pi x);
+complex values meet S and C through ``matmul_real``.  Two coefficient
+conventions share that grid and differ only by a factor 2:
 
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
   transform; used by the hinged/Navier pipeline).
@@ -22,7 +26,8 @@ Boundary signals h(t) are almost-periodic series over the frequency lattice
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -102,24 +107,6 @@ class FourierState:
     def N(self) -> int:
         return len(self.q)
 
-    # -- light algebra used by the solver pipelines ------------------------
-
-    def __add__(self, other: "FourierState") -> "FourierState":
-        if self.N != other.N:
-            raise ValueError("mode counts differ")
-        basis = self.basis if self.basis == other.basis else MIXED
-        return FourierState(basis, self.q + other.q, self.p + other.p,
-                            self.p0 + other.p0, self.t)
-
-    def __sub__(self, other: "FourierState") -> "FourierState":
-        return self + (-1.0) * other
-
-    def __rmul__(self, c: complex) -> "FourierState":
-        return FourierState(self.basis, c * self.q, c * self.p, c * self.p0, self.t)
-
-    def with_time(self, t: float) -> "FourierState":
-        return replace(self, t=t)
-
 
 def sine_state(q, t: float = 0.0) -> FourierState:
     q = _as_c128(q)
@@ -158,9 +145,32 @@ def _sample(f, M: int):
     return x, vals
 
 
-def _trapezoid(vals, x):
-    h = x[1] - x[0]
-    return h * (vals[..., 1:-1].sum(axis=-1) + 0.5 * (vals[..., 0] + vals[..., -1]))
+@functools.lru_cache(maxsize=8)
+def uniform_grid(N: int, M: int):
+    """Read-only (x, w, S, C) of the uniform grid with M intervals on [0, 1].
+
+    x: the M+1 nodes; w: their trapezoid weights; S, C: the (M+1, N)
+    matrices sin(k pi x) and cos(k pi x), k = 1..N.
+    """
+    x = np.linspace(0.0, 1.0, M + 1)
+    w = np.full(M + 1, 1.0 / M)
+    w[0] = w[-1] = 0.5 / M
+    arg = np.pi * np.outer(x, np.arange(1, N + 1))
+    grid = (x, w, np.sin(arg), np.cos(arg))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def matmul_real(a, B) -> np.ndarray:
+    """Complex ``a`` @ real ``B`` as one real product on stacked (re; im) rows."""
+    a = np.asarray(a)
+    rows = a.reshape(-1, a.shape[-1])
+    n = len(rows)
+    r = np.concatenate((rows.real, rows.imag)) @ B
+    out = np.empty((n, r.shape[1]), dtype=np.complex128)
+    out.real, out.imag = r[:n], r[n:]
+    return out.reshape(a.shape[:-1] + (r.shape[1],))
 
 
 def sine_coefficients(f, N: int, grid_points: Optional[int] = None) -> FourierState:
@@ -173,11 +183,9 @@ def sine_coefficients(f, N: int, grid_points: Optional[int] = None) -> FourierSt
     if N < 1:
         raise ValueError("need N >= 1")
     M = (grid_points - 1) if grid_points else max(4 * N, 8)
-    x, vals = _sample(f, M)
-    k = np.arange(1, N + 1)
-    sines = np.sin(np.pi * np.outer(k, x))
-    q = 2.0 * _trapezoid(sines * vals, x)
-    return sine_state(q)
+    vals = _sample(f, M)[1]
+    _, w, S, _ = uniform_grid(N, len(vals) - 1)
+    return sine_state(2.0 * matmul_real(vals * w, S))
 
 
 def odd_even_extend(f, N: int, grid_points: Optional[int] = None):
@@ -191,22 +199,16 @@ def odd_even_extend(f, N: int, grid_points: Optional[int] = None):
     if N < 1:
         raise ValueError("need N >= 1")
     M = (grid_points - 1) if grid_points else max(4 * N, 8)
-    x, vals = _sample(f, M)
-    k = np.arange(1, N + 1)
-    arg = np.pi * np.outer(k, x)
-    q = _trapezoid(np.sin(arg) * vals, x)
-    p = _trapezoid(np.cos(arg) * vals, x)
-    p0 = 0.5 * _trapezoid(vals, x)
-    return sine_state(q), cosine_state(p, p0)
+    vals = _sample(f, M)[1]
+    _, w, S, C = uniform_grid(N, len(vals) - 1)
+    vw = vals * w
+    return (sine_state(matmul_real(vw, S)),
+            cosine_state(matmul_real(vw, C), 0.5 * vw.sum()))
 
 
 def reconstruct(state: FourierState, grid) -> np.ndarray:
     """Evaluate p0 + sum p_k cos(k pi x) + sum q_k sin(k pi x) on the grid."""
-    x = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    k = np.arange(1, state.N + 1)
-    arg = np.pi * np.outer(x, k)
-    out = np.sin(arg) @ state.q + np.cos(arg) @ state.p + state.p0
-    return out
+    return reconstruct_derivative(state, grid, 0)
 
 
 def reconstruct_derivative(state: FourierState, grid, order: int = 1) -> np.ndarray:

@@ -148,27 +148,19 @@ def test_traces_bad_sgrid_exit2(tmp_path):
 # determinism
 
 
-def _run_kato(tmp_path, outname, seed, threads=None, monkeypatch=None):
+def _run_kato(tmp_path, outname, seed):
     cfg = write_cfg(tmp_path, "k.json", {
         "mode": "kato_sweep",
         "kato_sweep": {"s_grid": [1.0, 2.0], "ensemble": 8, "N": 64}})
     out = tmp_path / outname
-    if threads is not None:
-        monkeypatch.setenv("BIHNS_THREADS", str(threads))
     rc = main(["kato_sweep", "--config", cfg, "--out", str(out),
                "--seed", str(seed)])
     return rc, (out / "kato_sweep.csv").read_bytes()
 
 
-def test_seeded_runs_byte_identical(tmp_path, monkeypatch):
+def test_seeded_runs_byte_identical(tmp_path):
     rc1, b1 = _run_kato(tmp_path, "o1", 42)
     rc2, b2 = _run_kato(tmp_path, "o2", 42)
-    assert b1 == b2
-
-
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    _, b1 = _run_kato(tmp_path, "o1", 7, threads=1, monkeypatch=monkeypatch)
-    _, b2 = _run_kato(tmp_path, "o2", 7, threads=4, monkeypatch=monkeypatch)
     assert b1 == b2
 
 
@@ -223,6 +215,6 @@ def test_summary_json_is_strict(tmp_path, mode, payload):
     record = json.loads((out / "summary.json").read_text(),
                         parse_constant=_reject_constant)
     assert "error" not in record
-    if mode == "solve" and payload["family"] == "dirichlet":
+    if mode == "solve":
         assert record["summary"]["mode_residual"] is None
         assert record["summary"]["mode_residual_note"]

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bihns.spectral import (BoundaryTrace, FourierState, SobolevIndex,
-                            TRACE_FREQ, cosine_state, mixed_state,
+                            TRACE_FREQ, cosine_state, matmul_real, mixed_state,
                             odd_even_extend, reconstruct,
                             reconstruct_derivative, sine_coefficients,
-                            sine_state, sobolev_norm, trace_sobolev_norm)
+                            sine_state, sobolev_norm, trace_sobolev_norm,
+                            uniform_grid)
 
 rng = np.random.default_rng(1234)
 
@@ -122,6 +123,34 @@ def test_odd_even_constant_mean_mode():
         got = reconstruct(fo, x) + reconstruct(fe, x)
         errs.append(np.max(np.abs(got - 3.0)))
     assert errs[1] < errs[0]
+
+
+def test_uniform_grid_roundtrips_mixed_history():
+    """Synthesis and analysis of a band-limited (T, N) history on the shared grid.
+
+    The odd part comes back through twice the trapezoid weights, the even
+    part and its mean through the weights themselves; the cached arrays are
+    read-only and shared between calls.
+    """
+    T, N = 9, 24
+    q = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
+    p = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
+    p0 = rng.standard_normal(T) + 1j * rng.standard_normal(T)
+    x, w, S, C = uniform_grid(N, 2 * N)
+    odd = matmul_real(q, S.T)
+    even = matmul_real(p, C.T) + p0[:, None]
+    assert np.allclose(odd[3], reconstruct(sine_state(q[3]), x), rtol=0, atol=1e-12)
+    back = (2.0 * matmul_real(odd * w, S), 2.0 * matmul_real(even * w, C),
+            (even * w).sum(axis=1))
+    for got, want in zip(back, (q, p, p0)):
+        assert np.max(np.abs(got - want)) < 1e-13 * np.abs(want).max()
+    # the two coefficient conventions differ only by the factor 2
+    assert np.array_equal(sine_coefficients(odd[0], N).q,
+                          2.0 * odd_even_extend(odd[0], N)[0].q)
+    assert uniform_grid(N, 2 * N)[2] is S
+    for a in (x, w, S, C):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
