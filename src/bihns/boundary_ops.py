@@ -1,4 +1,4 @@
-"""Boundary-to-interior kernels, lifts, reflections and trace series.
+"""Boundary-to-interior convolutions, lifts and trace series.
 
 The solution of the linear problem driven purely by boundary data is a
 mode-wise time convolution against exp(i (k pi)^4 (t - tau)) with explicit
@@ -6,41 +6,35 @@ weights:
 
 * hinged family: weights 2i(k pi)^3 (value data) and -2i k pi (second
   derivative data) -- see ``BetaTable.navier0/navier2``;
-* clamped family: the beta coefficients b01, b02 (value data -> sine/cosine
-  parts) and b11, b12 (first-derivative data), obtained by eliminating a cubic
-  lift, see ``BetaTable``; the single-time kernels ``w0d``/``w1d`` use them.
+* clamped family: the reference beta coefficients b01, b02 (value data ->
+  sine/cosine parts) and b11, b12 (first-derivative data) of ``BetaTable``.
 
 Clamped *histories* (``dirichlet_linear_history`` and the clamped solver) are
-not built from those kernels: the data ride on four cubic lifts and the rest
+not built from those weights: the data ride on four cubic lifts and the rest
 on the clamped eigenbasis (``clamped_lift_response``), so the boundary data
 are attained identically.  ``clamped_mixed_history`` projects such a history
 onto the half-weight mixed basis, and ``clamped_grid`` (the shared
 ``spectral.uniform_grid`` on 4 max(N, K) intervals) is the one trapezoid rule
 behind every clamped projection.
 
+Each family has one lift, written in y with y = 1 at the end that carries the
+data: y = 1 - x for data at x = 0 and y = x for data at x = 1.
+
 Note on orientation: integrating int_0^1 u_xxxx sin(k pi x) dx by parts gives
 the mode ODE  i q_k' + (k pi)^4 q_k = 2(k pi)^3 (h1 - cos(k pi) h2)
 - 2 k pi (h5 - cos(k pi) h6), so the *assembled* hinged solution carries an
-extra global minus relative to the raw navier0/navier2 table weights; the
-assembly helpers below apply it, the single-operator entry points ``w0n`` and
-``w2n`` expose the raw table weights.
+extra global minus relative to the raw navier0/navier2 table weights;
+``navier_boundary_history`` applies it.
 
 Note on the clamped value-data cosine weight: expanding the clamped cubic
 lift in the half-weight sine/cosine convention gives the b01/b11/b12 closed
 forms of ``BetaTable`` exactly, but its cosine coefficient for value data is
 12(1 - cos k pi)/(k pi)^4, not the reference closed form 12(1 - k pi)/(k pi)^4
-recorded as b02 (and the lift's cell average is h1/4 + h3/24).  The solution
-maps ``w0d``/``w1d`` and the lift coefficients of ``clamped_mixed_history``
-use the expansion-consistent values -- that is what makes the reconstructed
-solution actually attain its boundary data; ``BetaTable`` keeps the reference
-forms verbatim for the bit-exactness check.
-
-Convolutions support two routes sharing one contract:
-
-* a lattice-series route, exact per (mode, frequency) pair with resonance
-  handling -- used by the optimality study and refinement tests;
-* a sampled route through the piecewise-linear exponential integrator of
-  :mod:`bihns.linear_flow`.
+recorded as b02 (and the lift's cell average is h1/4 + h3/24).  The lift
+coefficients of ``clamped_mixed_history`` use the expansion-consistent values
+-- that is what makes the reconstructed solution actually attain its boundary
+data; ``BetaTable`` keeps the reference forms verbatim for the bit-exactness
+check.
 """
 
 from __future__ import annotations
@@ -50,8 +44,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .spectral import (BoundaryTrace, FourierState, TRACE_FREQ, mixed_state,
-                       sine_state, uniform_grid)
+from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, uniform_grid
 from .linear_flow import (ClampedBasis, ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -90,40 +83,11 @@ def build_beta_table(N: int) -> BetaTable:
     return BetaTable(N, navier0, navier2, b01, b02, b11, b12)
 
 
-def _clamped_solution_weights(N: int):
-    """Expansion-consistent clamped weights (see module docstring).
-
-    Returns (wq1, wp1, wq3, wp3): sine/cosine convolution weights for value
-    data and slope data.  Only the value-data cosine weight differs from the
-    reference table: -i (k pi)^4 * 12 (1 - cos k pi)/(k pi)^4 = 12i(cos k pi - 1).
-    """
-    table = build_beta_table(N)
-    k = np.arange(1, N + 1)
-    cos_kpi = np.where(k % 2 == 0, 1.0, -1.0)
-    wp1 = 12j * (cos_kpi - 1.0)
-    return table.b01, wp1, table.b11, table.b12
-
-
-def mirror(state: FourierState) -> FourierState:
-    """Reflection x -> 1-x on coefficients: q_k -> (-1)^(k+1) q_k, p_k -> (-1)^k p_k."""
-    k = np.arange(1, state.N + 1)
-    sgn = np.where(k % 2 == 0, -1.0, 1.0)
-    return FourierState(state.basis, sgn * state.q, -sgn * state.p, state.p0, state.t)
-
-
 # ---------------------------------------------------------------------------
 # convolution cores
 
 
-def _require_compatible(h: BoundaryTrace, compat: bool):
-    if compat:
-        h0 = h(0.0)
-        if abs(h0) > 1e-9:
-            raise ValueError(f"trace violates the corner condition h(0)=0 (h(0)={h0:.3e})")
-
-
-def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
-                    res_tol: float = 1e-9) -> np.ndarray:
+def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray) -> np.ndarray:
     """Exact I[j,k] = int_0^{t_j} e^{i w_k (t-tau)} h(tau) dtau for a lattice series.
 
     Per frequency n pi^4: (e^{i n pi^4 t} - e^{i w t}) / (i (n pi^4 - w)),
@@ -133,7 +97,7 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
     freqs = h.n.astype(np.float64) * TRACE_FREQ
     a = np.asarray(h.a, dtype=np.complex128)
     diff = freqs[:, None] - omegas[None, :]                 # (M, K)
-    res = np.abs(diff) <= res_tol * (1.0 + np.abs(omegas))
+    res = np.abs(diff) <= 1e-9 * (1.0 + np.abs(omegas))
     # a_m / (i (nu_m - w_k)), zero on resonant pairs; the other gaps are
     # at least pi^4, so the two-exponential form below does not cancel
     coef = np.divide(a[:, None], 1j * diff, where=~res,
@@ -146,80 +110,18 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
     return out
 
 
-def _sampled_history(h: BoundaryTrace, times: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    vals = h(times)
-    coeffs = np.repeat(vals[:, None], len(omegas), axis=1)
-    F = ForcingHistory(times, coeffs, omegas)
-    return duhamel_history(F)
-
-
 def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int) -> np.ndarray:
     """Shared I[j,k] = int_0^{t_j} e^{i(k pi)^4 (t-tau)} h(tau) dtau, k = 1..N.
 
-    Uses the exact lattice-series route when a series is present, else the
-    piecewise-linear sampled route.  Raises if the trace carries neither form.
+    Uses the exact lattice-series route when a series is present (a zero
+    series gives zeros), else the piecewise-linear sampled route.
     """
     omegas = navier_eigenvalues(N)
-    if np.any(h.a != 0):
+    if np.any(h.a != 0) or h.sample_t is None:
         return convolve_series(omegas, h, times)
-    if h.sample_t is not None:
-        return _sampled_history(h, np.asarray(times, dtype=np.float64), omegas)
-    if np.all(h.a == 0) and h.sample_t is None and len(h.n) >= 1:
-        # an explicitly zero series is a valid (zero) trace
-        return np.zeros((len(np.atleast_1d(times)), N), dtype=np.complex128)
-    raise ValueError("trace carries neither series nor samples")
-
-
-# ---------------------------------------------------------------------------
-# the four boundary kernels (single-time entry points per the op contracts)
-
-
-def _times_grid(t: float, dt: float) -> np.ndarray:
-    n = max(2, int(round(t / dt)) + 1)
-    return np.linspace(0.0, t, n)
-
-
-def w0n(h: BoundaryTrace, t: float, N: int, dt: float = 1e-4,
-        compat: bool = True) -> FourierState:
-    """Raw hinged value-data kernel: q_k(t) = 2i(k pi)^3 int_0^t e^{i(k pi)^4(t-tau)} h."""
-    _require_compatible(h, compat)
-    table = build_beta_table(N)
-    I = boundary_convolution(h, _times_grid(t, dt), N)[-1]
-    return sine_state(table.navier0 * I, t=t)
-
-
-def w2n(h: BoundaryTrace, t: float, N: int, dt: float = 1e-4,
-        compat: bool = True) -> FourierState:
-    """Raw hinged curvature-data kernel with weight -2i k pi."""
-    _require_compatible(h, compat)
-    table = build_beta_table(N)
-    I = boundary_convolution(h, _times_grid(t, dt), N)[-1]
-    return sine_state(table.navier2 * I, t=t)
-
-
-def w0d(h: BoundaryTrace, t: float, N: int, dt: float = 1e-4,
-        compat: bool = True) -> FourierState:
-    """Clamped value-data kernel: sine part b01, expansion-consistent cosine part.
-
-    The constant mode is the assembled residual p0(0) = h(0)/4 (exactly zero
-    under the corner condition; kept so that incompatible data still round-trip
-    at the mean-mode level).
-    """
-    _require_compatible(h, compat)
-    wq1, wp1, _, _ = _clamped_solution_weights(N)
-    I = boundary_convolution(h, _times_grid(t, dt), N)[-1]
-    p0 = 0.25 * complex(h(0.0))
-    return mixed_state(wq1 * I, wp1 * I, p0, t=t)
-
-
-def w1d(h: BoundaryTrace, t: float, N: int, dt: float = 1e-4,
-        compat: bool = True) -> FourierState:
-    """Clamped slope-data kernel: sine part b11, cosine part b12, p0 = h(0)/24."""
-    _require_compatible(h, compat)
-    _, _, wq3, wp3 = _clamped_solution_weights(N)
-    I = boundary_convolution(h, _times_grid(t, dt), N)[-1]
-    p0 = complex(h(0.0)) / 24.0
-    return mixed_state(wq3 * I, wp3 * I, p0, t=t)
+    times = np.asarray(times, dtype=np.float64)
+    coeffs = np.repeat(h(times)[:, None], len(omegas), axis=1)
+    return duhamel_history(ForcingHistory(times, coeffs, omegas))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +139,30 @@ def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
     """
     table = build_beta_table(N)
     k = np.arange(1, N + 1)
-    ref = np.where(k % 2 == 0, -1.0, 1.0)  # (-1)^(k+1), the mirror signs
+    ref = np.where(k % 2 == 0, -1.0, 1.0)  # (-1)^(k+1), reflection x -> 1-x
     out = np.zeros((len(times), N), dtype=np.complex128)
     for h, w in ((h1, -table.navier0), (h2, -ref * table.navier0),
                  (h5, -table.navier2), (h6, -ref * table.navier2)):
         if np.any(h.a != 0) or h.sample_t is not None:
             out += boundary_convolution(h, times, N) * w
     return out
+
+
+# ---------------------------------------------------------------------------
+# lifts (y = 1 - x for data at x = 0, y = x for data at x = 1)
+
+
+def navier_lift(h1, h5, y):
+    """Hinged lift (h1 - h5/6) y + (h5/6) y^3: value h1 and curvature h5 at
+    y = 1, value and curvature 0 at y = 0."""
+    return (h1 - h5 / 6.0) * y + (h5 / 6.0) * y ** 3
+
+
+def dirichlet_lift(h1, h3, y):
+    """Clamped lift (3 h1 + h3) y^2 - (2 h1 + h3) y^3: value h1 and slope
+    d/dy = -h3 at y = 1 (so d/dx = h3 at x = 0 for y = 1 - x), value and
+    slope 0 at y = 0."""
+    return (3 * h1 + h3) * y ** 2 - (2 * h1 + h3) * y ** 3
 
 
 def _lift_mixed_coeffs(N: int):
@@ -292,10 +211,8 @@ def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
     """
     times = np.asarray(times, dtype=np.float64)
     u = 1.0 - x
-    lift = np.stack((3.0 * u ** 2 - 2.0 * u ** 3,
-                     3.0 * x ** 2 - 2.0 * x ** 3,
-                     u ** 2 - u ** 3,
-                     -(x ** 2 - x ** 3)))
+    lift = np.stack((dirichlet_lift(1, 0, u), dirichlet_lift(1, 0, x),
+                     dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
     a = (lift * w) @ basis.evaluate(x).T
     T = len(times)
     vals = np.zeros((T, 4), dtype=np.complex128)
@@ -357,43 +274,6 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
 
 
 # ---------------------------------------------------------------------------
-# lifts
-
-
-def navier_lift(h1: complex, h5: complex, x, order: int = 0):
-    """Cubic hinged lift (1-x)(h1 - h5/6) + (1-x)^3 h5/6 and derivatives.
-
-    lift(0) = h1, lift''(0) = h5, lift(1) = lift''(1) = 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = 1.0 - x
-    if order == 0:
-        return (h1 - h5 / 6.0) * u + (h5 / 6.0) * u ** 3
-    if order == 1:
-        return -(h1 - h5 / 6.0) - 0.5 * h5 * u ** 2
-    if order == 2:
-        return h5 * u
-    raise ValueError("order must be 0, 1 or 2")
-
-
-def dirichlet_lift(h1: complex, h3: complex, x, order: int = 0):
-    """Cubic clamped lift (1-x)^2 (3 h1 + h3) - (1-x)^3 (2 h1 + h3).
-
-    lift(0) = h1, lift'(0) = h3, lift(1) = lift'(1) = 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = 1.0 - x
-    a, b = 3.0 * h1 + h3, 2.0 * h1 + h3
-    if order == 0:
-        return a * u ** 2 - b * u ** 3
-    if order == 1:
-        return -2.0 * a * u + 3.0 * b * u ** 2
-    if order == 2:
-        return 2.0 * a - 6.0 * b * u
-    raise ValueError("order must be 0, 1 or 2")
-
-
-# ---------------------------------------------------------------------------
 # trace series of the periodic flow of the odd/even split (trace study)
 
 
@@ -432,14 +312,15 @@ def dirichlet_traces(phi_o: FourierState, phi_e: FourierState
 # boundary-value extraction from coefficient histories
 
 
-def _jump_fit_weights(N: int, window: Optional[Tuple[int, int]] = None):
+def _jump_fit_weights(N: int):
     """Normal-equation solve for the endpoint values of a sine series.
 
     Smooth f with f(0)=A, f(1)=B has full-convention sine coefficients
-    q_k = 2A/(k pi) + 2B(-1)^(k+1)/(k pi) + O(k^-3); a least-squares fit of a
-    tail window of coefficients against those two templates recovers (A, B).
+    q_k = 2A/(k pi) + 2B(-1)^(k+1)/(k pi) + O(k^-3); a least-squares fit of
+    the upper half of the coefficients against those two templates recovers
+    (A, B).
     """
-    lo, hi = window if window else (N // 2 + 1, N)
+    lo, hi = N // 2 + 1, N
     k = np.arange(lo, hi + 1)
     t0 = 2.0 / (k * np.pi)
     t1 = 2.0 * np.where(k % 2 == 0, -1.0, 1.0) / (k * np.pi)
@@ -448,7 +329,7 @@ def _jump_fit_weights(N: int, window: Optional[Tuple[int, int]] = None):
     return slice(lo - 1, hi), pinv
 
 
-def sine_endpoint_values(q_hist: np.ndarray, window: Optional[Tuple[int, int]] = None):
+def sine_endpoint_values(q_hist: np.ndarray):
     """Estimate (f(0,t), f(1,t)) from a sine-coefficient history (T, N).
 
     Term-by-term evaluation at the endpoints is identically zero for a sine
@@ -458,20 +339,6 @@ def sine_endpoint_values(q_hist: np.ndarray, window: Optional[Tuple[int, int]] =
     """
     q_hist = np.atleast_2d(q_hist)
     N = q_hist.shape[1]
-    sl, pinv = _jump_fit_weights(N, window)
+    sl, pinv = _jump_fit_weights(N)
     ab = q_hist[:, sl] @ pinv.T
     return ab[:, 0], ab[:, 1]
-
-
-def sine_slope_sums(q_hist: np.ndarray):
-    """Order-1 traces of a sine series: (sum k pi q_k, sum k pi cos(k pi) q_k).
-
-    Term-by-term differentiation; divergence for incompatible data shows up as
-    growth of the partial sums and is the caller's signal, not hidden here.
-    """
-    q_hist = np.atleast_2d(q_hist)
-    N = q_hist.shape[1]
-    k = np.arange(1, N + 1)
-    kp = k * np.pi
-    cos_kpi = np.where(k % 2 == 0, 1.0, -1.0)
-    return q_hist @ kp, q_hist @ (kp * cos_kpi)

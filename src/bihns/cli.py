@@ -47,8 +47,14 @@ def _complex_list(raw, field) -> np.ndarray:
         raise ConfigError(f"{field}: expected a list of [re, im] pairs ({e})")
 
 
+def _section(raw, field) -> Dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{field}: expected an object (got {raw!r})")
+    return raw
+
+
 def _trace_from_config(raw, field) -> BoundaryTrace:
-    if raw is None or raw == {} or raw.get("kind", "zero") == "zero":
+    if raw is None or _section(raw, field).get("kind", "zero") == "zero":
         return BoundaryTrace.zero()
     kind = raw.get("kind")
     if kind == "series":
@@ -65,7 +71,7 @@ def _trace_from_config(raw, field) -> BoundaryTrace:
 
 
 def _phi_from_config(raw):
-    if raw is None or raw.get("kind", "zero") == "zero":
+    if raw is None or _section(raw, "phi").get("kind", "zero") == "zero":
         return None
     kind = raw.get("kind")
     if kind == "sine":
@@ -85,9 +91,9 @@ def _build_problem(payload: Dict) -> ProblemSpec:
         raise ConfigError(f"family must be 'navier' or 'dirichlet' (got {family!r})")
     if payload.get("metric", "hs") != "hs":
         raise ConfigError(f"metric must be 'hs' (got {payload['metric']!r})")
-    traces = {key: _trace_from_config(payload.get(key), key)
-              for key in ("h1", "h2", "h3", "h4", "h5", "h6")}
     try:
+        traces = {key: _trace_from_config(payload.get(key), key)
+                  for key in ("h1", "h2", "h3", "h4", "h5", "h6")}
         return ProblemSpec(
             family=family,
             s=float(payload.get("s", 1.0)),
@@ -102,7 +108,7 @@ def _build_problem(payload: Dict) -> ProblemSpec:
             K_clamped=int(payload.get("K_clamped", 32)),
             **traces,
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e))
 
 

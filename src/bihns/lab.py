@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -26,8 +26,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from . import boundary_ops as bops
-from .spectral import (BoundaryTrace, odd_even_extend, sine_state,
-                       sobolev_norm, trace_sobolev_norm)
+from .spectral import (BoundaryTrace, odd_even_extend, sobolev_norm,
+                       trace_sobolev_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Three flavors of the linear flow i u_t + u_xxxx = 0 live here:
 
 * hinged/Navier flow on sine series: q_k -> exp(i (k pi)^4 t) q_k,
 * the periodic group acting on odd+even extensions (same phases, p0 fixed),
-* the clamped flow W^D, realized concretely on the clamped-beam eigenbasis
-  (eigenvalues mu_k^4 with cos(mu) cosh(mu) = 1).
+* the clamped flow W^D on the clamped-beam eigenbasis (eigenvalues mu_k^4
+  with cos(mu) cosh(mu) = 1); the clamped solver rotates its eigen
+  coefficients by e^{i mu_k^4 t} itself, so only the basis lives here.
 
 ``duhamel`` evaluates int_0^t exp(i w (t-tau)) f(tau) dtau per mode, exactly
 for forcing that is piecewise linear between the history's time nodes
@@ -129,14 +130,6 @@ class ClampedBasis:
             return mu * (hyp + trig)
         raise ValueError("order must be 0 or 1")
 
-    def project(self, values: np.ndarray, x: np.ndarray, wts: np.ndarray) -> np.ndarray:
-        """Coefficients c_k = int f phi_k via supplied quadrature nodes/weights."""
-        phi = self.evaluate(x)
-        return phi @ (wts * values)
-
-    def synthesize(self, coeffs: np.ndarray, x) -> np.ndarray:
-        return coeffs @ self.evaluate(x)
-
 
 def build_clamped_basis(K: int) -> ClampedBasis:
     if K < 1:
@@ -147,11 +140,6 @@ def build_clamped_basis(K: int) -> ClampedBasis:
     sigma = (0.5 * (1.0 + em ** 2) - np.cos(mu) * em) / d  # (cosh-cos)/(sinh-sin)
     delta_hat = (np.cos(mu) - np.sin(mu) - em) / d         # (1-sigma) e^{mu}
     return ClampedBasis(K, mu, sigma, delta_hat)
-
-
-def propagate_dirichlet(coeffs: np.ndarray, basis: ClampedBasis, t: float) -> np.ndarray:
-    """Clamped flow: c_k -> exp(i mu_k^4 t) c_k."""
-    return np.exp(1j * basis.eigenvalues * t) * np.asarray(coeffs, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,8 @@ class ProblemSpec:
                 f"need floor(s) < p-2 for a differentiable nonlinearity (s={s}, p={p})")
         if self.N < 1 or self.T <= 0 or self.dt <= 0 or self.tol <= 0:
             raise ValueError("N, T, dt, tol must be positive")
+        if self.max_iter < 1 or self.K_clamped < 1:
+            raise ValueError("max_iter and K_clamped must be >= 1")
 
 
 @dataclass
@@ -124,20 +126,12 @@ class SolutionRecord:
 def homogenize_navier(h1_0: complex, h2_0: complex, h5_0: complex, h6_0: complex):
     """Stationary cubic carrying the four corner values.
 
-    gamma(x) = (1-x)(h1(0)-h5(0)/6) + (1-x)^3 h5(0)/6
-             + x (h2(0)-h6(0)/6) + x^3 h6(0)/6,
+    gamma(x) = navier_lift(h1(0), h5(0), 1-x) + navier_lift(h2(0), h6(0), x),
     so gamma(0)=h1(0), gamma''(0)=h5(0), gamma(1)=h2(0), gamma''(1)=h6(0) and
     gamma'''' = 0 (it drops out of the equation entirely).
     """
-    def gamma(x, order: int = 0):
-        x = np.asarray(x, dtype=np.float64)
-        u = 1.0 - x
-        if order == 0:
-            return ((h1_0 - h5_0 / 6.0) * u + h5_0 / 6.0 * u ** 3
-                    + (h2_0 - h6_0 / 6.0) * x + h6_0 / 6.0 * x ** 3)
-        if order == 2:
-            return h5_0 * u + h6_0 * x
-        raise ValueError("only orders 0 and 2 are defined")
+    def gamma(x):
+        return bops.navier_lift(h1_0, h5_0, 1.0 - x) + bops.navier_lift(h2_0, h6_0, x)
     return gamma
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,26 +38,6 @@ MIXED = "mixed"
 
 #: fundamental time frequency of boundary-trace series
 TRACE_FREQ = np.pi ** 4
-#: period of the trace lattice, 2*pi/pi^4
-TRACE_PERIOD = 2.0 / np.pi ** 3
-
-S_SPACE_MAX = 4.5  # working range of the spatial regularity index
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """A regularity exponent together with the domain it refers to."""
-
-    s: float
-    domain: str = "space"  # "space" (interval (0,1)) or "time"
-
-    def __post_init__(self):
-        if self.domain not in ("space", "time"):
-            raise ValueError(f"unknown Sobolev domain {self.domain!r}")
-        if not np.isfinite(self.s) or self.s < 0:
-            raise ValueError("regularity index must be finite and >= 0")
-        if self.domain == "space" and self.s > S_SPACE_MAX:
-            raise ValueError(f"spatial regularity limited to s <= {S_SPACE_MAX}")
 
 
 def _as_c128(a, n=None):
@@ -242,20 +222,14 @@ def sobolev_weights(N: int, s: float) -> np.ndarray:
     return (1.0 + (k * np.pi) ** 2) ** s
 
 
-def sobolev_norm(state: FourierState, idx: Union[SobolevIndex, float]) -> float:
+def sobolev_norm(state: FourierState, s: float) -> float:
     """Truncated H^s norm (|p0|^2 + sum (1+(k pi)^2)^s (|q_k|^2+|p_k|^2))^(1/2).
 
     The (1 + (k pi)^2)^s weight is the fixed convention here (equivalent to the
     homogeneous (k pi)^{2s} weight away from k=0, without the constant-mode
     degeneracy).
     """
-    if isinstance(idx, SobolevIndex):
-        if idx.domain != "space":
-            raise ValueError("sobolev_norm takes a spatial index")
-        s = idx.s
-    else:
-        s = float(idx)
-    w = sobolev_weights(state.N, s)
+    w = sobolev_weights(state.N, float(s))
     total = abs(state.p0) ** 2 + np.sum(w * (np.abs(state.q) ** 2 + np.abs(state.p) ** 2))
     return float(np.sqrt(total))
 
@@ -328,20 +302,6 @@ class BoundaryTrace:
     @staticmethod
     def from_series(n, a) -> "BoundaryTrace":
         return BoundaryTrace(np.asarray(n, dtype=np.int64), np.asarray(a, dtype=np.complex128))
-
-    @staticmethod
-    def from_samples(t, h, M: int) -> "BoundaryTrace":
-        """Least-squares projection of samples onto the lattice n in [-M, M].
-
-        The fit is taken over the provided grid (expected to cover one period
-        uniformly); the sampled form is kept alongside the series.
-        """
-        t = np.asarray(t, dtype=np.float64)
-        h = np.asarray(h, dtype=np.complex128)
-        n = np.arange(-M, M + 1, dtype=np.int64)
-        design = np.exp(1j * np.outer(t, TRACE_FREQ * n.astype(np.float64)))
-        coef, *_ = np.linalg.lstsq(design, h, rcond=None)
-        return BoundaryTrace(n, coef, sample_t=t, sample_h=h)
 
 
 def trace_sobolev_norm(h: BoundaryTrace, alpha: float) -> float:

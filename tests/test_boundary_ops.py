@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import sympy as sp
@@ -7,8 +5,7 @@ from scipy.integrate import solve_ivp
 
 from bihns import boundary_ops as bops
 from bihns.linear_flow import navier_eigenvalues
-from bihns.spectral import (BoundaryTrace, TRACE_FREQ, mixed_state,
-                            odd_even_extend, reconstruct, sine_state)
+from bihns.spectral import BoundaryTrace, TRACE_FREQ, odd_even_extend
 
 rng = np.random.default_rng(99)
 
@@ -55,31 +52,6 @@ def test_beta_table_purely_imaginary_and_bitwise_stable():
     b = bops.build_beta_table(512)
     for name in ("navier0", "navier2", "b01", "b02", "b11", "b12"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-
-
-# ---------------------------------------------------------------------------
-# mirror
-
-
-def test_mirror_signs():
-    st = mixed_state([1.0, 1.0], [1.0, 1.0], 2.0)
-    m = bops.mirror(st)
-    assert m.q[0] == 1.0 and m.q[1] == -1.0
-    assert m.p[0] == -1.0 and m.p[1] == 1.0
-    assert m.p0 == 2.0
-
-
-def test_mirror_involution_and_isometry():
-    q = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    p = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    st = mixed_state(q, p, 1.0 - 2j)
-    mm = bops.mirror(bops.mirror(st))
-    assert np.array_equal(mm.q, st.q) and np.array_equal(mm.p, st.p)
-    m = bops.mirror(st)
-    assert np.allclose(np.abs(m.q), np.abs(st.q))
-    # pointwise it really is x -> 1-x
-    x = np.linspace(0.1, 0.9, 9)
-    assert np.max(np.abs(reconstruct(m, x) - reconstruct(st, 1.0 - x))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -137,74 +109,44 @@ def test_series_and_sampled_routes_agree():
     assert np.max(np.abs(Is - Ip)) < 1e-6
 
 
-# ---------------------------------------------------------------------------
-# the four kernels
-
-
-def test_w0n_zero_trace():
-    st = bops.w0n(BoundaryTrace.zero(), 0.05, 8)
-    assert np.max(np.abs(st.q)) == 0.0
-
-
 def test_w0n_linear_ramp_symbolic_oracle():
-    """h(t)=t, k=1: q1 = 2 i pi^3 * closed-form integral (sympy antiderivative)."""
+    """h(t)=t, k=1: the bare time integral of the hinged value-data operator
+    W_0^N (``boundary_convolution``) against the sympy antiderivative."""
     tau, ts = sp.symbols("tau t", positive=True)
     w = sp.pi ** 4
     integral = sp.integrate(sp.exp(sp.I * w * (ts - tau)) * tau, (tau, 0, ts))
-    expect = complex((2 * sp.I * sp.pi ** 3 * integral).subs(ts, sp.Rational(1, 20)).evalf(30))
-    h = BoundaryTrace(sample_t=np.linspace(0, 0.05, 5001),
-                      sample_h=np.linspace(0, 0.05, 5001).astype(complex))
-    got = bops.w0n(h, 0.05, 1).q[0]
-    assert abs(got - expect) < 1e-8
+    expect = complex(integral.subs(ts, sp.Rational(1, 20)).evalf(30))
+    times = np.linspace(0.0, 0.05, 501)
+    h = BoundaryTrace(sample_t=times, sample_h=times.astype(complex))
+    got = bops.boundary_convolution(h, times, 1)[-1, 0]
+    assert abs(got - expect) < 1e-14
 
 
-def test_w2n_constant_closed_form():
-    # compatibility off: h = 1, q1 = -2 i pi (e^{i pi^4 t} - 1)/(i pi^4)
-    t = 0.04
-    h = BoundaryTrace.from_series([0], [1.0])
-    got = bops.w2n(h, t, 1, compat=False).q[0]
-    expect = -2j * np.pi * (np.exp(1j * np.pi ** 4 * t) - 1.0) / (1j * np.pi ** 4)
-    assert abs(got - expect) < 1e-12
+# ---------------------------------------------------------------------------
+# the assembled hinged history
 
 
-def test_compatibility_flag():
-    h = BoundaryTrace.from_series([0], [1.0])
-    with pytest.raises(ValueError):
-        bops.w0n(h, 0.01, 4)
-    bops.w0n(h, 0.01, 4, compat=False)  # allowed when the flag is off
-
-
-def test_w0d_w1d_mean_mode_bookkeeping():
-    h = BoundaryTrace.from_series([0], [1.0])
-    assert bops.w0d(h, 0.01, 4, compat=False).p0 == pytest.approx(0.25)
-    assert bops.w1d(h, 0.01, 4, compat=False).p0 == pytest.approx(1.0 / 24.0)
-
-
-def test_w2n_mirror_matches_h6_assembly():
-    """Parity: mirror(w2n(h)) coefficients equal the -cos(k pi) h6 weights."""
-    t = 0.03
-    times = np.linspace(0.0, t, 301)
-    N = 6
-    st = bops.mirror(bops.w2n(H_SIN2, t, N))
-    z = BoundaryTrace.zero()
-    hist = bops.navier_boundary_history(z, z, z, H_SIN2, times, N)
-    # the history applies the assembled global minus; undo it for the raw op
-    assert np.max(np.abs(st.q - (-hist[-1]))) < 1e-12
-
-
-def test_navier_history_vs_mode_ode_oracle():
+@pytest.mark.parametrize("active", [("h1", "h5"), ("h2", "h6"), ("h1",), ("h6",)],
+                         ids=lambda a: "+".join(a))
+def test_navier_history_vs_mode_ode_oracle(active):
     """Dual route: assembled boundary history vs direct ODE integration of
-    i q' + (k pi)^4 q = 2(k pi)^3 (h1 - cos(k pi) h2) - 2 k pi (h5 - cos(k pi) h6)."""
+    i q' + (k pi)^4 q = 2(k pi)^3 (h1 - cos(k pi) h2) - 2 k pi (h5 - cos(k pi) h6)
+    with each active trace sin^2(pi^4 t / 2); a sign flip of any trace fails."""
     N = 3
     times = np.linspace(0.0, 0.02, 201)
     z = BoundaryTrace.zero()
-    hist = bops.navier_boundary_history(H_SIN2, z, H_SIN2, z, times, N)
+    on = {key: (1.0 if key in active else 0.0) for key in ("h1", "h2", "h5", "h6")}
+    hs = [H_SIN2 if on[key] else z for key in ("h1", "h2", "h5", "h6")]
+    hist = bops.navier_boundary_history(*hs, times, N)
     for k in range(1, N + 1):
         w = (k * np.pi) ** 4
         kp = k * np.pi
+        c = (-1.0) ** k
+        amp = (2.0 * kp ** 3 * (on["h1"] - c * on["h2"])
+               - 2.0 * kp * (on["h5"] - c * on["h6"]))
 
         def rhs(t_, y):
-            beta = (2.0 * kp ** 3 - 2.0 * kp) * np.sin(np.pi ** 4 * t_ / 2.0) ** 2
+            beta = amp * np.sin(np.pi ** 4 * t_ / 2.0) ** 2
             g = -1j * np.exp(-1j * w * t_) * beta
             return [g.real, g.imag]
 
@@ -220,39 +162,35 @@ def test_navier_history_vs_mode_ode_oracle():
 
 
 def test_navier_lift_symbolic():
-    x = sp.symbols("x")
-    h1, h5 = 0.7, -1.3
-    u = 1 - x
-    lift = (h1 - h5 / 6) * u + h5 / 6 * u ** 3
-    pts = np.linspace(0.0, 1.0, 7)
-    for order in (0, 1, 2):
-        ref = sp.lambdify(x, sp.diff(lift, x, order), "numpy")(pts)
-        assert np.max(np.abs(bops.navier_lift(h1, h5, pts, order) - ref)) < 1e-12
-    assert bops.navier_lift(h1, h5, 0.0) == pytest.approx(h1)
-    assert bops.navier_lift(h1, h5, 0.0, order=2) == pytest.approx(h5)
-    assert bops.navier_lift(h1, h5, 1.0) == pytest.approx(0.0, abs=1e-15)
+    """Differentiate the code: value h1 and curvature h5 at y = 1, zeros at
+    y = 0, and d^4/dy^4 = 0 so the lift drops out of the equation."""
+    y = sp.symbols("y")
+    h1, h5 = 0.7 - 0.2j, -1.3 + 0.4j
+    lift = bops.navier_lift(h1, h5, y)
+    d2 = sp.diff(lift, y, 2)
+    for expr, at, val in ((lift, 1, h1), (d2, 1, h5), (lift, 0, 0.0), (d2, 0, 0.0)):
+        assert abs(complex(expr.subs(y, at)) - val) < 1e-14
+    assert sp.diff(lift, y, 4) == 0
 
 
 def test_dirichlet_lift_symbolic():
+    """Differentiate the code: with y = 1 - x the lift has value h1 and slope
+    h3 at x = 0 and vanishes with its slope at x = 1."""
     x = sp.symbols("x")
-    h1, h3 = 0.4, 2.1
-    u = 1 - x
-    lift = u ** 2 * (3 * h1 + h3) - u ** 3 * (2 * h1 + h3)
-    pts = np.linspace(0.0, 1.0, 7)
-    for order in (0, 1, 2):
-        ref = sp.lambdify(x, sp.diff(lift, x, order), "numpy")(pts)
-        assert np.max(np.abs(bops.dirichlet_lift(h1, h3, pts, order) - ref)) < 1e-12
-    assert bops.dirichlet_lift(h1, h3, 0.0) == pytest.approx(h1)
-    assert bops.dirichlet_lift(h1, h3, 0.0, order=1) == pytest.approx(h3)
-    assert abs(bops.dirichlet_lift(h1, h3, 1.0, order=1)) < 1e-14
+    h1, h3 = 0.4 + 0.1j, 2.1 - 0.3j
+    lift = bops.dirichlet_lift(h1, h3, 1 - x)
+    d1 = sp.diff(lift, x)
+    for expr, at, val in ((lift, 0, h1), (d1, 0, h3), (lift, 1, 0.0), (d1, 1, 0.0)):
+        assert abs(complex(expr.subs(x, at)) - val) < 1e-14
+    assert sp.diff(lift, x, 4) == 0
 
 
 def test_lift_mixed_coeffs_match_quadrature():
     """Closed-form lift expansions vs the shared transform (dual route)."""
     N = 24
     (q1, p1, c01), (q3, p3, c03) = bops._lift_mixed_coeffs(N)
-    for coeffs, poly in (((q1, p1, c01), lambda x: 3 * (1 - x) ** 2 - 2 * (1 - x) ** 3),
-                         ((q3, p3, c03), lambda x: (1 - x) ** 2 - (1 - x) ** 3)):
+    for coeffs, poly in (((q1, p1, c01), lambda x: bops.dirichlet_lift(1, 0, 1 - x)),
+                         ((q3, p3, c03), lambda x: bops.dirichlet_lift(0, 1, 1 - x))):
         fo, fe = odd_even_extend(lambda x: poly(x).astype(complex), N,
                                  grid_points=4096 * 4 + 1)
         assert np.max(np.abs(fo.q - coeffs[0])) < 1e-7
@@ -311,20 +249,6 @@ def test_sine_endpoint_values_smooth_function():
     a, b = bops.sine_endpoint_values(q[None, :])
     assert abs(a[0] - 1.0) < 1e-4
     assert abs(b[0] - 0.25) < 1e-4
-
-
-def test_sine_slope_sums_compatible_function():
-    # sin^2(pi x) vanishes with zero slope at both ends; the termwise sums
-    # truncate with an O(1/N) tail (coefficients ~ k^-3), so check decrease
-    from bihns.spectral import sine_coefficients
-    f = lambda x: np.sin(np.pi * x) ** 2
-    outs = []
-    for N in (128, 512):
-        q = sine_coefficients(f, N, grid_points=16 * N + 1).q
-        s0, s1 = bops.sine_slope_sums(q[None, :])
-        outs.append((abs(s0[0]), abs(s1[0])))
-    assert outs[1][0] < outs[0][0] and outs[1][1] < outs[0][1]
-    assert outs[1][0] < 0.05 and outs[1][1] < 0.05
 
 
 # ---------------------------------------------------------------------------

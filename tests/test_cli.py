@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -46,9 +45,18 @@ def test_mode_mismatch_exit2(tmp_path):
     assert not out.exists()
 
 
-def test_invalid_problem_exit2_no_artifacts(tmp_path):
-    cfg = write_cfg(tmp_path, "c.json",
-                    {"mode": "solve", "solve": {"family": "dirichlet", "s": 1.0}})
+@pytest.mark.parametrize("solve", [
+    {"family": "dirichlet", "s": 1.0},
+    {"family": "dirichlet", "s": 2.0, "p": 5.0, "K_clamped": 0},
+    {"family": "navier", "s": 1.0, "max_iter": 0},
+    {"family": "navier", "s": 1.0, "N": None},
+    {"family": "navier", "s": [1]},
+    {"family": "navier", "s": 1.0, "h1": 3},
+    {"family": "navier", "s": 1.0, "phi": [1, 2]},
+], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
+        "s_list", "trace_not_object", "phi_not_object"])
+def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.optimize import brentq
 
 from bihns.cli import ConfigError, _build_problem
 from bihns.nonlinear import (ProblemSpec, _nonlin_sine_history,
                              homogenize_navier, nonlinearity,
                              picard_dirichlet, picard_navier)
-from bihns.spectral import (BoundaryTrace, mixed_state, reconstruct,
-                            sine_state, sobolev_norm)
+from bihns.spectral import BoundaryTrace, mixed_state, reconstruct, sine_state
 
 rng = np.random.default_rng(2024)
 
@@ -60,11 +60,17 @@ def test_homogenize_corner_values():
     assert g(0.0) == pytest.approx(1.0)
     assert g(np.array([0.5]))[0] == pytest.approx(0.5)  # gamma = 1-x
     g = homogenize_navier(0.0, 0.0, 0.0, 6.0)
-    # gamma = x^3 - x; gamma''(1) = 6
-    assert g(1.0, order=2) == pytest.approx(6.0)
-    assert g(0.5) == pytest.approx(0.5 ** 3 - 0.5)
+    assert g(0.5) == pytest.approx(0.5 ** 3 - 0.5)    # gamma = x^3 - x
     g = homogenize_navier(0.0, 0.0, 0.0, 0.0)
     assert np.max(np.abs(g(np.linspace(0, 1, 9)))) == 0.0
+    # differentiate the code: the four corner values, and no fourth derivative
+    x = sp.symbols("x")
+    h1, h2, h5, h6 = 0.3 - 1j, -0.7 + 0.2j, 1.9j, -2.4
+    gamma = homogenize_navier(h1, h2, h5, h6)(x)
+    d2 = sp.diff(gamma, x, 2)
+    for expr, at, val in ((gamma, 0, h1), (d2, 0, h5), (gamma, 1, h2), (d2, 1, h6)):
+        assert abs(complex(expr.subs(x, at)) - val) < 1e-14
+    assert sp.diff(gamma, x, 4) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihns.spectral import (BoundaryTrace, FourierState, SobolevIndex,
-                            TRACE_FREQ, cosine_state, matmul_real, mixed_state,
+from bihns.spectral import (BoundaryTrace, FourierState, TRACE_FREQ,
+                            cosine_state, matmul_real, mixed_state,
                             odd_even_extend, reconstruct,
                             reconstruct_derivative, sine_coefficients,
                             sine_state, sobolev_norm, trace_sobolev_norm,
@@ -31,16 +31,6 @@ def test_sine_state_rejects_cosine_part():
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         sine_state(np.array([np.nan]))
-
-
-def test_sobolev_index_validation():
-    with pytest.raises(ValueError):
-        SobolevIndex(-1.0)
-    with pytest.raises(ValueError):
-        SobolevIndex(5.0, "space")
-    with pytest.raises(ValueError):
-        SobolevIndex(1.0, "frequency")
-    SobolevIndex(5.0, "time")  # time side has no cap
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +196,6 @@ def test_trace_derivative_termwise():
     expect = (1j * TRACE_FREQ * (-2) * (1.0 + 1j) * np.exp(-2j * TRACE_FREQ * t)
               + 1j * TRACE_FREQ * 3 * 0.5 * np.exp(3j * TRACE_FREQ * t))
     assert np.max(np.abs(hp(t) - expect)) < 1e-10
-
-
-def test_trace_from_samples_projection():
-    # project a genuine lattice signal and recover its coefficients
-    period = 2.0 / np.pi ** 3
-    t = np.linspace(0.0, period, 129, endpoint=False)
-    true = BoundaryTrace.from_series([-1, 0, 2], [0.3j, 1.0, -0.2])
-    fitted = BoundaryTrace.from_samples(t, true(t), M=4)
-    for n, a in zip(true.n, true.a):
-        j = np.searchsorted(fitted.n, n)
-        assert abs(fitted.a[j] - a) < 1e-10
-    mask = ~np.isin(fitted.n, true.n)
-    assert np.max(np.abs(fitted.a[mask])) < 1e-10
 
 
 @given(st.floats(min_value=0.0, max_value=4.0), st.floats(min_value=0.0, max_value=4.0))
