@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -112,6 +114,74 @@ def _build_problem(payload: Dict) -> ProblemSpec:
         raise ConfigError(str(e))
 
 
+# Each lab builder reads its payload exactly as the runner does; load_config
+# calls it first, so a payload it rejects exits 2 before anything is written.
+
+
+def _kato_sweeps(payload: Dict, seed: int = 0) -> List[lab.RegularitySweep]:
+    """One sweep per s of the grid; the s at position idx uses seed + idx."""
+    base = lab.RegularitySweep(
+        s_grid=[float(s) for s in payload.get("s_grid", [1.0, 2.0, 3.0])],
+        ensemble=int(payload.get("ensemble", 16)),
+        eps=float(payload.get("eps", 0.05)),
+        N=int(payload.get("N", 256)))
+    return [dataclasses.replace(base, s_grid=[s], seed=seed + idx)
+            for idx, s in enumerate(base.s_grid)]
+
+
+def _counterexample_run(payload: Dict) -> lab.CounterexampleRun:
+    return lab.CounterexampleRun(
+        alpha=float(payload.get("alpha", 0.6)),
+        beta=float(payload.get("beta", 3.4)),
+        n_grid=[operator.index(n) for n in payload.get("n_grid", [4, 8, 16, 32, 64])],
+        order=int(payload.get("order", 0)))
+
+
+def _lambda4_K(payload: Dict) -> int:
+    K = int(payload.get("K", 200))
+    lab.check_lambda4_K(K)
+    return K
+
+
+def _identity_args(payload: Dict):
+    """(``identity_checks`` kwargs, ``tail_bound_spotcheck`` kwargs or None)."""
+    K_grid = [operator.index(K) for K in payload.get("K_grid", [1024, 4096, 16384])]
+    if not K_grid or min(K_grid) < 1:
+        raise ConfigError("identities K_grid must be a nonempty list of integers >= 1")
+    checks = {"a_grid": [float(a) for a in payload.get("a_grid", [0.5, 1.0, 2.0, 3.5, 5.0])],
+              "K_grid": K_grid}
+    tail = payload.get("tail")
+    if not tail:
+        return checks, None
+    _section(tail, "tail")
+    spot = {"lam_grid": [float(v) for v in tail.get("lam_grid", [16.0, 256.0, 4096.0, 65536.0])],
+            "alpha": float(tail.get("alpha", 0.9))}
+    lab.check_tail_bound(**spot)
+    return checks, spot
+
+
+def _traces_args(payload: Dict):
+    """(initial data, s grid, N) of ``trace_regularity_r``."""
+    s_grid = [float(s) for s in payload.get("s_grid", [0.5, 1.5])]
+    if not all(0.0 < s <= 2.0 for s in s_grid):
+        raise ConfigError("traces s_grid must lie in (0, 2]")
+    phis = [p for p in map(_phi_from_config, payload.get("phi", [])) if p is not None]
+    N = int(payload.get("N", 256))
+    if N < 1:
+        raise ConfigError("traces N must be >= 1")
+    return phis or [lambda x: x ** 2 * (1.0 - x) ** 2], s_grid, N
+
+
+_BUILDERS = {
+    "solve": _build_problem,
+    "kato_sweep": _kato_sweeps,
+    "optimality": _counterexample_run,
+    "lambda4": _lambda4_K,
+    "identities": _identity_args,
+    "traces": _traces_args,
+}
+
+
 def load_config(path) -> Dict:
     """Parse and fully validate a run configuration; raises ConfigError."""
     p = Path(path)
@@ -130,31 +200,10 @@ def load_config(path) -> Dict:
     payload = cfg.get(mode, cfg.get("payload", {}))
     if not isinstance(payload, dict):
         raise ConfigError(f"section {mode!r} must be an object")
-    if mode == "solve":
-        _build_problem(payload)
-    elif mode == "kato_sweep":
-        try:
-            lab.RegularitySweep(s_grid=payload.get("s_grid", [1.0, 2.0, 3.0]),
-                                ensemble=int(payload.get("ensemble", 16)),
-                                eps=float(payload.get("eps", 0.05)),
-                                N=int(payload.get("N", 256)))
-        except ValueError as e:
-            raise ConfigError(str(e))
-    elif mode == "optimality":
-        try:
-            lab.CounterexampleRun(alpha=float(payload.get("alpha", 0.6)),
-                                  beta=float(payload.get("beta", 3.4)),
-                                  n_grid=payload.get("n_grid", [4, 8, 16, 32, 64]),
-                                  order=int(payload.get("order", 0)))
-        except ValueError as e:
-            raise ConfigError(str(e))
-    elif mode == "lambda4":
-        if int(payload.get("K", 200)) < 2:
-            raise ConfigError("lambda4 requires K >= 2")
-    elif mode == "traces":
-        for s in payload.get("s_grid", [0.5, 1.5]):
-            if not 0.0 < float(s) <= 2.0:
-                raise ConfigError("traces s_grid must lie in (0, 2]")
+    try:
+        _BUILDERS[mode](payload)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     return cfg
 
 
@@ -224,14 +273,8 @@ def _run_solve(payload, outdir, seed):
 
 
 def _run_kato(payload, outdir, seed):
-    s_grid = payload.get("s_grid", [1.0, 2.0, 3.0])
-    common = dict(ensemble=int(payload.get("ensemble", 16)),
-                  eps=float(payload.get("eps", 0.05)),
-                  N=int(payload.get("N", 256)))
-
-    rows = [r for idx, s in enumerate(s_grid)
-            for r in lab.kato_sweep(lab.RegularitySweep(
-                s_grid=[s], seed=seed + idx, **common))]
+    sweeps = _kato_sweeps(payload, seed)
+    rows = [r for sweep in sweeps for r in lab.kato_sweep(sweep)]
     _write_csv(outdir / "kato_sweep.csv", "smoothing_exponent:max(0,(s-i+eps)/4)",
                ["s", "order", "measured", "predicted", "boundary_exponent",
                 "samples", "flagged"],
@@ -241,18 +284,15 @@ def _run_kato(payload, outdir, seed):
                ["x", "y"], [[r["predicted"], r["measured"]] for r in rows])
     # monotone in the derivative order at fixed s
     mono = True
-    for s in s_grid:
-        meds = [r["measured"] for r in rows if r["s"] == float(s)]
+    for sweep in sweeps:
+        meds = [r["measured"] for r in rows if r["s"] == sweep.s_grid[0]]
         mono &= all(meds[i] >= meds[i + 1] - 1e-9 for i in range(len(meds) - 1))
     summary = {"table": rows}
     return summary, {"monotone_in_order": bool(mono)}
 
 
 def _run_optimality(payload, outdir, seed):
-    cfg = lab.CounterexampleRun(alpha=float(payload.get("alpha", 0.6)),
-                                beta=float(payload.get("beta", 3.4)),
-                                n_grid=payload.get("n_grid", [4, 8, 16, 32, 64]),
-                                order=int(payload.get("order", 0)))
+    cfg = _counterexample_run(payload)
     rows = lab.optimality_run(cfg)
     header = ["n", "norm_u_sq", "norm_h", "ratio"]
     if cfg.order == 0:
@@ -274,7 +314,7 @@ def _run_optimality(payload, outdir, seed):
 
 
 def _run_lambda4(payload, outdir, seed):
-    res = lab.count_lambda4(int(payload.get("K", 200)))
+    res = lab.count_lambda4(_lambda4_K(payload))
     _write_csv(outdir / "lambda4.csv",
                "coincidence count of (k-l, k^4-l^4), nonzero buckets, max<=3",
                ["multiplicity", "bucket_count"],
@@ -287,9 +327,8 @@ def _run_lambda4(payload, outdir, seed):
 
 
 def _run_identities(payload, outdir, seed):
-    rep = lab.identity_checks(
-        a_grid=payload.get("a_grid", (0.5, 1.0, 2.0, 3.5, 5.0)),
-        K_grid=payload.get("K_grid", (1024, 4096, 16384)))
+    checks_args, spot_args = _identity_args(payload)
+    rep = lab.identity_checks(**checks_args)
     res = rep["series_residual_by_K"]
     _write_csv(outdir / "identities.csv",
                "partial sums of sum (k^3+ik a^2)/(k^4+a^4) sin(kx) vs closed form",
@@ -308,11 +347,8 @@ def _run_identities(payload, outdir, seed):
     summary = {"identities": {str(k): v for k, v in res.items()},
                "sawtooth_limit_residual": rep["sawtooth_limit_residual"],
                "rotated_sine_residual": rep["rotated_sine_residual"]}
-    tail_cfg = payload.get("tail")
-    if tail_cfg:
-        tb = lab.tail_bound_spotcheck(
-            lam_grid=tail_cfg.get("lam_grid", [16.0, 256.0, 4096.0, 65536.0]),
-            alpha=float(tail_cfg.get("alpha", 0.9)))
+    if spot_args:
+        tb = lab.tail_bound_spotcheck(**spot_args)
         rows = [[lam, x, tb["values"][i, j]]
                 for i, lam in enumerate(tb["lam_grid"])
                 for j, x in enumerate(tb["x_grid"])]
@@ -330,12 +366,8 @@ def _run_identities(payload, outdir, seed):
 
 
 def _run_traces(payload, outdir, seed):
-    s_grid = [float(s) for s in payload.get("s_grid", [0.5, 1.5])]
-    phis = [_phi_from_config(d) for d in payload.get("phi", [])]
-    phis = [p for p in phis if p is not None]
-    if not phis:
-        phis = [lambda x: x ** 2 * (1.0 - x) ** 2]
-    rows = lab.trace_regularity_r(phis, s_grid, N=int(payload.get("N", 256)))
+    phis, s_grid, N = _traces_args(payload)
+    rows = lab.trace_regularity_r(phis, s_grid, N=N)
     header = ["s", "datum", "norm_r12", "norm_r34", "norm_phi_even",
               "norm_phi_odd", "fitted_C_even", "fitted_C_odd",
               "(s+3)/8<s", "(s+10)/8<s"]

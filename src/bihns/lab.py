@@ -17,7 +17,6 @@ emission.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -34,29 +33,49 @@ from .spectral import (BoundaryTrace, odd_even_extend, sobolev_norm,
 # resonance counting for the quartic symbol
 
 
+#: largest K whose ``count_lambda4`` key fits an int64: 16K^4 + 4K^3 + 2K < 2^63
+LAMBDA4_K_MAX = 27554
+
+
+def check_lambda4_K(K: int) -> None:
+    """Raise ValueError unless ``count_lambda4(K)`` can run exactly."""
+    if not 2 <= K <= LAMBDA4_K_MAX:
+        raise ValueError(f"lambda4 needs 2 <= K <= {LAMBDA4_K_MAX} (got {K}): "
+                         "larger K overflows the int64 bucket key")
+
+
 def count_lambda4(K: int) -> Dict:
     """Bucket pairs (k, l) in [-K, K]^2 by (k - l, k^4 - l^4) and count.
 
     The trivial bucket (0, 0) holds the full diagonal k = l (2K+1 entries of
     one infinite family) and is excluded from the maximum; the reported bound
-    concerns genuine coincidences (xi, eta) != (0, 0).  Exact integers
-    throughout — k^4 at K = 1e5 needs more than 64 bits.
+    concerns genuine coincidences (xi, eta) != (0, 0).
+
+    Exact int64 keys: with d = k - l, k^4 - l^4 = d m for
+    m = (k + l)(k^2 + l^2), and m is set to 0 on the diagonal, so (d, m)
+    determines the bucket and |m| <= 4K^3.  The key d (8K^3 + 1) + m then
+    tells the buckets apart, and |key| <= 16K^4 + 4K^3 + 2K stays below 2^63
+    for K <= ``LAMBDA4_K_MAX`` = 27554; a larger K raises ValueError before
+    anything is allocated.  The count sorts all (2K+1)^2 keys, so memory
+    grows as a few times 8 (2K+1)^2 bytes: about 1.3 MB per array at
+    K = 200, 24 GB at the bound.
     """
-    if K < 2:
-        raise ValueError("need K >= 2")
-    buckets: Counter = Counter()
-    for k in range(-K, K + 1):
-        k4 = k ** 4
-        for l in range(-K, K + 1):
-            buckets[(k - l, k4 - l ** 4)] += 1
-    diagonal = buckets.pop((0, 0))
-    max_mult = max(buckets.values())
-    hist = Counter(buckets.values())
+    check_lambda4_K(K)
+    k = np.arange(-K, K + 1, dtype=np.int64)
+    kk, ll = k[:, None], k[None, :]
+    m = (kk + ll) * (kk * kk + ll * ll)
+    np.fill_diagonal(m, 0)
+    key = ((kk - ll) * (8 * K ** 3 + 1) + m).ravel()
+    key.sort()
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[starts, key.size])
+    diagonal = key[starts] == 0
+    mult, buckets = np.unique(sizes[~diagonal], return_counts=True)
     return {
         "K": K,
-        "max_multiplicity": max_mult,
-        "histogram": dict(sorted(hist.items())),
-        "diagonal_bucket_size": diagonal,
+        "max_multiplicity": int(mult[-1]),
+        "histogram": {int(a): int(b) for a, b in zip(mult, buckets)},
+        "diagonal_bucket_size": int(sizes[diagonal][0]),
     }
 
 
@@ -77,15 +96,35 @@ class RegularitySweep:
     def __post_init__(self):
         if self.ensemble < 8:
             raise ValueError("ensemble size must be >= 8")
-        if self.eps <= 0 or self.N < 16:
-            raise ValueError("need eps > 0 and N >= 16")
+        if not 0 < self.eps < math.inf or self.N < 16:
+            raise ValueError("need finite eps > 0 and N >= 16")
 
 
 _N0_WINDOWS = (16, 32, 64, 128, 256, 512, 1024)
 
 
+def _crossing_exponent(w: np.ndarray, a_sq: np.ndarray,
+                       head: np.ndarray) -> np.ndarray:
+    """Per row of ``a_sq`` (B, N): the bisected exponent of one head window."""
+    tail = ~head
+    wt, wh = 1.0 + w[tail] ** 2, 1.0 + w[head] ** 2
+    at, ah = a_sq[:, tail], a_sq[:, head]
+
+    def ratio(alpha):
+        alpha = alpha[:, None]
+        return (wt ** alpha * at).sum(axis=1) / (wh ** alpha * ah).sum(axis=1)
+
+    lo, hi = np.zeros(len(a_sq)), np.full(len(a_sq), 6.0)
+    at_lo, at_hi = ratio(lo) >= 10.0, ratio(hi) < 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = ratio(mid) < 10.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(at_lo, 0.0, np.where(at_hi, np.inf, 0.5 * (lo + hi)))
+
+
 def measured_trace_exponent(n_idx: np.ndarray, a_sq: np.ndarray,
-                            n0_values: Sequence[int] = _N0_WINDOWS) -> float:
+                            n0_values: Sequence[int] = _N0_WINDOWS):
     """Largest-finite-exponent estimate for a trace series on a sparse lattice.
 
     For each head size n0, bisect for the weight exponent where the
@@ -93,37 +132,29 @@ def measured_trace_exponent(n_idx: np.ndarray, a_sq: np.ndarray,
     the median over the n0 windows.  Crude, but monotone in the coefficient
     decay and fully reproducible.  Returns +inf when the series is too short
     for any window (finite/trivial data — every exponent is finite).
+
+    ``n_idx`` has shape (N,).  ``a_sq`` of shape (B, N) gives estimates of
+    shape (B,), all rows bisected at once; ``a_sq`` of shape (N,) gives a
+    Python float.  Windows with the same head set (at n = k^4 the windows
+    n0 = 16, 32, 64 all keep k <= 2) are bisected once and counted once per
+    window in the median.
     """
     w = np.asarray(n_idx, dtype=np.float64)
     a_sq = np.asarray(a_sq, dtype=np.float64)
-    out: List[float] = []
+    rows = np.atleast_2d(a_sq)
+    by_head: Dict[bytes, np.ndarray] = {}
+    out: List[np.ndarray] = []
     for n0 in n0_values:
         head = w <= n0
-        tail = ~head
-        if not tail.any() or not head.any():
+        if head.all() or not head.any():
             continue
-
-        def ratio(alpha):
-            wh = (1.0 + w ** 2) ** alpha
-            return (wh[tail] * a_sq[tail]).sum() / (wh[head] * a_sq[head]).sum()
-
-        lo, hi = 0.0, 6.0
-        if ratio(lo) >= 10.0:
-            out.append(0.0)
-            continue
-        if ratio(hi) < 10.0:
-            out.append(math.inf)
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ratio(mid) < 10.0:
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    if not out:
-        return math.inf
-    return float(np.median(out))
+        key = head.tobytes()
+        if key not in by_head:
+            by_head[key] = _crossing_exponent(w, rows, head)
+        out.append(by_head[key])
+    est = (np.median(np.stack(out, axis=1), axis=1) if out
+           else np.full(len(rows), math.inf))
+    return float(est[0]) if a_sq.ndim == 1 else est
 
 
 def _kato_ensemble(sweep: RegularitySweep) -> Iterator[Tuple[float, np.ndarray]]:
@@ -168,7 +199,8 @@ def kato_sweep(sweep: RegularitySweep) -> List[Dict]:
     order-0 and order-2 values sin(k pi x) and -(k pi)^2 sin(k pi x) vanish
     identically at x = 0, so rows i = 0, 2 measure the lattice series g_0 and
     g_2, not traces.  ``measured_trace_exponent``
-    is applied per sample and the per-(s, i) median is reported next to
+    is applied to every sample (one batched call per (s, i)) and the
+    per-(s, i) median of the finite estimates is reported next to
     ``predicted``, the exact threshold max(0, (s-i+eps)/4), and
     ``boundary_exponent``, the paper's (s+3-i)/4.
 
@@ -202,16 +234,13 @@ def kato_sweep(sweep: RegularitySweep) -> List[Dict]:
     n_idx = k.astype(np.float64) ** 4
     rows: List[Dict] = []
     for s, qs in _kato_ensemble(sweep):
-        samples: Dict[int, List[float]] = {0: [], 1: [], 2: []}
+        samples: Dict[int, List[float]] = {}
         flagged = 0
-        for q in qs:
-            for i in (0, 1, 2):
-                a_sq = np.abs((k * np.pi) ** i * q) ** 2
-                m = measured_trace_exponent(n_idx, a_sq)
-                if not math.isfinite(m):
-                    flagged += 1
-                    continue
-                samples[i].append(m)
+        for i in (0, 1, 2):
+            est = measured_trace_exponent(n_idx, np.abs((k * np.pi) ** i * qs) ** 2)
+            finite = np.isfinite(est)
+            flagged += int(np.count_nonzero(~finite))
+            samples[i] = [float(m) for m in est[finite]]
         for i in (0, 1, 2):
             rows.append({**_kato_row(s, i, sweep.eps, samples[i]),
                          "flagged": flagged})
@@ -496,6 +525,19 @@ def identity_checks(a_grid: Sequence[float] = (0.5, 1.0, 2.0, 3.5, 5.0),
     }
 
 
+def check_tail_bound(lam_grid: Sequence[float], alpha: float,
+                     K: int = 200000) -> None:
+    """Raise ValueError unless ``tail_bound_spotcheck`` accepts these arguments.
+
+    lam < K^4 / 2 keeps the first summed index k0 at or below K; the slope
+    in lambda needs two distinct values.
+    """
+    if not 0.75 < alpha < 1.0:
+        raise ValueError("need alpha in (3/4, 1)")
+    if len(set(lam_grid)) < 2 or not all(0.0 <= lam < K ** 4 / 2 for lam in lam_grid):
+        raise ValueError(f"need two or more distinct lam values in [0, K^4/2), K = {K}")
+
+
 def tail_bound_spotcheck(lam_grid: Sequence[float], alpha: float,
                          x_grid: Sequence[float] = (0.1, 0.2, 0.35, 0.5, 0.7, 0.9),
                          K: int = 200000) -> Dict:
@@ -509,8 +551,7 @@ def tail_bound_spotcheck(lam_grid: Sequence[float], alpha: float,
     |S| <= C x^(alpha-1) (1 + lam^(1/4))^(alpha-1), and log-log slopes of the
     measured values in x and in (1 + lam^(1/4)).
     """
-    if not 0.75 < alpha < 1.0:
-        raise ValueError("need alpha in (3/4, 1)")
+    check_tail_bound(lam_grid, alpha, K)
     x_arr = np.asarray(x_grid, dtype=np.float64)
     lam_arr = np.asarray(lam_grid, dtype=np.float64)
     vals = np.empty((len(lam_arr), len(x_arr)))

@@ -62,6 +62,46 @@ def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
     assert not out.exists()
 
 
+BAD_LAB = [
+    ("traces", {"s_grid": ["a"]}),
+    ("traces", {"phi": [3]}),
+    ("traces", {"phi": [{"kind": "poly", "coefficients": ["x"]}]}),
+    ("traces", {"N": 0}),
+    ("lambda4", {"K": None}),
+    ("kato_sweep", {"ensemble": None}),
+    ("kato_sweep", {"s_grid": ["x"]}),
+    ("kato_sweep", {"eps": float("nan")}),
+    ("optimality", {"order": None}),
+    ("optimality", {"n_grid": [4.5]}),
+    ("identities", {"K_grid": [0]}),
+    ("identities", {"K_grid": [2.5]}),
+    ("identities", {"tail": {"alpha": 0.5}}),
+    ("identities", {"tail": {"lam_grid": [-1.0]}}),
+    ("identities", {"tail": True}),
+    ("identities", {"tail": {"lam_grid": [16.0]}}),
+]
+
+
+@pytest.mark.parametrize("mode,payload", BAD_LAB, ids=[
+    "traces_s_str", "traces_phi_not_object", "traces_phi_poly_str", "traces_N_0",
+    "lambda4_K_null", "kato_ensemble_null", "kato_s_str", "kato_eps_nan",
+    "optimality_order_null", "optimality_n_float", "identities_K_0",
+    "identities_K_float", "tail_alpha_low", "tail_lam_negative",
+    "tail_not_object", "tail_one_lam"])
+def test_invalid_lab_config_exit2_no_artifacts(tmp_path, mode, payload):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})
+    out = tmp_path / "o"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_load_config_rejects_lambda4_K_above_key_bound(tmp_path):
+    # validation only: the bound is checked before count_lambda4 would run
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "lambda4", "lambda4": {"K": 100000}})
+    with pytest.raises(ConfigError, match="int64"):
+        load_config(cfg)
+
+
 def test_load_config_rejects_half_integer_s(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"mode": "solve", "solve": {"family": "navier", "s": 1.5}})

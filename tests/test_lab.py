@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from bihns import lab
 from bihns.lab import (CounterexampleRun, RegularitySweep, count_lambda4,
                        identity_checks, increment_energy,
                        increment_trace_exponent, kato_increment_sweep,
@@ -34,6 +36,44 @@ def test_lambda4_requires_k_ge_2():
         count_lambda4(1)
 
 
+@pytest.mark.parametrize("K", [2, 3, 17, 200])
+def test_lambda4_off_diagonal_buckets_are_singletons(K):
+    # for d != 0, k -> k^4 - (k-d)^4 has derivative 4d(3k^2 - 3dk + d^2),
+    # whose discriminant -3d^2 is negative: strictly monotone, so injective
+    res = count_lambda4(K)
+    assert res["histogram"] == {1: 2 * K * (2 * K + 1)}
+    assert res["diagonal_bucket_size"] == 2 * K + 1
+    assert res["max_multiplicity"] == 1
+
+
+def test_lambda4_matches_brute_force_counter():
+    K = 12
+    buckets = Counter((k - l, k ** 4 - l ** 4)
+                      for k in range(-K, K + 1) for l in range(-K, K + 1))
+    diagonal = buckets.pop((0, 0))
+    assert count_lambda4(K) == {
+        "K": K,
+        "max_multiplicity": max(buckets.values()),
+        "histogram": dict(sorted(Counter(buckets.values()).items())),
+        "diagonal_bucket_size": diagonal,
+    }
+
+
+def test_lambda4_key_bound_rejected_before_allocation(monkeypatch):
+    K = lab.LAMBDA4_K_MAX
+    # the largest |key| fits an int64 at the bound and not one past it
+    assert 16 * K ** 4 + 4 * K ** 3 + 2 * K < 2 ** 63
+    assert 16 * (K + 1) ** 4 > 2 ** 63
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used before the K bound was checked")
+
+    monkeypatch.setattr(lab, "np", NoNumpy())
+    with pytest.raises(ValueError, match="int64"):
+        count_lambda4(K + 1)
+
+
 # ---------------------------------------------------------------------------
 # exponent estimator
 
@@ -41,6 +81,60 @@ def test_lambda4_requires_k_ge_2():
 def test_measured_exponent_trivial_series():
     assert math.isinf(measured_trace_exponent(np.array([1.0, 16.0]),
                                               np.array([1.0, 0.5])))
+
+
+def _scalar_exponent(w, a_sq, n0_values=(16, 32, 64, 128, 256, 512, 1024)):
+    """One row at a time: the bisection that ``measured_trace_exponent`` batches."""
+    out = []
+    for n0 in n0_values:
+        head = w <= n0
+        tail = ~head
+        if not tail.any() or not head.any():
+            continue
+
+        def ratio(alpha):
+            wh = (1.0 + w ** 2) ** alpha
+            return (wh[tail] * a_sq[tail]).sum() / (wh[head] * a_sq[head]).sum()
+
+        lo, hi = 0.0, 6.0
+        if ratio(lo) >= 10.0:
+            out.append(0.0)
+            continue
+        if ratio(hi) < 10.0:
+            out.append(math.inf)
+            continue
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if ratio(mid) < 10.0:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return float(np.median(out)) if out else math.inf
+
+
+def test_batched_exponent_equals_scalar_bisection():
+    k = np.arange(1, 257)
+    n = k.astype(np.float64) ** 4
+    sweep = RegularitySweep(s_grid=[1.0, 2.0, 3.0], ensemble=8, seed=11)
+    rows = [np.abs((k * np.pi) ** i * qs) ** 2
+            for _, qs in lab._kato_ensemble(sweep) for i in (0, 1, 2)]
+    rows.append(np.ones((1, 256)))                       # ratio(0) >= 10: 0
+    rows.append(np.where(k <= 2, 1.0, 0.0)[None, :])     # ratio(6) < 10: inf
+    a_sq = np.vstack(rows)
+    want = [_scalar_exponent(n, row) for row in a_sq]
+    assert want[-2] == 0.0 and want[-1] == math.inf
+    got = measured_trace_exponent(n, a_sq)
+    assert got.shape == (len(a_sq),)
+    assert list(got) == want
+    one = measured_trace_exponent(n, a_sq[0])
+    assert type(one) is float and one == want[0]
+    # four windows (an even median) on k <= 4; none at all on k <= 2
+    for m in (4, 2):
+        short = a_sq[:, :m]
+        assert list(measured_trace_exponent(n[:m], short)) == [
+            _scalar_exponent(n[:m], row) for row in short]
+    assert np.all(np.isinf(measured_trace_exponent(n[:2], a_sq[:, :2])))
 
 
 def test_measured_exponent_tracks_decay():
