@@ -87,11 +87,13 @@ def build_beta_table(N: int) -> BetaTable:
 # convolution cores
 
 
-def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray) -> np.ndarray:
+def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
+                    phase: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact I[j,k] = int_0^{t_j} e^{i w_k (t-tau)} h(tau) dtau for a lattice series.
 
     Per frequency n pi^4: (e^{i n pi^4 t} - e^{i w t}) / (i (n pi^4 - w)),
-    with the resonant limit t e^{i w t} when n pi^4 == w.
+    with the resonant limit t e^{i w t} when n pi^4 == w.  ``phase`` is the
+    caller's table e^{i w t} (T, K), built here when not given.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     freqs = h.n.astype(np.float64) * TRACE_FREQ
@@ -102,7 +104,7 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray) -> 
     # at least pi^4, so the two-exponential form below does not cancel
     coef = np.divide(a[:, None], 1j * diff, where=~res,
                      out=np.zeros(diff.shape, dtype=np.complex128))
-    e_w = np.exp(1j * np.outer(times, omegas))             # (T, K)
+    e_w = np.exp(1j * np.outer(times, omegas)) if phase is None else phase  # (T, K)
     e_n = np.exp(1j * np.outer(times, freqs))              # (T, M)
     out = e_n @ coef - e_w * coef.sum(axis=0)
     for m, k in zip(*np.nonzero(res)):                      # t e^{i w t}
@@ -110,15 +112,17 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray) -> 
     return out
 
 
-def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int) -> np.ndarray:
+def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int,
+                         phase: Optional[np.ndarray] = None) -> np.ndarray:
     """Shared I[j,k] = int_0^{t_j} e^{i(k pi)^4 (t-tau)} h(tau) dtau, k = 1..N.
 
     Uses the exact lattice-series route when a series is present (a zero
-    series gives zeros), else the piecewise-linear sampled route.
+    series gives zeros), else the piecewise-linear sampled route; ``phase``
+    is passed on to ``convolve_series``.
     """
     omegas = navier_eigenvalues(N)
     if np.any(h.a != 0) or h.sample_t is None:
-        return convolve_series(omegas, h, times)
+        return convolve_series(omegas, h, times, phase)
     times = np.asarray(times, dtype=np.float64)
     coeffs = np.repeat(h(times)[:, None], len(omegas), axis=1)
     return duhamel_history(ForcingHistory(times, coeffs, omegas))
@@ -130,12 +134,14 @@ def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int) -> np.ndar
 
 def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
                             h5: BoundaryTrace, h6: BoundaryTrace,
-                            times: np.ndarray, N: int) -> np.ndarray:
+                            times: np.ndarray, N: int,
+                            phase: Optional[np.ndarray] = None) -> np.ndarray:
     """Sine-coefficient history of the hinged solution driven by boundary data.
 
     Mode ODE: i q_k' + (k pi)^4 q_k = 2(k pi)^3 (h1 - cos(k pi) h2)
     - 2 k pi (h5 - cos(k pi) h6); the Duhamel prefactor -i turns the table
     weights into -2i(k pi)^3 and +2i k pi (the global orientation fix).
+    ``phase`` is an optional shared table e^{i (k pi)^4 t} (T, N).
     """
     table = build_beta_table(N)
     k = np.arange(1, N + 1)
@@ -144,7 +150,7 @@ def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
     for h, w in ((h1, -table.navier0), (h2, -ref * table.navier0),
                  (h5, -table.navier2), (h6, -ref * table.navier2)):
         if np.any(h.a != 0) or h.sample_t is not None:
-            out += boundary_convolution(h, times, N) * w
+            out += boundary_convolution(h, times, N, phase) * w
     return out
 
 

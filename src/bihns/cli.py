@@ -22,14 +22,16 @@ import math
 import operator
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import lab
 from .nonlinear import (DIRICHLET, NAVIER, ProblemSpec, picard_dirichlet,
                         picard_navier)
-from .spectral import BoundaryTrace, reconstruct, sine_state, sobolev_norm
+from .spectral import BoundaryTrace, reconstruct, sine_state
+# unused here; kept because bench/tracing.py wraps cli.sobolev_norm
+from .spectral import sobolev_norm
 
 MODES = ("solve", "kato_sweep", "optimality", "lambda4", "identities", "traces")
 
@@ -221,15 +223,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, anchor: str, header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
-    width = len(header)
+def _write_table(path: Path, anchor: str, header: Sequence[str],
+                 rows: Iterable[Sequence[str]]) -> None:
+    """Anchor row, header row, then the already formatted ``rows``."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["anchor", anchor] + [""] * max(0, width - 2))
+        w.writerow(["anchor", anchor] + [""] * max(0, len(header) - 2))
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
+
+
+def _write_csv(path: Path, anchor: str, header: Sequence[str],
+               rows: Sequence[Sequence]) -> None:
+    _write_table(path, anchor, header, ([_fmt(v) for v in row] for row in rows))
+
+
+def _float_cells(values: np.ndarray) -> List[str]:
+    """Each float of a 1-D array as ``_fmt`` writes it, formatted once."""
+    return list(map("%.17g".__mod__, values.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +248,26 @@ def _write_csv(path: Path, anchor: str, header: Sequence[str],
 
 
 def _run_solve(payload, outdir, seed):
+    """Solve, write the norm/trace/plot tables and check the outcome.
+
+    ``converged``: the fixed-point residual is within 10 tol.
+    ``tstar_reached``: the solve covers the requested T, i.e. T* = T; it fails
+    when T* was halved and also when T > 1, which the solver caps at 1.
+    """
     spec = _build_problem(payload)
     rec = picard_navier(spec) if spec.family == NAVIER else picard_dirichlet(spec)
-    s_idx = spec.s
-    norm_rows = []
-    for j, t in enumerate(rec.times):
-        st = rec.states[j]
-        norm_rows.append([t, sobolev_norm(st, s_idx), sobolev_norm(st, 0.0)])
-    _write_csv(outdir / "solve_norms.csv",
-               "sup-in-time fixed-point norm: max_t ||u(t)||_{H^s}",
-               ["t", "hs_norm", "l2_norm"], norm_rows)
-    tr_rows = []
-    u0, u1 = rec.traces.get("u0"), rec.traces.get("u1")
-    for j, t in enumerate(rec.times):
-        tr_rows.append([t, u0[j].real, u0[j].imag, u1[j].real, u1[j].imag])
-    _write_csv(outdir / "solve_traces.csv",
-               "reconstructed endpoint values u(0,t), u(1,t)",
-               ["t", "u0_re", "u0_im", "u1_re", "u1_im"], tr_rows)
-    _write_csv(outdir / "solve_plot.csv", "norm history (t, ||u||_{H^s})",
-               ["x", "y"], [[r[0], r[1]] for r in norm_rows])
+    t, hs = _float_cells(rec.times), _float_cells(rec.norms(spec.s))
+    _write_table(outdir / "solve_norms.csv",
+                 "sup-in-time fixed-point norm: max_t ||u(t)||_{H^s}",
+                 ["t", "hs_norm", "l2_norm"],
+                 zip(t, hs, _float_cells(rec.norms(0.0))))
+    u0, u1 = rec.traces["u0"], rec.traces["u1"]
+    _write_table(outdir / "solve_traces.csv",
+                 "reconstructed endpoint values u(0,t), u(1,t)",
+                 ["t", "u0_re", "u0_im", "u1_re", "u1_im"],
+                 zip(t, *(_float_cells(a) for a in (u0.real, u0.imag, u1.real, u1.imag))))
+    _write_table(outdir / "solve_plot.csv", "norm history (t, ||u||_{H^s})",
+                 ["x", "y"], zip(t, hs))
     factors = [float(f) for f in rec.contraction_factors]
     summary = {
         "tstar": rec.tstar,
@@ -268,7 +280,8 @@ def _run_solve(payload, outdir, seed):
             "(k pi)^4 dt < 1; 'residual' is the accuracy number"),
     }
     checks = {"converged": bool(rec.residual <= max(spec.tol * 10.0, 1e-12))
-              if spec.lam != 0 else True}
+              if spec.lam != 0 else True,
+              "tstar_reached": rec.tstar == spec.T}
     return summary, checks
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import boundary_ops as bops
 from . import linear_flow as lf
 from .spectral import (BoundaryTrace, FourierState, SINE, _sample, matmul_real,
-                       mixed_state, reconstruct, sine_coefficients, sine_state,
-                       sobolev_weights, uniform_grid)
+                       mixed_state, reconstruct, sine_coefficients, sine_grid,
+                       sine_state, sobolev_weights, uniform_grid)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
 from .spectral import odd_even_extend
 
@@ -100,10 +100,20 @@ class ProblemSpec:
 
 @dataclass
 class SolutionRecord:
-    """Time-stamped solution with reconstruction helpers and diagnostics."""
+    """Time-stamped solution as coefficient arrays, with diagnostics.
+
+    Row j of the read-only arrays is the state at ``times[j]``: the hinged
+    record holds the sine coefficients ``q`` (T, N) of v; the clamped record
+    holds u on the half-weight mixed basis, ``q`` and ``p`` (T, N) and the
+    constant mode ``p0`` (T,).  ``states`` builds ``FourierState``s from the
+    rows on demand and ``norms`` gives the whole H^s history in one pass.
+    Non-finite coefficients raise ``ValueError`` at construction.
+    """
 
     times: np.ndarray
-    states: List[FourierState]          # hinged v, or clamped u on the mixed basis
+    q: np.ndarray
+    p: Optional[np.ndarray] = None
+    p0: Optional[np.ndarray] = None
     lift: Optional[Callable] = None     # stationary x-polynomial added back
     traces: Dict[str, np.ndarray] = field(default_factory=dict)
     tstar: float = 0.0
@@ -112,8 +122,42 @@ class SolutionRecord:
     residual: float = float("nan")
     projection_residual: float = float("nan")
 
+    def __post_init__(self):
+        names = ("q",) if self.p is None else ("q", "p", "p0")
+        for name in names:
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
+        if not all(np.isfinite(getattr(self, name)).all() for name in names):
+            raise ValueError("non-finite coefficients rejected")
+
+    def _state(self, j: int) -> FourierState:
+        if self.p is None:
+            return sine_state(self.q[j], t=self.times[j])
+        return mixed_state(self.q[j], self.p[j], self.p0[j], t=self.times[j])
+
+    @property
+    def states(self) -> List[FourierState]:
+        """One read-only ``FourierState`` per time node, built on each access."""
+        return [self._state(j) for j in range(len(self.times))]
+
+    def norms(self, s: float) -> np.ndarray:
+        """(T,) truncated H^s norms, bit-identical to ``sobolev_norm`` per state.
+
+        Elementwise squares, weights and a pairwise ``sum`` per row keep the
+        per-state summation order (a BLAS ``@ w`` would not).  The constant
+        mode stays the scalar ``abs(p0) ** 2``: numpy's complex abs and its
+        x*x square each differ from it by an ulp on some rows.
+        """
+        w = sobolev_weights(self.q.shape[1], float(s))
+        if self.p is None:
+            return np.sqrt((w * np.abs(self.q) ** 2).sum(axis=1))
+        mean_sq = np.array([abs(z) ** 2 for z in self.p0.tolist()])
+        return np.sqrt(mean_sq + (w * (np.abs(self.q) ** 2
+                                       + np.abs(self.p) ** 2)).sum(axis=1))
+
     def evaluate(self, j: int, x) -> np.ndarray:
-        out = reconstruct(self.states[j], x)
+        out = reconstruct(self._state(j), x)
         if self.lift is not None:
             out = out + self.lift(np.asarray(x, dtype=np.float64))
         return out
@@ -193,7 +237,7 @@ def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
     ``v_hist``: (T, N) sine coefficients; ``gamma_vals``: optional stationary
     values on the shared grid, added before the pointwise power.
     """
-    _, w, S, _ = uniform_grid(N, _dealias_points(N, p))
+    _, w, S = sine_grid(N, _dealias_points(N, p))
     u = matmul_real(v_hist, S.T)                             # (T, M+1)
     if gamma_vals is not None:
         u += gamma_vals
@@ -216,6 +260,19 @@ def _grid(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, n)
 
 
+def _navier_linear(phi_v, ht, times, omegas, N) -> np.ndarray:
+    """Free flow e^{i w t} phi_v plus the boundary history, on one phase table.
+
+    The table e^{i w t} feeds the boundary convolutions first and then holds
+    the free flow in place, so no second (T, N) table outlives this call.
+    """
+    phase = np.exp(1j * np.outer(times, omegas))
+    bnd = bops.navier_boundary_history(*ht, times, N, phase)
+    lin = np.multiply(phi_v, phase, out=phase)
+    lin += bnd
+    return lin
+
+
 def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     d = np.abs(a - b) ** 2 @ w
     return float(np.sqrt(d.max()))
@@ -224,7 +281,7 @@ def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     """Contraction iteration for the hinged family; returns v + gamma data.
 
-    The record's states are the homogenized unknown v (sine basis); the
+    The record's rows ``q`` are the homogenized unknown v (sine basis); the
     stationary corner polynomial gamma is attached as ``record.lift`` so that
     ``record.evaluate`` reproduces u = v + gamma.
     """
@@ -245,14 +302,13 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
 
     omegas = lf.navier_eigenvalues(N)
     wgt = sobolev_weights(N, spec.s)
-    gamma_vals = (gamma(uniform_grid(N, _dealias_points(N, spec.p))[0])
+    gamma_vals = (gamma(sine_grid(N, _dealias_points(N, spec.p))[0])
                   if any(abs(c) > 0 for c in corner) else None)
 
     T_star = min(spec.T, 1.0)
     while True:
         times = _grid(T_star, spec.dt)
-        lin = phi_v[None, :] * np.exp(1j * np.outer(times, omegas))
-        lin += bops.navier_boundary_history(*ht, times, N)
+        lin = _navier_linear(phi_v, ht, times, omegas, N)
 
         v = lin
         factors: List[float] = []
@@ -289,10 +345,9 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
         F = lf.ForcingHistory(times, nl, omegas)
         residual = _hs_dist(lin + 1j * lf.duhamel_history(F), v, wgt)
 
-    states = [sine_state(v[j], t=times[j]) for j in range(len(times))]
     lift = (lambda x: gamma(x)) if gamma_vals is not None else None
     tr0, tr1 = bops.sine_endpoint_values(v)
-    return SolutionRecord(times=times, states=states, lift=lift,
+    return SolutionRecord(times=times, q=v, lift=lift,
                           traces={"u0": tr0 + (gamma(0.0) if lift else 0.0),
                                   "u1": tr1 + (gamma(1.0) if lift else 0.0)},
                           tstar=T_star, contraction_factors=factors,
@@ -359,9 +414,8 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
             raise RuntimeError("no contraction: T* underflowed below dt")
 
     q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
-    states = [mixed_state(q[j], p[j], p0[j], t=times[j]) for j in range(len(times))]
     cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
-    return SolutionRecord(times=times, states=states, lift=None,
+    return SolutionRecord(times=times, q=q, p=p, p0=p0,
                           traces={"u0": 2.0 * (p0 + p.sum(axis=1)),
                                   "u1": 2.0 * (p0 + p @ cos_kpi)},
                           tstar=T_star, contraction_factors=factors,

@@ -8,10 +8,11 @@ which is simultaneously a function on the two-periodic extension cell [-1,1]
 (sine part = odd reflection, cosine part = even reflection).
 
 Every projection and synthesis on a uniform grid runs on one cached grid per
-(N, M), ``uniform_grid``: the M+1 nodes of [0,1], their trapezoid weights w
-and the read-only (M+1, N) matrices S = sin(k pi x) and C = cos(k pi x);
-complex values meet S and C through ``matmul_real``.  Two coefficient
-conventions share that grid and differ only by a factor 2:
+(N, M): ``sine_grid`` holds the M+1 nodes of [0,1], their trapezoid weights w
+and the read-only (M+1, N) matrix S = sin(k pi x); ``uniform_grid`` adds the
+cosine matrix C = cos(k pi x), so the sine-only (hinged) pipeline never
+builds C.  Complex values meet S and C through ``matmul_real``.  Two
+coefficient conventions share that grid and differ only by a factor 2:
 
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
   transform; used by the hinged/Navier pipeline).
@@ -125,21 +126,30 @@ def _sample(f, M: int):
     return x, vals
 
 
-@functools.lru_cache(maxsize=8)
-def uniform_grid(N: int, M: int):
-    """Read-only (x, w, S, C) of the uniform grid with M intervals on [0, 1].
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    x: the M+1 nodes; w: their trapezoid weights; S, C: the (M+1, N)
-    matrices sin(k pi x) and cos(k pi x), k = 1..N.
+
+@functools.lru_cache(maxsize=8)
+def sine_grid(N: int, M: int):
+    """Read-only (x, w, S) of the uniform grid with M intervals on [0, 1].
+
+    x: the M+1 nodes; w: their trapezoid weights; S: the (M+1, N) matrix
+    sin(k pi x), k = 1..N.
     """
     x = np.linspace(0.0, 1.0, M + 1)
     w = np.full(M + 1, 1.0 / M)
     w[0] = w[-1] = 0.5 / M
-    arg = np.pi * np.outer(x, np.arange(1, N + 1))
-    grid = (x, w, np.sin(arg), np.cos(arg))
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+    return _read_only(x, w, np.sin(np.pi * np.outer(x, np.arange(1, N + 1))))
+
+
+@functools.lru_cache(maxsize=8)
+def uniform_grid(N: int, M: int):
+    """Read-only (x, w, S, C): ``sine_grid`` plus C = cos(k pi x), (M+1, N)."""
+    x, w, S = sine_grid(N, M)
+    return (x, w, S) + _read_only(np.cos(np.pi * np.outer(x, np.arange(1, N + 1))))
 
 
 def matmul_real(a, B) -> np.ndarray:
@@ -164,7 +174,7 @@ def sine_coefficients(f, N: int, grid_points: Optional[int] = None) -> FourierSt
         raise ValueError("need N >= 1")
     M = (grid_points - 1) if grid_points else max(4 * N, 8)
     vals = _sample(f, M)[1]
-    _, w, S, _ = uniform_grid(N, len(vals) - 1)
+    _, w, S = sine_grid(N, len(vals) - 1)
     return sine_state(2.0 * matmul_real(vals * w, S))
 
 
@@ -227,7 +237,8 @@ def sobolev_norm(state: FourierState, s: float) -> float:
 
     The (1 + (k pi)^2)^s weight is the fixed convention here (equivalent to the
     homogeneous (k pi)^{2s} weight away from k=0, without the constant-mode
-    degeneracy).
+    degeneracy).  ``nonlinear.SolutionRecord.norms`` gives the same numbers,
+    bit for bit, for every state of a solve at once.
     """
     w = sobolev_weights(state.N, float(s))
     total = abs(state.p0) ** 2 + np.sum(w * (np.abs(state.q) ** 2 + np.abs(state.p) ** 2))

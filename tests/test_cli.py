@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from bihns.cli import ConfigError, load_config, main
+from bihns.cli import (ConfigError, _float_cells, _fmt, _write_table,
+                       load_config, main)
 
 PERIOD = 2.0 / np.pi ** 3
 
@@ -227,6 +229,48 @@ def test_csv_uses_full_precision_floats(tmp_path):
     body = (out / "optimality.csv").read_text().splitlines()[2]
     ratio_field = body.split(",")[3]
     assert len(ratio_field.split(".")[-1].rstrip("0")) >= 10  # %.17g emission
+
+
+def _write_fmt_rows(path, anchor, header, rows):
+    """Reference: the per-cell ``_fmt`` row path the float tables replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["anchor", anchor] + [""] * max(0, len(header) - 2))
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+
+
+def test_float_table_bytes_match_fmt_rows(tmp_path):
+    vals = np.array([-0.0, 0.0, 5e-324, 0.1, 1.0, 1e300])
+    z = vals - 1j * vals[::-1]              # strided .real/.imag views
+    cols = (vals, z.real, z.imag)
+    header = ["t", "re", "im"]
+    _write_table(tmp_path / "new.csv", "anchor text", header,
+                 zip(*map(_float_cells, cols)))
+    _write_fmt_rows(tmp_path / "old.csv", "anchor text", header, zip(*cols))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\r\n") == 2 + len(vals) and b"-0," in new
+
+
+@pytest.mark.parametrize("solve,tstar", [
+    # max_iter iterations do not reach tol at T, so T* is halved twice
+    ({"family": "navier", "N": 16, "s": 1.0, "lam": 1.0, "T": 0.01,
+      "dt": 1e-4, "tol": 1e-10, "max_iter": 5,
+      "phi": {"kind": "sine", "coefficients": [[3, 0], [0, 1.5], [0.5, 0]]}},
+     0.0025),
+    # T > 1 is capped at 1
+    ({"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8, "p": 4.0,
+      "lam": 0.0, "T": 5.0, "dt": 0.05}, 1.0),
+], ids=["halved", "capped"])
+def test_solve_short_of_T_fails(tmp_path, solve, tstar):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    record = json.loads((out / "summary.json").read_text())
+    assert record["checks"] == {"converged": True, "tstar_reached": False}
+    assert record["summary"]["tstar"] == tstar
 
 
 # ---------------------------------------------------------------------------

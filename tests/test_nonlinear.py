@@ -6,10 +6,12 @@ import sympy as sp
 from scipy.optimize import brentq
 
 from bihns.cli import ConfigError, _build_problem
-from bihns.nonlinear import (ProblemSpec, _nonlin_sine_history,
+from bihns.nonlinear import (ProblemSpec, SolutionRecord, _nonlin_sine_history,
                              homogenize_navier, nonlinearity,
                              picard_dirichlet, picard_navier)
-from bihns.spectral import BoundaryTrace, mixed_state, reconstruct, sine_state
+from bihns.spectral import (BoundaryTrace, FourierState, mixed_state,
+                            reconstruct, sine_grid, sine_state, sobolev_norm,
+                            uniform_grid)
 
 rng = np.random.default_rng(2024)
 
@@ -270,3 +272,91 @@ def test_picard_dirichlet_free_flow_oracle():
         errs.append(float(np.abs(got - exact).max() / np.abs(exact).max()))
     assert errs[0] <= 1e-4
     assert errs[1] <= errs[0] / 4.0
+
+
+# ---------------------------------------------------------------------------
+# solution record
+
+
+def _hinged_record():
+    q0 = np.zeros(32, dtype=complex)
+    q0[:3] = [0.3, 0.2j, -0.1]
+    st0 = sine_state(q0)
+    h1 = BoundaryTrace.from_series([-1, 0, 1], [0.05j, 0.1, -0.05])
+    spec = ProblemSpec(family="navier", s=1.0, p=3.0, lam=1.0, T=0.005, N=32,
+                       dt=1e-4, h1=h1, phi=lambda x: reconstruct(st0, x))
+    return spec, picard_navier(spec)
+
+
+def _clamped_record():
+    hs = {key: BoundaryTrace.from_series([0, 1], [-b, b]) for key, b in
+          zip(("h1", "h2", "h3", "h4"), (0.1, 0.05j, -0.08, 0.12 + 0.03j))}
+    spec = ProblemSpec(family="dirichlet", s=2.0, p=5.0, lam=1.0, T=1e-3,
+                       dt=1e-5, N=16, K_clamped=8,
+                       phi=lambda x: (2.0 + 1j) * x ** 2 * (1.0 - x) ** 2, **hs)
+    return spec, picard_dirichlet(spec)
+
+
+@pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
+                         ids=["hinged", "clamped"])
+def test_record_norms_equal_per_state_norms(make):
+    spec, rec = make()
+    assert rec.p is None or np.all(rec.p0 != 0)
+    states = rec.states
+    for s in (spec.s, 0.0):
+        want = [sobolev_norm(st, s) for st in states]
+        assert rec.norms(s).tolist() == want
+
+
+def test_record_norms_constant_mode_matches_scalar_abs():
+    # each state squares its constant mode as abs(p0) ** 2 (libm hypot, then
+    # pow); numpy's complex abs differs from that on many rows, and squaring
+    # hypot as x*x on the rows where pow(x, 2) != x*x, which are repeated
+    # here against many sine parts so that the ulp reaches the norm
+    g = np.random.default_rng(7)
+    z = g.standard_normal(20000) + 1j * g.standard_normal(20000)
+    trap = z[np.array([abs(v) ** 2 for v in z.tolist()])
+             != np.hypot(z.real, z.imag) ** 2]
+    p0 = np.concatenate((z[:500], np.repeat(trap, 32)))
+    q = g.standard_normal((len(p0), 1)) + 1j * g.standard_normal((len(p0), 1))
+    rec = SolutionRecord(times=np.linspace(0.0, 1.0, len(p0)), q=q,
+                         p=np.zeros_like(q), p0=p0)
+    assert rec.norms(0.0).tolist() == [sobolev_norm(st, 0.0) for st in rec.states]
+
+
+@pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
+                         ids=["hinged", "clamped"])
+def test_record_states_are_read_only_rows(make):
+    _, rec = make()
+    j = len(rec.times) // 2
+    st = rec.states[j]
+    assert isinstance(st, FourierState) and st.t == rec.times[j]
+    assert np.array_equal(st.q, rec.q[j])
+    if rec.p is None:
+        assert st.basis == "sine" and not np.any(st.p) and st.p0 == 0
+    else:
+        assert np.array_equal(st.p, rec.p[j]) and st.p0 == rec.p0[j]
+    for a in (st.q, st.p, rec.q):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    x = np.linspace(0.0, 1.0, 9)
+    want = reconstruct(st, x) + (rec.lift(x) if rec.lift else 0.0)
+    assert np.array_equal(rec.evaluate(j, x), want)
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+def test_record_rejects_non_finite(clamped):
+    q = np.zeros((3, 4), dtype=complex)
+    p, p0 = (np.zeros((3, 4), dtype=complex), np.zeros(3, dtype=complex))
+    (p0 if clamped else q)[1] = np.nan
+    extra = {"p": p, "p0": p0} if clamped else {}
+    with pytest.raises(ValueError, match="non-finite"):
+        SolutionRecord(times=np.linspace(0.0, 1.0, 3), q=q, **extra)
+
+
+def test_hinged_solve_builds_no_cosine_matrix():
+    sine_grid.cache_clear()
+    uniform_grid.cache_clear()
+    _hinged_record()
+    assert sine_grid.cache_info().misses > 0
+    assert uniform_grid.cache_info().misses == 0
