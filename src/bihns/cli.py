@@ -63,6 +63,8 @@ def _trace_from_config(raw, field) -> BoundaryTrace:
     kind = raw.get("kind")
     if kind == "series":
         n = np.asarray(raw.get("n", []), dtype=np.float64)
+        if not np.all(np.abs(n) <= 2.0 ** 53) or np.any(n != np.round(n)):
+            raise ConfigError(f"{field}: lattice indices n must be integers")
         a = _complex_list(raw.get("a", []), field)
         if len(n) != len(a):
             raise ConfigError(f"{field}: n and a lengths differ")

@@ -1,22 +1,23 @@
 """Picard iteration for the full nonlinear problem
 i u_t + u_xxxx + lam |u|^(p-2) u = 0 on (0,1) with boundary data.
 
-Two pipelines:
+One driver, ``_picard``, iterates v -> lin + i Duhamel(forcing(v)) in the
+sup-in-time H^s-weighted mode coefficients; each family supplies its linear
+history ``lin`` and ``forcing``, the mode coefficients of the nonlinearity:
 
 * hinged family ("navier"): homogenize the corner data with a stationary cubic
-  gamma, then iterate v -> free flow + i Duhamel(nonlinearity(v + gamma))
-  + boundary-kernel terms, in the sup-in-time truncated H^s metric;
+  gamma; lin is the free sine flow plus the boundary-kernel terms, forcing the
+  sine projection of the nonlinearity of v + gamma;
 * clamped family ("dirichlet"): write u = sum_i h_i(t) lift_i(x) +
   sum_j c_j(t) phi_j(x) with the four cubic lifts of the boundary data and
-  the clamped eigenfunctions phi_j; the linear history is e^{i mu^4 t} c(0) -
-  Duhamel(sum_i h_i' <lift_i, phi_j>), and c -> linear +
-  i Duhamel(<nonlinearity(u), phi_j>) is iterated in the sup-in-time
-  H^s-weighted eigen-coefficients.  One trapezoid grid on 4 max(N, K) + 1
-  points carries every projection.
+  the clamped eigenfunctions phi_j; lin is e^{i mu^4 t} c(0) -
+  Duhamel(sum_i h_i' <lift_i, phi_j>), forcing <nonlinearity(u), phi_j>.
+  One trapezoid grid on 4 max(N, K) + 1 points carries every projection.
 
-Existence time T* adapts by halving whenever ``max_iter`` iterations pass
-without the Picard distance falling below ``tol``; the contraction factors
-are recorded but do not steer the halving.
+One pointwise kernel, ``_power``, evaluates the nonlinearity for both.  T*
+halves whenever ``max_iter`` iterations leave the Picard distance above
+``tol``.  The fixed-point residual is, hinged, the distance after one more
+application of the map and, clamped, the last Picard distance.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from . import boundary_ops as bops
 from . import linear_flow as lf
-from .spectral import (BoundaryTrace, FourierState, SINE, _sample, matmul_real,
+from .spectral import (BoundaryTrace, FourierState, _sample, matmul_real,
                        mixed_state, reconstruct, sine_coefficients, sine_grid,
-                       sine_state, sobolev_weights, uniform_grid)
+                       sine_state, sobolev_weights)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
 from .spectral import odd_even_extend
 
@@ -96,6 +97,12 @@ class ProblemSpec:
             raise ValueError("N, T, dt, tol must be positive")
         if self.max_iter < 1 or self.K_clamped < 1:
             raise ValueError("max_iter and K_clamped must be >= 1")
+        for h in (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6):
+            # _shifted takes h(0) to be the first sample; past the last one
+            # the interpolant would hold it constant
+            if h.sample_t is not None and not (
+                    h.sample_t[0] == 0 and h.sample_t[-1] >= min(self.T, 1.0)):
+                raise ValueError("sampled traces must cover [0, min(T, 1)]")
 
 
 @dataclass
@@ -120,7 +127,6 @@ class SolutionRecord:
     contraction_factors: List[float] = field(default_factory=list)
     iterations: int = 0
     residual: float = float("nan")
-    projection_residual: float = float("nan")
 
     def __post_init__(self):
         names = ("q",) if self.p is None else ("q", "p", "p0")
@@ -199,83 +205,95 @@ def _shifted(h: BoundaryTrace) -> BoundaryTrace:
 # pseudo-spectral nonlinearity
 
 
-def _dealias_points(N: int, p: float, factor: Optional[int] = None) -> int:
-    base = max(2, math.ceil(p / 2.0))
-    return (factor if factor else base) * N + 1
+def _dealias_points(N: int, p: float) -> int:
+    return max(2, math.ceil(p / 2.0)) * N + 1
 
 
-def nonlinearity(state: FourierState, p: float, lam: float,
-                 pad: Optional[int] = None) -> FourierState:
-    """Collocation evaluation of lam |u|^(p-2) u projected back onto the basis.
-
-    Synthesize on the shared grid of M >= ceil(p/2)*N + 1 intervals, apply the
-    pointwise power (principal real power of |u|; u = 0 contributes 0),
-    project with the trapezoid weights.  Exact modulo the padding rule for
-    integer p.
-    """
-    if p < 3:
-        raise ValueError("need p >= 3")
-    _, w, S, C = uniform_grid(state.N, _dealias_points(state.N, p, pad))
-    u = matmul_real(state.q, S.T) + matmul_real(state.p, C.T) + state.p0
-    mag = np.abs(u)
-    with np.errstate(invalid="ignore"):
-        vals = lam * np.where(mag > 0, mag ** (p - 2.0), 0.0) * u
-    if not np.all(np.isfinite(vals.view(np.float64))):
+def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
+    """lam |u|^(p-2) u in place on grid values ``u`` (p >= 3 keeps
+    0 ** (p-2) = 0); a non-finite value raises ``OverflowError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fac = np.abs(u)
+        fac **= p - 2.0
+        fac *= lam
+        u *= fac
+    if not np.all(np.isfinite(u.view(np.float64))):
         raise OverflowError("nonlinearity overflow: blow-up candidate")
-    vw = vals * w
-    q = matmul_real(vw, S)
-    if state.basis == SINE:
-        return sine_state(2.0 * q, t=state.t)
-    # mixed/cosine: half-weight extension convention (round-trips reconstruct)
-    return mixed_state(q, matmul_real(vw, C), 0.5 * vw.sum(), t=state.t)
+    return u
 
 
 def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
                          p: float, lam: float, N: int) -> np.ndarray:
-    """Vectorized sine-projected nonlinearity along a coefficient history.
+    """Sine coefficients of lam |u|^(p-2) u along a coefficient history.
 
     ``v_hist``: (T, N) sine coefficients; ``gamma_vals``: optional stationary
-    values on the shared grid, added before the pointwise power.
+    values on the shared grid, added before the pointwise power.  Synthesis
+    and projection run on the grid of ``_dealias_points`` intervals, exact
+    modulo the padding rule for integer p.
     """
     _, w, S = sine_grid(N, _dealias_points(N, p))
     u = matmul_real(v_hist, S.T)                             # (T, M+1)
     if gamma_vals is not None:
         u += gamma_vals
-    fac = np.abs(u)                        # p >= 3 keeps 0 ** (p-2) = 0
-    fac **= p - 2.0
-    fac *= lam
-    u *= fac
-    if not np.all(np.isfinite(u.view(np.float64))):
-        raise OverflowError("nonlinearity overflow: blow-up candidate")
+    _power(u, p, lam)
     u *= 2.0 * w
     return matmul_real(u, S)
 
 
 # ---------------------------------------------------------------------------
-# hinged Picard pipeline
-
-
-def _grid(T: float, dt: float) -> np.ndarray:
-    n = max(2, int(math.ceil(T / dt)) + 1)
-    return np.linspace(0.0, T, n)
-
-
-def _navier_linear(phi_v, ht, times, omegas, N) -> np.ndarray:
-    """Free flow e^{i w t} phi_v plus the boundary history, on one phase table.
-
-    The table e^{i w t} feeds the boundary convolutions first and then holds
-    the free flow in place, so no second (T, N) table outlives this call.
-    """
-    phase = np.exp(1j * np.outer(times, omegas))
-    bnd = bops.navier_boundary_history(*ht, times, N, phase)
-    lin = np.multiply(phi_v, phase, out=phase)
-    lin += bnd
-    return lin
+# Picard iteration: one driver, two families
 
 
 def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     d = np.abs(a - b) ** 2 @ w
     return float(np.sqrt(d.max()))
+
+
+def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray, attempt):
+    """Iterate v -> lin + i Duhamel(forcing(v)) on the modes ``omegas``.
+
+    ``attempt(times)`` gives the family's (T, K) linear history ``lin`` and
+    ``forcing(v)``; distances are sup-in-time with the H^s weights ``wgt``.
+    T* starts at min(T, 1) and halves until the iteration converges; below dt
+    it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
+    takes zero iterations.  Returns (times, v, T*, contraction factors,
+    iterations, residual); the residual is 0 for lam = 0, else the hinged
+    distance after one more map application or the clamped last distance.
+    """
+    T_star = min(spec.T, 1.0)
+    while True:
+        times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
+        lin, forcing = attempt(times)
+
+        def step(v):
+            F = lf.ForcingHistory(times, forcing(v), omegas)
+            return lin + 1j * lf.duhamel_history(F)
+
+        v, factors, dist, it = lin, [], None, 0
+        converged = spec.lam == 0
+        while not converged and it < spec.max_iter:
+            it += 1
+            v_new = step(v)
+            d = _hs_dist(v_new, v, wgt)
+            if dist is not None and dist > 0:
+                factors.append(d / dist)
+            dist, v = d, v_new
+            converged = d < spec.tol
+        if converged:
+            break
+        T_star *= 0.5
+        if T_star < spec.dt:
+            raise RuntimeError(
+                "no contraction: T* underflowed below dt "
+                f"(data norm r={np.sqrt(np.abs(lin[0])**2 @ wgt):.3e})")
+
+    if spec.lam == 0:
+        residual = 0.0
+    elif spec.family == NAVIER:
+        residual = _hs_dist(step(v), v, wgt)
+    else:
+        residual = dist
+    return times, v, T_star, factors, it, residual
 
 
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
@@ -301,50 +319,23 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
                  else np.zeros(N, dtype=np.complex128))
 
     omegas = lf.navier_eigenvalues(N)
-    wgt = sobolev_weights(N, spec.s)
     gamma_vals = (gamma(sine_grid(N, _dealias_points(N, spec.p))[0])
                   if any(abs(c) > 0 for c in corner) else None)
 
-    T_star = min(spec.T, 1.0)
-    while True:
-        times = _grid(T_star, spec.dt)
-        lin = _navier_linear(phi_v, ht, times, omegas, N)
+    def forcing(v):
+        return _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N)
 
-        v = lin
-        factors: List[float] = []
-        converged = False
-        last_dist = None
-        for it in range(1, spec.max_iter + 1):
-            if spec.lam == 0:
-                v_new = lin
-            else:
-                nl = _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N)
-                F = lf.ForcingHistory(times, nl, omegas)
-                v_new = lin + 1j * lf.duhamel_history(F)
-            dist = _hs_dist(v_new, v, wgt)
-            if last_dist is not None and last_dist > 0:
-                factors.append(dist / last_dist)
-            last_dist = dist
-            v = v_new
-            if dist < spec.tol:
-                converged = True
-                break
-        if converged:
-            break
-        T_star *= 0.5
-        if T_star < spec.dt:
-            raise RuntimeError(
-                "no contraction: T* underflowed below dt "
-                f"(data norm r={np.sqrt(np.abs(phi_v)**2 @ wgt):.3e})")
+    def attempt(times):
+        # the table e^{i w t} feeds the boundary convolutions first and then
+        # holds the free flow in place, so no second (T, N) table stays alive
+        phase = np.exp(1j * np.outer(times, omegas))
+        bnd = bops.navier_boundary_history(*ht, times, N, phase)
+        lin = np.multiply(phi_v, phase, out=phase)
+        lin += bnd
+        return lin, forcing
 
-    # fixed-point residual (one more application of the map)
-    if spec.lam == 0:
-        residual = 0.0
-    else:
-        nl = _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N)
-        F = lf.ForcingHistory(times, nl, omegas)
-        residual = _hs_dist(lin + 1j * lf.duhamel_history(F), v, wgt)
-
+    times, v, T_star, factors, it, residual = _picard(
+        spec, omegas, sobolev_weights(N, spec.s), attempt)
     lift = (lambda x: gamma(x)) if gamma_vals is not None else None
     tr0, tr1 = bops.sine_endpoint_values(v)
     return SolutionRecord(times=times, q=v, lift=lift,
@@ -352,10 +343,6 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
                                   "u1": tr1 + (gamma(1.0) if lift else 0.0)},
                           tstar=T_star, contraction_factors=factors,
                           iterations=it, residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# clamped Picard pipeline
 
 
 def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
@@ -373,52 +360,25 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
     hs = (spec.h1, spec.h2, spec.h3, spec.h4)
-    wgt = (1.0 + basis.mu ** 2) ** spec.s
+    vals = None                                            # lift values h_i(t)
 
-    T_star = min(spec.T, 1.0)
-    while True:
-        times = _grid(T_star, spec.dt)
+    def attempt(times):
+        nonlocal vals
         vals, lift, a, c_b = bops.clamped_lift_response(*hs, times, basis, x, wq)
         c0 = c_phi - vals[0] @ a
         lin = c0 * np.exp(1j * np.outer(times, basis.eigenvalues)) + c_b
         u_b = vals @ lift                                  # (T, M+1)
 
-        c = lin
-        factors: List[float] = []
-        last_dist = None
-        proj_res = 0.0
-        it = 0
-        converged = spec.lam == 0
-        while not converged and it < spec.max_iter:
-            it += 1
-            u = u_b + c @ phi_x
-            nl = spec.lam * np.abs(u) ** (spec.p - 2.0) * u   # p >= 3: 0 ** (p-2) = 0
-            if not np.all(np.isfinite(nl.view(np.float64))):
-                raise OverflowError("nonlinearity overflow: blow-up candidate")
-            nl_c = (nl * wq) @ phi_x.T                     # clamped projection
-            denom = np.abs(nl).max()
-            proj_res = (float(np.abs(nl - nl_c @ phi_x).max() / denom)
-                        if denom > 0 else 0.0)
-            F = lf.ForcingHistory(times, nl_c, basis.eigenvalues)
-            c_new = lin + 1j * lf.duhamel_history(F)
-            dist = _hs_dist(c_new, c, wgt)
-            if last_dist is not None and last_dist > 0:
-                factors.append(dist / last_dist)
-            last_dist = dist
-            c = c_new
-            converged = dist < spec.tol
-        if converged:
-            break
-        T_star *= 0.5
-        if T_star < spec.dt:
-            raise RuntimeError("no contraction: T* underflowed below dt")
+        def forcing(c):                                    # clamped projection
+            return (_power(u_b + c @ phi_x, spec.p, spec.lam) * wq) @ phi_x.T
+        return lin, forcing
 
+    times, c, T_star, factors, it, residual = _picard(
+        spec, basis.eigenvalues, (1.0 + basis.mu ** 2) ** spec.s, attempt)
     q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
     cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
     return SolutionRecord(times=times, q=q, p=p, p0=p0,
                           traces={"u0": 2.0 * (p0 + p.sum(axis=1)),
                                   "u1": 2.0 * (p0 + p @ cos_kpi)},
                           tstar=T_star, contraction_factors=factors,
-                          iterations=it,
-                          residual=last_dist if last_dist is not None else 0.0,
-                          projection_residual=proj_res)
+                          iterations=it, residual=residual)

@@ -269,6 +269,8 @@ class BoundaryTrace:
         a = np.atleast_1d(np.asarray(self.a, dtype=np.complex128))
         if n.shape != a.shape:
             raise ValueError("index and coefficient arrays must match")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite trace coefficients rejected")
         if len(np.unique(n)) != len(n):
             raise ValueError("duplicate lattice indices")
         order = np.argsort(n)
@@ -281,8 +283,12 @@ class BoundaryTrace:
         if self.sample_t is not None:
             st = np.asarray(self.sample_t, dtype=np.float64)
             sh = np.asarray(self.sample_h, dtype=np.complex128)
-            if st.shape != sh.shape or st.ndim != 1:
-                raise ValueError("bad sampled form")
+            if st.shape != sh.shape or st.ndim != 1 or len(st) < 2:
+                raise ValueError("sampled form needs two or more (t, h) pairs")
+            if not (np.all(np.isfinite(st)) and np.all(np.isfinite(sh))):
+                raise ValueError("non-finite trace samples rejected")
+            if np.any(np.diff(st) <= 0):
+                raise ValueError("sample times must be strictly increasing")
             object.__setattr__(self, "sample_t", st)
             object.__setattr__(self, "sample_h", sh)
 

@@ -47,6 +47,13 @@ def test_mode_mismatch_exit2(tmp_path):
     assert not out.exists()
 
 
+TRACE_BASE = {"family": "navier", "N": 16, "s": 1.0, "T": 1e-3, "dt": 1e-4}
+
+
+def _samples(t, h=None):
+    return {"kind": "samples", "t": t, "h": h or [[0.1, 0.0]] * len(t)}
+
+
 @pytest.mark.parametrize("solve", [
     {"family": "dirichlet", "s": 1.0},
     {"family": "dirichlet", "s": 2.0, "p": 5.0, "K_clamped": 0},
@@ -55,8 +62,18 @@ def test_mode_mismatch_exit2(tmp_path):
     {"family": "navier", "s": [1]},
     {"family": "navier", "s": 1.0, "h1": 3},
     {"family": "navier", "s": 1.0, "phi": [1, 2]},
+    {**TRACE_BASE, "h1": {"kind": "series", "n": [0, 1.5], "a": [[1, 0], [1, 0]]}},
+    {**TRACE_BASE, "h1": {"kind": "samples", "t": [], "h": []}},
+    {**TRACE_BASE, "h1": _samples([0, 1e-4])},
+    {**TRACE_BASE, "family": "dirichlet", "s": 1.8, "p": 4.0, "K_clamped": 4,
+     "h1": _samples([0, 1e-4])},
+    {**TRACE_BASE, "h1": _samples([1e-4, 1e-3])},
+    {**TRACE_BASE, "h1": _samples([1e-3, 0])},
+    {**TRACE_BASE, "h1": _samples([0, 1e-3], h=[[0, 0], [float("nan"), 0]])},
 ], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
-        "s_list", "trace_not_object", "phi_not_object"])
+        "s_list", "trace_not_object", "phi_not_object", "series_n_fraction",
+        "samples_empty", "samples_short_of_T", "clamped_samples_short_of_T",
+        "samples_late_start", "samples_decreasing", "samples_nan"])
 def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
@@ -208,10 +225,24 @@ def _run_kato(tmp_path, outname, seed):
     return rc, (out / "kato_sweep.csv").read_bytes()
 
 
+def _artifacts(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
 def test_seeded_runs_byte_identical(tmp_path):
     rc1, b1 = _run_kato(tmp_path, "o1", 42)
     rc2, b2 = _run_kato(tmp_path, "o2", 42)
     assert b1 == b2
+    # every artifact of a hinged and a clamped solve, run twice
+    for payload in (p for m, p in STRICT_RUNS if m == "solve"):
+        cfg = write_cfg(tmp_path, "s.json", {"mode": "solve", "solve": payload})
+        runs = []
+        for name in ("s1", "s2"):
+            out = tmp_path / payload["family"] / name
+            assert main(["solve", "--config", cfg, "--out", str(out),
+                         "--seed", "42"]) == 0
+            runs.append(_artifacts(out))
+        assert len(runs[0]) == 4 and runs[0] == runs[1]
 
 
 def test_different_seeds_differ(tmp_path):
@@ -254,6 +285,12 @@ def test_float_table_bytes_match_fmt_rows(tmp_path):
     assert new.count(b"\r\n") == 2 + len(vals) and b"-0," in new
 
 
+CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,
+                 "p": 4.0, "lam": 1.0, "T": 0.01, "dt": 1e-4, "tol": 1e-10,
+                 "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [5, 0],
+                                                          [-10, 0], [5, 0]]}}
+
+
 @pytest.mark.parametrize("solve,tstar", [
     # max_iter iterations do not reach tol at T, so T* is halved twice
     ({"family": "navier", "N": 16, "s": 1.0, "lam": 1.0, "T": 0.01,
@@ -263,7 +300,9 @@ def test_float_table_bytes_match_fmt_rows(tmp_path):
     # T > 1 is capped at 1
     ({"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8, "p": 4.0,
       "lam": 0.0, "T": 5.0, "dt": 0.05}, 1.0),
-], ids=["halved", "capped"])
+    # the clamped family halves through the same driver
+    ({**CLAMPED_STIFF, "max_iter": 3}, 0.005),
+], ids=["halved", "capped", "clamped_halved"])
 def test_solve_short_of_T_fails(tmp_path, solve, tstar):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
@@ -271,6 +310,26 @@ def test_solve_short_of_T_fails(tmp_path, solve, tstar):
     record = json.loads((out / "summary.json").read_text())
     assert record["checks"] == {"converged": True, "tstar_reached": False}
     assert record["summary"]["tstar"] == tstar
+
+
+@pytest.mark.parametrize("solve,norm", [
+    ({**CLAMPED_STIFF, "max_iter": 2}, "3.404e+00"),
+    ({"family": "navier", "N": 16, "s": 1.0, "lam": 1.0, "T": 0.01,
+      "dt": 1e-3, "tol": 1e-10, "max_iter": 2,
+      "phi": {"kind": "sine", "coefficients": [[3, 0]]}}, "9.891e+00"),
+], ids=["clamped", "hinged"])
+def test_tstar_underflow_reports_data_norm(tmp_path, solve, norm):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert error == f"no contraction: T* underflowed below dt (data norm r={norm})"
+
+
+def test_sampled_trace_covering_T_solves(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        **TRACE_BASE, "h1": _samples([0, 5e-4, 1e-3], h=[[0, 0], [0.1, 0], [0, 0.1]])}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +369,15 @@ def test_summary_json_is_strict(tmp_path, mode, payload):
     if mode == "solve":
         assert record["summary"]["mode_residual"] is None
         assert record["summary"]["mode_residual_note"]
+
+
+@pytest.mark.parametrize("family", ["navier", "dirichlet"])
+def test_linear_solve_takes_no_iterations(tmp_path, family):
+    solve = next(p for _, p in STRICT_RUNS if p.get("family") == family)
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve",
+                                         "solve": {**solve, "lam": 0.0}})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["iterations"] == 0 and summary["residual"] == 0.0
+    assert summary["contraction_factors"] == []

@@ -7,11 +7,10 @@ from scipy.optimize import brentq
 
 from bihns.cli import ConfigError, _build_problem
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _nonlin_sine_history,
-                             homogenize_navier, nonlinearity,
-                             picard_dirichlet, picard_navier)
-from bihns.spectral import (BoundaryTrace, FourierState, mixed_state,
-                            reconstruct, sine_grid, sine_state, sobolev_norm,
-                            uniform_grid)
+                             _power, homogenize_navier, picard_dirichlet,
+                             picard_navier)
+from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
+                            sine_grid, sine_state, sobolev_norm, uniform_grid)
 
 rng = np.random.default_rng(2024)
 
@@ -79,62 +78,75 @@ def test_homogenize_corner_values():
 # nonlinearity
 
 
+def _trapezoid_projection(q, p, lam, M=8192):
+    """2 int_0^1 lam |u|^(p-2) u sin(k pi x) dx, u = sum_k q_k sin(k pi x),
+    by the trapezoid rule on M intervals."""
+    x = np.linspace(0.0, 1.0, M + 1)
+    S = np.sin(np.pi * np.outer(x, np.arange(1, len(q) + 1)))
+    u = S @ np.asarray(q, dtype=complex)
+    w = np.full(M + 1, 1.0 / M)
+    w[[0, -1]] *= 0.5
+    return 2.0 * (lam * np.abs(u) ** (p - 2.0) * u * w) @ S
+
+
+def _nonlin_row(q, p, lam):
+    q = np.asarray(q, dtype=complex)
+    return _nonlin_sine_history(q[None, :], None, p, lam, len(q))[0]
+
+
 def test_nonlinearity_zero():
-    st = sine_state(np.zeros(8))
-    out = nonlinearity(st, 3.0, 1.0)
-    assert np.max(np.abs(out.q)) == 0.0
+    assert np.max(np.abs(_nonlin_row(np.zeros(8), 3.0, 1.0))) == 0.0
 
 
 def test_nonlinearity_cubic_trig_identity():
     # sin^3 = (3 sin - sin 3)/4 for p=4 on a real single mode
-    st = sine_state([1.0, 0.0, 0.0, 0.0])
-    out = nonlinearity(st, 4.0, 1.0)
-    assert out.q[0] == pytest.approx(0.75, abs=1e-10)
-    assert out.q[2] == pytest.approx(-0.25, abs=1e-10)
-    assert abs(out.q[1]) < 1e-10 and abs(out.q[3]) < 1e-10
+    out = _nonlin_row([1.0, 0.0, 0.0, 0.0], 4.0, 1.0)
+    assert out[0] == pytest.approx(0.75, abs=1e-10)
+    assert out[2] == pytest.approx(-0.25, abs=1e-10)
+    assert abs(out[1]) < 1e-10 and abs(out[3]) < 1e-10
 
 
 def test_nonlinearity_modulus_quadrature_oracle():
     # p=3, lam=-2, u = i sin(pi x): |u|u = i sin^2(pi x), so
-    # q1 = 2 * (-2i) * int sin^3 = -16i/(3 pi), q2 = 0 by symmetry
-    st = sine_state([1j, 0.0])
-    out = nonlinearity(st, 3.0, -2.0, pad=8192)
-    assert abs(out.q[0] - (-16j / (3.0 * np.pi))) < 1e-10
-    assert abs(out.q[1]) < 1e-10
+    # q1 = 2 * (-2i) * int sin^3 = -16i/(3 pi), even modes vanish by symmetry;
+    # |u|u is not a polynomial, so the solver grid converges like h^4
+    q = np.zeros(128, dtype=complex)
+    q[0] = 1j
+    exact = -16j / (3.0 * np.pi)
+    assert abs(_trapezoid_projection(q[:2], 3.0, -2.0)[0] - exact) < 1e-10
+    out = _nonlin_row(q, 3.0, -2.0)
+    assert abs(out[0] - exact) < 1e-9
+    assert np.max(np.abs(out[1::2])) < 1e-12
 
 
 def test_nonlinearity_dealias_doubling():
     # |u|^2 u is a polynomial in (u, conj u): the padding rule is exact for
-    # p=4, so doubling the factor must not move the projection
-    q = 0.1 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    st = sine_state(q)
-    a = nonlinearity(st, 4.0, 1.0)
-    b = nonlinearity(st, 4.0, 1.0, pad=4)
-    assert np.max(np.abs(a.q - b.q)) < 1e-12
-
-
-def test_nonlinearity_mixed_roundtrip_consistency():
-    # mixed-branch projection must be consistent with reconstruct
-    st = mixed_state(0.1 * rng.standard_normal(6), 0.1 * rng.standard_normal(6), 0.05)
-    out = nonlinearity(st, 3.0, 1.0, pad=8)
-    x = np.linspace(0.07, 0.93, 23)
-    u = reconstruct(st, x)
-    target = np.abs(u) * u
-    got = reconstruct(out, x)
-    assert np.max(np.abs(got - target)) < 5e-2  # truncation-limited, not exact
+    # p=4, so the trapezoid sum with the padding factor doubled must agree
+    N = 12
+    q = 0.1 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    ref = _trapezoid_projection(q, 4.0, 1.0, M=4 * N + 1)
+    assert np.max(np.abs(_nonlin_row(q, 4.0, 1.0) - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
 def test_nonlin_sine_history_rows_match_nonlinearity(p):
     # the stacked real transform of the history must agree row by row with
-    # the single-state collocation route
+    # the trapezoid sum from the definition on the same padded grid
     N, T = 24, 7
     v = (rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))) \
         / np.arange(1, N + 1) ** 2
     hist = _nonlin_sine_history(v, None, p, 1.3, N)
+    M = max(2, math.ceil(p / 2.0)) * N + 1
     for row, got in zip(v, hist):
-        expect = nonlinearity(sine_state(row), p, 1.3).q
+        expect = _trapezoid_projection(row, p, 1.3, M)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_power_in_place_zero_and_overflow():
+    u = np.zeros(5, dtype=complex)
+    assert _power(u, 3.0, 1.0) is u and not np.any(u)
+    with pytest.raises(OverflowError, match="blow-up"):
+        _power(np.array([1e200 + 1e200j, 1.0]), 5.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +230,6 @@ def test_picard_dirichlet_small_data_converges():
     rec = picard_dirichlet(spec)
     assert rec.iterations <= 8
     assert all(f <= 0.5 for f in rec.contraction_factors)
-    assert rec.projection_residual < 0.1
     assert np.isfinite(rec.residual)
 
 
