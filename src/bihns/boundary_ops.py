@@ -201,7 +201,7 @@ def clamped_grid(N: int, K: int):
 def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
                           h3: BoundaryTrace, h4: BoundaryTrace,
                           times: np.ndarray, basis: ClampedBasis,
-                          x: np.ndarray, w: np.ndarray):
+                          x: np.ndarray, w: np.ndarray, phi: np.ndarray):
     """Boundary part of the clamped family on the four cubic lifts.
 
         u_b = sum_i h_i(t) lift_i(x) + sum_j c_j(t) phi_j(x),
@@ -211,15 +211,16 @@ def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
     homogeneous conditions, so u_b attains (h1, h2, h3, h4) identically
     (orientation: u(0)=h1, u(1)=h2, u_x(0)=h3, u_x(1)=h4).
 
-    Returns (vals, lift, a, c): the data h_i(t_j) (T, 4), the lift rows on the
-    grid x (4, len(x)), their projections <lift_i, phi_j> under the weights w
-    (4, K) and the response c (T, K); inactive data contribute zeros.
+    ``phi`` is ``basis.evaluate(x)``.  Returns (vals, lift, a, c): the data
+    h_i(t_j) (T, 4), the lift rows on the grid x (4, len(x)), their
+    projections <lift_i, phi_j> under the weights w (4, K) and the response
+    c (T, K); inactive data contribute zeros.
     """
     times = np.asarray(times, dtype=np.float64)
     u = 1.0 - x
     lift = np.stack((dirichlet_lift(1, 0, u), dirichlet_lift(1, 0, x),
                      dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
-    a = (lift * w) @ basis.evaluate(x).T
+    a = (lift * w) @ phi.T
     T = len(times)
     vals = np.zeros((T, 4), dtype=np.complex128)
     forcing = np.zeros((T, basis.K), dtype=np.complex128)
@@ -275,8 +276,9 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     if basis is None:
         basis = build_clamped_basis(K)
     x, w, S, C = clamped_grid(N, basis.K)
-    vals, _, _, c = clamped_lift_response(h1, h2, h3, h4, times, basis, x, w)
-    return clamped_mixed_history(vals, c, basis.evaluate(x), w, S, C)
+    phi = basis.evaluate(x)
+    vals, _, _, c = clamped_lift_response(h1, h2, h3, h4, times, basis, x, w, phi)
+    return clamped_mixed_history(vals, c, phi, w, S, C)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ phases |w dt| < 1e-3 to dodge cancellation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierState, SINE, sine_state
+from .spectral import FourierState, SINE, _read_only, sine_state
 
 SMALL_PHASE = 1e-3
 
@@ -131,7 +132,9 @@ class ClampedBasis:
         raise ValueError("order must be 0 or 1")
 
 
+@functools.lru_cache(maxsize=8)
 def build_clamped_basis(K: int) -> ClampedBasis:
+    """The first K clamped modes, built once per K (its arrays are read-only)."""
     if K < 1:
         raise ValueError("need K >= 1")
     mu = np.array([_find_root(k) for k in range(1, K + 1)])
@@ -139,7 +142,7 @@ def build_clamped_basis(K: int) -> ClampedBasis:
     d = 0.5 * (1.0 - em ** 2) - np.sin(mu) * em          # (sinh-sin) e^{-mu}
     sigma = (0.5 * (1.0 + em ** 2) - np.cos(mu) * em) / d  # (cosh-cos)/(sinh-sin)
     delta_hat = (np.cos(mu) - np.sin(mu) - em) / d         # (1-sigma) e^{mu}
-    return ClampedBasis(K, mu, sigma, delta_hat)
+    return ClampedBasis(K, *_read_only(mu, sigma, delta_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +197,20 @@ def _interval_weights(z: np.ndarray):
     return g0, g1
 
 
+#: time intervals whose terms J are formed together in ``duhamel_history``
+_DUHAMEL_BLOCK = 64
+
+
 def duhamel_history(F: ForcingHistory) -> np.ndarray:
     """V[j, k] = int_0^{t_j} exp(i w_k (t_j - tau)) f_k(tau) dtau at every node.
 
     The weights depend on the step only, so they are computed once per
     distinct step length (a ``linspace`` grid has a handful) and the
-    recurrence indexes those rows.
+    recurrence indexes those rows.  The interval terms J are formed for
+    ``_DUHAMEL_BLOCK`` steps at a time, bit for bit the per-step products:
+    the complex products are explicit ``np.multiply`` calls into fresh
+    arrays, since ``fb * g0[s]`` would run in place on the large temporary
+    ``g0[s]``, in a numpy loop that rounds differently.
     """
     t, c, w = F.times, F.coeffs, F.omegas
     V = np.zeros_like(c)
@@ -207,10 +218,14 @@ def duhamel_history(F: ForcingHistory) -> np.ndarray:
     z = 1j * w[None, :] * steps[:, None]
     g0, g1 = _interval_weights(z)
     ez = np.exp(z)
-    for j, s in enumerate(which):
-        dt = steps[s]
-        J = dt * (c[j + 1] * g0[s] + (c[j] - c[j + 1]) * g1[s])
-        V[j + 1] = ez[s] * V[j] + J
+    for a in range(0, len(t) - 1, _DUHAMEL_BLOCK):
+        s = which[a:a + _DUHAMEL_BLOCK]
+        fa, fb = c[a:a + len(s)], c[a + 1:a + 1 + len(s)]
+        J = np.multiply(fb, g0[s])
+        J += np.multiply(fa - fb, g1[s])
+        J *= steps[s][:, None]
+        for i, si in enumerate(s):
+            V[a + i + 1] = ez[si] * V[a + i] + J[i]
     return V
 
 

@@ -14,8 +14,9 @@ history ``lin`` and ``forcing``, the mode coefficients of the nonlinearity:
   Duhamel(sum_i h_i' <lift_i, phi_j>), forcing <nonlinearity(u), phi_j>.
   One trapezoid grid on 4 max(N, K) + 1 points carries every projection.
 
-One pointwise kernel, ``_power``, evaluates the nonlinearity for both.  T*
-halves whenever ``max_iter`` iterations leave the Picard distance above
+One kernel, ``_grid_forcing``, gives both forcings in blocks of time rows,
+each real GEMM folded onto half the grid by the bases' parity under x -> 1-x.
+T* halves whenever ``max_iter`` iterations leave the Picard distance above
 ``tol``.  The fixed-point residual is, hinged, the distance after one more
 application of the map and, clamped, the last Picard distance.
 """
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import boundary_ops as bops
 from . import linear_flow as lf
-from .spectral import (BoundaryTrace, FourierState, _sample, matmul_real,
-                       mixed_state, reconstruct, sine_coefficients, sine_grid,
+from .spectral import (BoundaryTrace, FourierState, _sample, mixed_state,
+                       reconstruct, sine_coefficients, sine_grid,
                        sine_state, sobolev_weights)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
 from .spectral import odd_even_extend
@@ -222,6 +223,59 @@ def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
     return u
 
 
+#: bytes of the grid values of one block of time rows, R x (M+1) complex:
+#: small enough to stay in L2 from synthesis to projection
+_BLOCK_BYTES = 1 << 19
+
+
+def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
+                  lam: float, base: Optional[Callable] = None) -> np.ndarray:
+    """(T, K) projections sum_x w(x) lam |u|^(p-2) u(x) B_k(x) of the grid
+    values u = c @ B (+ ``base``) for the complex coefficient history ``c``.
+
+    ``B`` is a real (K, M+1) basis on a uniform grid with the parity
+    B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x) and the clamped phi_j
+    both have it), and ``w`` are weights symmetric under x -> 1-x.  So both
+    GEMMs fold onto the nodes x < 1/2: the symmetric rows meet u(x) + u(1-x),
+    the antisymmetric rows u(x) - u(1-x), and a middle node x = 1/2 (M even)
+    goes to the symmetric rows only.  ``base(rows)``, if given, is the
+    complex value on the grid added to the time rows ``rows`` before the
+    power.  Time rows go in blocks of ``_BLOCK_BYTES``; the GEMMs run on
+    stacked real (re; im) rows, and the fold passes move the values to and
+    from the complex block that ``_power`` works on.
+    """
+    T, K = c.shape
+    M1 = B.shape[1]
+    H, mid = M1 // 2, M1 % 2                       # nodes x < 1/2; x = 1/2
+    Bs = np.ascontiguousarray(B[0::2, :H + mid])   # symmetric rows
+    Ba = np.ascontiguousarray(B[1::2, :H])         # antisymmetric rows
+    Ps, Pa = Bs * w[:H + mid], Ba * w[:H]
+    R = max(1, _BLOCK_BYTES // (16 * M1))
+    out = np.empty((T, K), dtype=np.complex128)
+    for r0 in range(0, T, R):
+        rows = slice(r0, min(r0 + R, T))
+        cb, ob, r = c[rows], out[rows], min(R, T - r0)
+        sym = np.concatenate((cb.real[:, 0::2], cb.imag[:, 0::2])) @ Bs
+        anti = np.concatenate((cb.real[:, 1::2], cb.imag[:, 1::2])) @ Ba
+        u = np.empty((r, M1), dtype=np.complex128)
+        halves = ((u.real, slice(0, r)), (u.imag, slice(r, 2 * r)))
+        for part, h in halves:                     # part[:, ::-1] is 1 - x
+            np.add(sym[h, :H], anti[h], out=part[:, :H])
+            np.subtract(sym[h, :H], anti[h], out=part[:, ::-1][:, :H])
+            part[:, H:H + mid] = sym[h, H:]
+        if base is not None:
+            u += base(rows)
+        _power(u, p, lam)
+        for part, h in halves:
+            np.subtract(part[:, :H], part[:, ::-1][:, :H], out=anti[h])
+            np.add(part[:, :H], part[:, ::-1][:, :H], out=sym[h, :H])
+            sym[h, H:] = part[:, H:H + mid]
+        fs, fa = sym @ Ps.T, anti @ Pa.T
+        ob.real[:, 0::2], ob.imag[:, 0::2] = fs[:r], fs[r:]
+        ob.real[:, 1::2], ob.imag[:, 1::2] = fa[:r], fa[r:]
+    return out
+
+
 def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
                          p: float, lam: float, N: int) -> np.ndarray:
     """Sine coefficients of lam |u|^(p-2) u along a coefficient history.
@@ -232,12 +286,8 @@ def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
     modulo the padding rule for integer p.
     """
     _, w, S = sine_grid(N, _dealias_points(N, p))
-    u = matmul_real(v_hist, S.T)                             # (T, M+1)
-    if gamma_vals is not None:
-        u += gamma_vals
-    _power(u, p, lam)
-    u *= 2.0 * w
-    return matmul_real(u, S)
+    base = None if gamma_vals is None else (lambda rows: gamma_vals)
+    return _grid_forcing(v_hist, S.T, 2.0 * w, p, lam, base)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +316,10 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray, attempt):
         lin, forcing = attempt(times)
 
         def step(v):
-            F = lf.ForcingHistory(times, forcing(v), omegas)
-            return lin + 1j * lf.duhamel_history(F)
+            V = lf.duhamel_history(lf.ForcingHistory(times, forcing(v), omegas))
+            V *= 1j
+            V += lin
+            return V
 
         v, factors, dist, it = lin, [], None, 0
         converged = spec.lam == 0
@@ -364,13 +416,14 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
 
     def attempt(times):
         nonlocal vals
-        vals, lift, a, c_b = bops.clamped_lift_response(*hs, times, basis, x, wq)
+        vals, lift, a, c_b = bops.clamped_lift_response(*hs, times, basis, x,
+                                                        wq, phi_x)
         c0 = c_phi - vals[0] @ a
         lin = c0 * np.exp(1j * np.outer(times, basis.eigenvalues)) + c_b
-        u_b = vals @ lift                                  # (T, M+1)
 
         def forcing(c):                                    # clamped projection
-            return (_power(u_b + c @ phi_x, spec.p, spec.lam) * wq) @ phi_x.T
+            return _grid_forcing(c, phi_x, wq, spec.p, spec.lam,
+                                 lambda rows: vals[rows] @ lift)
         return lin, forcing
 
     times, c, T_star, factors, it, residual = _picard(

@@ -77,6 +77,14 @@ def _mpmath_mu(k):
     return float(mpmath.findroot(f, (k + 0.5) * mpmath.pi))
 
 
+def test_clamped_basis_is_cached_read_only():
+    basis = build_clamped_basis(6)
+    assert build_clamped_basis(6) is basis
+    for a in (basis.mu, basis.sigma, basis.delta_hat):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_clamped_roots_vs_oracle():
     basis = build_clamped_basis(4)
     for k in (1, 2, 3, 4):
@@ -207,6 +215,17 @@ def test_duhamel_history_matches_per_step_weights_exactly(grid):
     w = np.concatenate(([0.0, 1.0, 20.0], navier_eigenvalues(12)))
     shape = (len(t), len(w))
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    F = ForcingHistory(t, c, w)
+    assert np.array_equal(duhamel_history(F), _duhamel_per_step(F))
+
+
+def test_duhamel_history_exact_on_full_blocks():
+    # solver-sized blocks (64 x 256 complex, 256 KiB) are where numpy would
+    # evaluate an operator on a temporary in place and round differently
+    t = np.linspace(0.0, 0.01, 1001)
+    w = navier_eigenvalues(256)
+    g = np.random.default_rng(12)
+    c = g.standard_normal((1001, 256)) + 1j * g.standard_normal((1001, 256))
     F = ForcingHistory(t, c, w)
     assert np.array_equal(duhamel_history(F), _duhamel_per_step(F))
 

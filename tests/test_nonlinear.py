@@ -5,10 +5,13 @@ import pytest
 import sympy as sp
 from scipy.optimize import brentq
 
+import bihns.nonlinear as nl
+from bihns.boundary_ops import clamped_grid
 from bihns.cli import ConfigError, _build_problem
-from bihns.nonlinear import (ProblemSpec, SolutionRecord, _nonlin_sine_history,
-                             _power, homogenize_navier, picard_dirichlet,
-                             picard_navier)
+from bihns.linear_flow import ClampedBasis, build_clamped_basis
+from bihns.nonlinear import (ProblemSpec, SolutionRecord, _grid_forcing,
+                             _nonlin_sine_history, _power, homogenize_navier,
+                             picard_dirichlet, picard_navier)
 from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
                             sine_grid, sine_state, sobolev_norm, uniform_grid)
 
@@ -78,12 +81,14 @@ def test_homogenize_corner_values():
 # nonlinearity
 
 
-def _trapezoid_projection(q, p, lam, M=8192):
-    """2 int_0^1 lam |u|^(p-2) u sin(k pi x) dx, u = sum_k q_k sin(k pi x),
-    by the trapezoid rule on M intervals."""
+def _trapezoid_projection(q, p, lam, M=8192, base=None):
+    """2 int_0^1 lam |u|^(p-2) u sin(k pi x) dx, u = sum_k q_k sin(k pi x)
+    (+ ``base`` on the grid), by the trapezoid rule on M intervals."""
     x = np.linspace(0.0, 1.0, M + 1)
     S = np.sin(np.pi * np.outer(x, np.arange(1, len(q) + 1)))
     u = S @ np.asarray(q, dtype=complex)
+    if base is not None:
+        u = u + base
     w = np.full(M + 1, 1.0 / M)
     w[[0, -1]] *= 0.5
     return 2.0 * (lam * np.abs(u) ** (p - 2.0) * u * w) @ S
@@ -140,6 +145,95 @@ def test_nonlin_sine_history_rows_match_nonlinearity(p):
     for row, got in zip(v, hist):
         expect = _trapezoid_projection(row, p, 1.3, M)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _small_blocks(monkeypatch, M1, rows=2):
+    """Make ``_grid_forcing`` walk ``rows`` time rows per block on M1 nodes."""
+    monkeypatch.setattr(nl, "_BLOCK_BYTES", 16 * M1 * rows)
+
+
+@pytest.mark.parametrize("T", [1, 7])
+@pytest.mark.parametrize("with_base", [False, True])
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+def test_grid_forcing_sine_matches_trapezoid(p, with_base, T, monkeypatch):
+    # N odd: M = 2N + 1 intervals for p = 3, 4 (no middle node) and M = 3N + 1
+    # for p = 5 (x = 1/2 is a node); T = 7 rows walk blocks of 2, 2, 2, 1
+    N = 13
+    M = nl._dealias_points(N, p)
+    assert M % 2 == (0 if p == 5.0 else 1)
+    x = np.linspace(0.0, 1.0, M + 1)
+    _small_blocks(monkeypatch, M + 1)
+    g = np.random.default_rng(10)
+    v = (g.standard_normal((T, N)) + 1j * g.standard_normal((T, N))) \
+        / np.arange(1, N + 1)
+    gamma = (homogenize_navier(0.4 - 0.2j, 0.1j, -1.5, 2.0 + 1j)(x)
+             if with_base else None)
+    hist = _nonlin_sine_history(v, gamma, p, -0.7, N)
+    assert hist.shape == (T, N)
+    for row, got in zip(v, hist):
+        expect = _trapezoid_projection(row, p, -0.7, M, base=gamma)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _dense_forcing(c, B, w, p, lam, base=None):
+    """sum_x w lam |u|^(p-2) u B_k on the whole grid, u = c @ B (+ base)."""
+    u = c @ B if base is None else c @ B + base
+    return (lam * np.abs(u) ** (p - 2.0) * u * w) @ B.T
+
+
+@pytest.mark.parametrize("M", [4 * 24, 4 * 24 + 1])
+@pytest.mark.parametrize("with_base", [False, True])
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+def test_grid_forcing_clamped_matches_dense(p, with_base, M, monkeypatch):
+    # the clamped eigenbasis on an even (middle node) and an odd grid
+    K, T = 24, 7
+    x = np.linspace(0.0, 1.0, M + 1)
+    w = np.full(M + 1, 1.0 / M)
+    w[[0, -1]] *= 0.5
+    phi = build_clamped_basis(K).evaluate(x)
+    _small_blocks(monkeypatch, M + 1, rows=3)
+    g = np.random.default_rng(11)
+    c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
+        / np.arange(1, K + 1) ** 2
+    vals = g.standard_normal((T, 2)) + 1j * g.standard_normal((T, 2))
+    lift = np.stack((1.0 - x, x ** 2 * (3.0 - 2.0 * x)))
+    base = (lambda rows: vals[rows] @ lift) if with_base else None
+    got = _grid_forcing(c, phi, w, p, 1.3, base)
+    expect = _dense_forcing(c, phi, w, p, 1.3, vals @ lift if with_base else None)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
+    N = 8
+    M = nl._dealias_points(N, 5.0)
+    _small_blocks(monkeypatch, M + 1)
+    v = np.full((5, N), 0.1 + 0.1j)
+    v[4, 0] = 1e80                  # only the third block of rows overflows
+    assert np.all(np.isfinite(_nonlin_sine_history(v[:4], None, 5.0, 1.0, N)))
+    with pytest.raises(OverflowError, match="blow-up"):
+        _nonlin_sine_history(v, None, 5.0, 1.0, N)
+
+
+def test_clamped_basis_parity_on_the_solver_grid():
+    # the fold of _grid_forcing relies on phi_j(1 - x) = (-1)^(j+1) phi_j(x)
+    x = clamped_grid(128, 48)[0]
+    phi = build_clamped_basis(48).evaluate(x)
+    sign = np.where(np.arange(48) % 2 == 0, 1.0, -1.0)[:, None]
+    assert np.array_equal(x[::-1], 1.0 - x)
+    assert np.max(np.abs(phi[:, ::-1] - sign * phi)) < 1e-13
+
+
+def test_clamped_solve_evaluates_the_basis_once(monkeypatch):
+    calls = []
+    evaluate = ClampedBasis.evaluate
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClampedBasis, "evaluate", counted)
+    spec, rec = _clamped_record()
+    assert len(calls) == 1 and rec.iterations > 0
 
 
 def test_power_in_place_zero_and_overflow():
