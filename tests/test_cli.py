@@ -90,6 +90,10 @@ BAD_LAB = [
     ("kato_sweep", {"ensemble": None}),
     ("kato_sweep", {"s_grid": ["x"]}),
     ("kato_sweep", {"eps": float("nan")}),
+    ("kato_sweep", {"s_grid": []}),
+    ("kato_sweep", {"s_grid": [float("nan")]}),
+    ("kato_sweep", {"s_grid": [float("inf")]}),
+    ("kato_sweep", {"s_grid": [-0.5]}),
     ("optimality", {"order": None}),
     ("optimality", {"n_grid": [4.5]}),
     ("identities", {"K_grid": [0]}),
@@ -104,6 +108,7 @@ BAD_LAB = [
 @pytest.mark.parametrize("mode,payload", BAD_LAB, ids=[
     "traces_s_str", "traces_phi_not_object", "traces_phi_poly_str", "traces_N_0",
     "lambda4_K_null", "kato_ensemble_null", "kato_s_str", "kato_eps_nan",
+    "kato_s_empty", "kato_s_nan", "kato_s_inf", "kato_s_negative",
     "optimality_order_null", "optimality_n_float", "identities_K_0",
     "identities_K_float", "tail_alpha_low", "tail_lam_negative",
     "tail_not_object", "tail_one_lam"])
@@ -227,6 +232,21 @@ def _run_kato(tmp_path, outname, seed):
 
 def _artifacts(out):
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_kato_repeated_s_checks_each_sweep(tmp_path):
+    # each s runs its own seeded sweep, so rows of a repeated s are checked
+    # sweep by sweep, not pooled by s value
+    cfg = write_cfg(tmp_path, "k.json", {
+        "mode": "kato_sweep",
+        "kato_sweep": {"s_grid": [2.0, 2.0], "ensemble": 8, "N": 64}})
+    out = tmp_path / "o"
+    assert main(["kato_sweep", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] == {"monotone_in_order": True}
+    rows = summary["summary"]["table"]
+    assert [(r["s"], r["order"]) for r in rows] == [(2.0, i) for i in (0, 1, 2)] * 2
+    assert rows[:3] != rows[3:]
 
 
 def test_seeded_runs_byte_identical(tmp_path):

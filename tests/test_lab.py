@@ -84,7 +84,7 @@ def test_measured_exponent_trivial_series():
 
 
 def _scalar_exponent(w, a_sq, n0_values=(16, 32, 64, 128, 256, 512, 1024)):
-    """One row at a time: the bisection that ``measured_trace_exponent`` batches."""
+    """One row at a time: the pow-form bisection that the Newton solve replaced."""
     out = []
     for n0 in n0_values:
         head = w <= n0
@@ -113,28 +113,105 @@ def _scalar_exponent(w, a_sq, n0_values=(16, 32, 64, 128, 256, 512, 1024)):
     return float(np.median(out)) if out else math.inf
 
 
+def _sweep_rows(sweep):
+    """Per s of the sweep: the (3 ensemble, N) stacked a_sq rows of orders 0, 1, 2."""
+    k = np.arange(1, sweep.N + 1)
+    return [np.vstack([np.abs((k * np.pi) ** i * qs) ** 2 for i in (0, 1, 2)])
+            for _, qs in lab._kato_ensemble(sweep)]
+
+
 def test_batched_exponent_equals_scalar_bisection():
     k = np.arange(1, 257)
     n = k.astype(np.float64) ** 4
-    sweep = RegularitySweep(s_grid=[1.0, 2.0, 3.0], ensemble=8, seed=11)
-    rows = [np.abs((k * np.pi) ** i * qs) ** 2
-            for _, qs in lab._kato_ensemble(sweep) for i in (0, 1, 2)]
+    rows = _sweep_rows(RegularitySweep(s_grid=[1.0, 2.0, 3.0], ensemble=8, seed=11))
     rows.append(np.ones((1, 256)))                       # ratio(0) >= 10: 0
     rows.append(np.where(k <= 2, 1.0, 0.0)[None, :])     # ratio(6) < 10: inf
     a_sq = np.vstack(rows)
-    want = [_scalar_exponent(n, row) for row in a_sq]
+    want = np.array([_scalar_exponent(n, row) for row in a_sq])
     assert want[-2] == 0.0 and want[-1] == math.inf
     got = measured_trace_exponent(n, a_sq)
     assert got.shape == (len(a_sq),)
-    assert list(got) == want
+    _assert_matches_bisection(got, want)
     one = measured_trace_exponent(n, a_sq[0])
-    assert type(one) is float and one == want[0]
+    assert type(one) is float and one == got[0]
     # four windows (an even median) on k <= 4; none at all on k <= 2
-    for m in (4, 2):
-        short = a_sq[:, :m]
-        assert list(measured_trace_exponent(n[:m], short)) == [
-            _scalar_exponent(n[:m], row) for row in short]
+    short = a_sq[:, :4]
+    _assert_matches_bisection(measured_trace_exponent(n[:4], short),
+                              np.array([_scalar_exponent(n[:4], row) for row in short]))
     assert np.all(np.isinf(measured_trace_exponent(n[:2], a_sq[:, :2])))
+
+
+def _assert_matches_bisection(got, want):
+    # exp(alpha log(1+n^2)) is not (1+n^2)**alpha bit for bit, so a solved
+    # root and the bisected one may differ in the last few bits; the 0 and
+    # inf rules do not solve and stay exact
+    solved = np.isfinite(want) & (want > 0.0)
+    assert solved.any()
+    np.testing.assert_array_max_ulp(got[solved], want[solved], maxulp=4)
+    assert list(got[~solved]) == list(want[~solved])
+
+
+def test_exponent_brackets_the_pow_form_crossing():
+    # solver-free check: per window, the pow-form ratio crosses 10 within
+    # 1e-13 of each returned exponent
+    k = np.arange(1, 257)
+    w = k.astype(np.float64) ** 4
+    a_sq = np.vstack(_sweep_rows(RegularitySweep(s_grid=[1.0, 2.0, 3.0],
+                                                 ensemble=8, seed=5)))
+    solved = 0
+    for n0 in (16, 128, 256, 1024):
+        head = w <= n0
+        alpha = measured_trace_exponent(w, a_sq, n0_values=(n0,))
+        inner = (alpha > 0.0) & np.isfinite(alpha)
+        solved += int(np.count_nonzero(inner))
+
+        def ratio(al, rows=a_sq[inner]):
+            wt = (1.0 + w ** 2) ** al[:, None]
+            return ((wt * rows)[:, ~head].sum(axis=1)
+                    / (wt * rows)[:, head].sum(axis=1))
+
+        assert np.all(ratio(alpha[inner] - 1e-13) < 10.0)
+        assert np.all(ratio(alpha[inner] + 1e-13) >= 10.0)
+    assert solved > len(a_sq)
+
+
+def test_exponent_solve_exp_budget(monkeypatch):
+    # cost guard without a clock: each Newton step takes one np.exp over the
+    # stacked rows, so the calls count the steps (60 pow bisection steps per
+    # window before)
+    k = np.arange(1, 257)
+    n = k.astype(np.float64) ** 4
+    batches = _sweep_rows(RegularitySweep(s_grid=[1.0, 2.0, 3.0], ensemble=16,
+                                          N=256, seed=0))
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            if name == "exp":
+                def exp(*args, **kwargs):
+                    calls.append(1)
+                    return np.exp(*args, **kwargs)
+                return exp
+            return getattr(np, name)
+
+    monkeypatch.setattr(lab, "np", CountingNumpy())
+    for a_sq in batches:
+        assert a_sq.shape == (48, 256)
+        calls.clear()
+        measured_trace_exponent(n, a_sq)
+        assert 0 < len(calls) <= 12
+
+
+def test_kato_sweep_one_estimator_call_per_s(monkeypatch):
+    calls = []
+
+    def counted(n_idx, a_sq, *args):
+        calls.append(a_sq.shape)
+        return measured_trace_exponent(n_idx, a_sq, *args)
+
+    monkeypatch.setattr(lab, "measured_trace_exponent", counted)
+    kato_sweep(RegularitySweep(s_grid=[1.0, 2.0], ensemble=8, N=64, seed=2))
+    assert calls == [(24, 64), (24, 64)]
 
 
 def test_measured_exponent_tracks_decay():
@@ -148,6 +225,9 @@ def test_measured_exponent_tracks_decay():
 def test_sweep_validation():
     with pytest.raises(ValueError):
         RegularitySweep(s_grid=[1.0], ensemble=4)
+    for s_grid in ([], [math.nan], [math.inf], [-0.5], [1.0, -1e-9]):
+        with pytest.raises(ValueError, match="s_grid"):
+            RegularitySweep(s_grid=s_grid)
     with pytest.raises(ValueError):
         RegularitySweep(s_grid=[1.0], N=8)
 
@@ -313,10 +393,32 @@ def test_identity_checks_convergence():
 
 def test_identity_a1_halfpi_residual():
     # a=1, x=pi/2, K=1e4: slow 1/k tail, residual below 1e-3
-    from bihns.lab import _series_closed_form, _series_partial
-    x = np.array([np.pi / 2.0])
-    err = abs(_series_partial(1.0, x, 10 ** 4)[0] - _series_closed_form(1.0, x)[0])
-    assert err < 1e-3
+    rep = identity_checks(a_grid=(1.0,), x_grid=np.array([np.pi / 2.0]),
+                          K_grid=(10 ** 4,))
+    assert rep["series_residual_by_K"][10 ** 4] < 1e-3
+
+
+def test_identity_checks_unsorted_repeated_K():
+    # the shared sine table against the per-K direct sums
+    a_grid = (0.5, 2.0)
+    x = np.linspace(0.3, math.pi - 0.3, 5)
+    rep = identity_checks(a_grid=a_grid, x_grid=x, K_grid=(4096, 1024, 4096))
+
+    def direct(a, K):
+        k = np.arange(1, K + 1, dtype=np.float64)
+        return np.sin(np.outer(x, k)) @ ((k ** 3 + 1j * k * a ** 2) / (k ** 4 + a ** 4))
+
+    def closed(a):
+        z = complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) * a
+        return (math.pi / 2) * np.sin(z * (math.pi - x)) / np.sin(z * math.pi)
+
+    res = rep["series_residual_by_K"]
+    assert list(res) == [4096, 1024]
+    for K, got in res.items():
+        want = max(float(np.abs(direct(a, K) - closed(a)).max()) for a in a_grid)
+        assert got == pytest.approx(want, rel=1e-13)
+    saw = float(np.abs(direct(1e-4, 4096) - 0.5 * (math.pi - x)).max())
+    assert rep["sawtooth_limit_residual"] == pytest.approx(saw, rel=1e-13)
 
 
 def test_rotated_sine_at_sqrt2():
