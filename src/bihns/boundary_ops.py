@@ -1,21 +1,29 @@
 """Boundary-to-interior convolutions, lifts and trace series.
 
-The solution of the linear problem driven purely by boundary data is a
-mode-wise time convolution against exp(i (k pi)^4 (t - tau)) with explicit
-weights:
+Both solver families write the solution as lifts of the boundary data plus a
+part with homogeneous boundary conditions,
+
+    u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x),
+
+with e_k the sine modes (hinged) or the clamped eigenfunctions (clamped), so
+the data are attained identically.  The families differ only in the basis,
+its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
+with the closed-form sine coefficients ``navier_lift_coeffs``, and
+``dirichlet_lifts`` for (h1, h2, h3, h4), projected on the clamped grid.
+``lift_response`` gives the boundary part of c_k for either.
+``clamped_mixed_history`` projects a clamped history onto the half-weight
+mixed basis, and ``clamped_grid`` (the shared ``spectral.uniform_grid`` on
+4 max(N, K) intervals) is the one trapezoid rule behind every clamped
+projection.
+
+The closed-form convolution weights of the boundary data stay as the
+reference of that route, exact in time for lattice-series data:
 
 * hinged family: weights 2i(k pi)^3 (value data) and -2i k pi (second
-  derivative data) -- see ``BetaTable.navier0/navier2``;
+  derivative data) -- see ``BetaTable.navier0/navier2`` and
+  ``navier_boundary_history``;
 * clamped family: the reference beta coefficients b01, b02 (value data ->
   sine/cosine parts) and b11, b12 (first-derivative data) of ``BetaTable``.
-
-Clamped *histories* (``dirichlet_linear_history`` and the clamped solver) are
-not built from those weights: the data ride on four cubic lifts and the rest
-on the clamped eigenbasis (``clamped_lift_response``), so the boundary data
-are attained identically.  ``clamped_mixed_history`` projects such a history
-onto the half-weight mixed basis, and ``clamped_grid`` (the shared
-``spectral.uniform_grid`` on 4 max(N, K) intervals) is the one trapezoid rule
-behind every clamped projection.
 
 Each family has one lift, written in y with y = 1 at the end that carries the
 data: y = 1 - x for data at x = 0 and y = x for data at x = 1.
@@ -87,13 +95,11 @@ def build_beta_table(N: int) -> BetaTable:
 # convolution cores
 
 
-def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
-                    phase: Optional[np.ndarray] = None) -> np.ndarray:
+def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray) -> np.ndarray:
     """Exact I[j,k] = int_0^{t_j} e^{i w_k (t-tau)} h(tau) dtau for a lattice series.
 
     Per frequency n pi^4: (e^{i n pi^4 t} - e^{i w t}) / (i (n pi^4 - w)),
-    with the resonant limit t e^{i w t} when n pi^4 == w.  ``phase`` is the
-    caller's table e^{i w t} (T, K), built here when not given.
+    with the resonant limit t e^{i w t} when n pi^4 == w.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     freqs = h.n.astype(np.float64) * TRACE_FREQ
@@ -104,7 +110,7 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
     # at least pi^4, so the two-exponential form below does not cancel
     coef = np.divide(a[:, None], 1j * diff, where=~res,
                      out=np.zeros(diff.shape, dtype=np.complex128))
-    e_w = np.exp(1j * np.outer(times, omegas)) if phase is None else phase  # (T, K)
+    e_w = np.exp(1j * np.outer(times, omegas))             # (T, K)
     e_n = np.exp(1j * np.outer(times, freqs))              # (T, M)
     out = e_n @ coef - e_w * coef.sum(axis=0)
     for m, k in zip(*np.nonzero(res)):                      # t e^{i w t}
@@ -112,36 +118,34 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray,
     return out
 
 
-def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int,
-                         phase: Optional[np.ndarray] = None) -> np.ndarray:
+def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int) -> np.ndarray:
     """Shared I[j,k] = int_0^{t_j} e^{i(k pi)^4 (t-tau)} h(tau) dtau, k = 1..N.
 
     Uses the exact lattice-series route when a series is present (a zero
-    series gives zeros), else the piecewise-linear sampled route; ``phase``
-    is passed on to ``convolve_series``.
+    series gives zeros), else the piecewise-linear sampled route.
     """
     omegas = navier_eigenvalues(N)
     if np.any(h.a != 0) or h.sample_t is None:
-        return convolve_series(omegas, h, times, phase)
+        return convolve_series(omegas, h, times)
     times = np.asarray(times, dtype=np.float64)
     coeffs = np.repeat(h(times)[:, None], len(omegas), axis=1)
     return duhamel_history(ForcingHistory(times, coeffs, omegas))
 
 
 # ---------------------------------------------------------------------------
-# history assemblies used by the solver pipelines
+# the hinged boundary history in closed form
 
 
 def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
                             h5: BoundaryTrace, h6: BoundaryTrace,
-                            times: np.ndarray, N: int,
-                            phase: Optional[np.ndarray] = None) -> np.ndarray:
+                            times: np.ndarray, N: int) -> np.ndarray:
     """Sine-coefficient history of the hinged solution driven by boundary data.
 
     Mode ODE: i q_k' + (k pi)^4 q_k = 2(k pi)^3 (h1 - cos(k pi) h2)
     - 2 k pi (h5 - cos(k pi) h6); the Duhamel prefactor -i turns the table
     weights into -2i(k pi)^3 and +2i k pi (the global orientation fix).
-    ``phase`` is an optional shared table e^{i (k pi)^4 t} (T, N).
+    The solver takes the lift route instead; this exact-in-time convolution
+    is its reference.
     """
     table = build_beta_table(N)
     k = np.arange(1, N + 1)
@@ -150,7 +154,7 @@ def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
     for h, w in ((h1, -table.navier0), (h2, -ref * table.navier0),
                  (h5, -table.navier2), (h6, -ref * table.navier2)):
         if np.any(h.a != 0) or h.sample_t is not None:
-            out += boundary_convolution(h, times, N, phase) * w
+            out += boundary_convolution(h, times, N) * w
     return out
 
 
@@ -169,6 +173,35 @@ def dirichlet_lift(h1, h3, y):
     d/dy = -h3 at y = 1 (so d/dx = h3 at x = 0 for y = 1 - x), value and
     slope 0 at y = 0."""
     return (3 * h1 + h3) * y ** 2 - (2 * h1 + h3) * y ** 3
+
+
+def navier_lifts(x):
+    """The four hinged lift rows (4, len(x)) for data (h1, h2, h5, h6):
+    ``navier_lift`` of unit data at x = 0 (y = 1 - x) and at x = 1 (y = x)."""
+    return np.stack((navier_lift(1, 0, 1.0 - x), navier_lift(1, 0, x),
+                     navier_lift(0, 1, 1.0 - x), navier_lift(0, 1, x)))
+
+
+def navier_lift_coeffs(N: int) -> np.ndarray:
+    """Closed-form full sine coefficients 2 int_0^1 lift_i sin(k pi x) dx,
+    (4, N), of the rows of ``navier_lifts``.
+
+    A trapezoid projection would not do: lift_i sin(k pi x) has a nonzero
+    slope at the ends, so the rule errs by O(k pi lift_i(0) / M^2).
+    """
+    k = np.arange(1, N + 1)
+    kp = k * np.pi
+    ref = np.where(k % 2 == 0, -1.0, 1.0)       # (-1)^(k+1)
+    value, curv = 2.0 / kp, -2.0 / kp ** 3
+    return np.stack((value, ref * value, curv, ref * curv))
+
+
+def dirichlet_lifts(x):
+    """The four clamped lift rows (4, len(x)) for data (h1, h2, h3, h4); the
+    h4 row is the mirrored slope lift with a minus, so d/dx = +h4 at x = 1."""
+    u = 1.0 - x
+    return np.stack((dirichlet_lift(1, 0, u), dirichlet_lift(1, 0, x),
+                     dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
 
 
 def _lift_mixed_coeffs(N: int):
@@ -198,42 +231,33 @@ def clamped_grid(N: int, K: int):
     return uniform_grid(N, 4 * max(N, K))
 
 
-def clamped_lift_response(h1: BoundaryTrace, h2: BoundaryTrace,
-                          h3: BoundaryTrace, h4: BoundaryTrace,
-                          times: np.ndarray, basis: ClampedBasis,
-                          x: np.ndarray, w: np.ndarray, phi: np.ndarray):
-    """Boundary part of the clamped family on the four cubic lifts.
+def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray):
+    """Boundary part of u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
 
-        u_b = sum_i h_i(t) lift_i(x) + sum_j c_j(t) phi_j(x),
+    The basis e_k meets the family's four homogeneous conditions, with
+    d^4/dx^4 e_k = omegas_k e_k, and the lifts of the four traces ``hs``
+    have a zero fourth derivative.  So c_k solves
+    i c_k' + omegas_k c_k = -i sum_i h_i'(t) a[i, k] (plus the
+    nonlinearity), where a[i, k] (4, K) is the projection of lift_i on e_k,
+    and its boundary part is -Duhamel(sum_i h_i' a_i).
 
-    with phi_j the clamped eigenfunctions and c_j the Duhamel response to the
-    forcing -i sum_i h_i'(t) <lift_i, phi_j>; every phi_j satisfies all four
-    homogeneous conditions, so u_b attains (h1, h2, h3, h4) identically
-    (orientation: u(0)=h1, u(1)=h2, u_x(0)=h3, u_x(1)=h4).
-
-    ``phi`` is ``basis.evaluate(x)``.  Returns (vals, lift, a, c): the data
-    h_i(t_j) (T, 4), the lift rows on the grid x (4, len(x)), their
-    projections <lift_i, phi_j> under the weights w (4, K) and the response
-    c (T, K); inactive data contribute zeros.
+    Returns (vals, response): the data h_i(t_j) (T, 4) and that response
+    (T, K); inactive data contribute zeros.
     """
     times = np.asarray(times, dtype=np.float64)
-    u = 1.0 - x
-    lift = np.stack((dirichlet_lift(1, 0, u), dirichlet_lift(1, 0, x),
-                     dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
-    a = (lift * w) @ phi.T
     T = len(times)
     vals = np.zeros((T, 4), dtype=np.complex128)
-    forcing = np.zeros((T, basis.K), dtype=np.complex128)
+    forcing = np.zeros((T, len(omegas)), dtype=np.complex128)
     active = False
-    for i, h in enumerate((h1, h2, h3, h4)):
+    for i, h in enumerate(hs):
         if not (np.any(h.a != 0) or h.sample_t is not None):
             continue
         active = True
         vals[:, i] = h(times)
         forcing += -1j * np.asarray(h.derivative()(times))[:, None] * a[i]
-    c = (-1j * duhamel_history(ForcingHistory(times, forcing, basis.eigenvalues))
-         if active else forcing)
-    return vals, lift, a, c
+    response = (-1j * duhamel_history(ForcingHistory(times, forcing, omegas))
+                if active else forcing)
+    return vals, response
 
 
 def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
@@ -267,9 +291,9 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     """Mixed-basis history of the clamped solution driven by boundary data.
 
     The solution is built on the cubic lifts plus the clamped eigenbasis
-    (``clamped_lift_response``) and projected onto the half-weight mixed
-    basis; boundary-value extraction from that projection is Gibbs-limited
-    in N by design.
+    (``lift_response``) and projected onto the half-weight mixed basis;
+    boundary-value extraction from that projection is Gibbs-limited in N by
+    design.
 
     Returns (q, p, p0) histories shaped (len(times), N) / (len(times),).
     """
@@ -277,7 +301,8 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
         basis = build_clamped_basis(K)
     x, w, S, C = clamped_grid(N, basis.K)
     phi = basis.evaluate(x)
-    vals, _, _, c = clamped_lift_response(h1, h2, h3, h4, times, basis, x, w, phi)
+    a = (dirichlet_lifts(x) * w) @ phi.T
+    vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues)
     return clamped_mixed_history(vals, c, phi, w, S, C)
 
 

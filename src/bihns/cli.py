@@ -152,8 +152,10 @@ def _identity_args(payload: Dict):
     K_grid = [operator.index(K) for K in payload.get("K_grid", [1024, 4096, 16384])]
     if not K_grid or min(K_grid) < 1:
         raise ConfigError("identities K_grid must be a nonempty list of integers >= 1")
-    checks = {"a_grid": [float(a) for a in payload.get("a_grid", [0.5, 1.0, 2.0, 3.5, 5.0])],
-              "K_grid": K_grid}
+    a_grid = [float(a) for a in payload.get("a_grid", [0.5, 1.0, 2.0, 3.5, 5.0])]
+    if not a_grid:
+        raise ConfigError("identities a_grid must be a nonempty list")
+    checks = {"a_grid": a_grid, "K_grid": K_grid}
     tail = payload.get("tail")
     if not tail:
         return checks, None

@@ -211,19 +211,21 @@ def _kato_ensemble(sweep: RegularitySweep) -> Iterator[Tuple[float, np.ndarray]]
     amplitude * unit phase, rotated by the free hinged flow to a random time.
     """
     rng = np.random.default_rng(sweep.seed)
-    k = np.arange(1, sweep.N + 1)
+    N = sweep.N
+    k = np.arange(1, N + 1)
+    rotation = 1j * (k * np.pi) ** 4
     for s in sweep.s_grid:
-        qs = np.empty((sweep.ensemble, sweep.N), dtype=np.complex128)
-        for j in range(sweep.ensemble):
-            mag = k.astype(np.float64) ** (-s - 0.5 - sweep.eps)
-            # amplitude jitter: the envelope estimator only sees |q|, so pure
-            # phase randomization would make the whole ensemble a single sample
-            mag = mag * rng.uniform(0.5, 1.5, sweep.N)
-            q = mag * np.exp(2j * np.pi * rng.random(sweep.N))
-            # free flow: |coefficients| are invariant, traces pick up phases
-            t = rng.random()
-            qs[j] = q * np.exp(1j * (k * np.pi) ** 4 * t)
-        yield float(s), qs
+        mag = k.astype(np.float64) ** (-s - 0.5 - sweep.eps)
+        # one draw per sample in the order (jitter, phases, time): amplitude
+        # jitter 0.5 + U, since the envelope estimator only sees |q| and pure
+        # phase randomization would make the whole ensemble a single sample
+        u = rng.random((sweep.ensemble, 2 * N + 1))
+        # np.multiply fixes the operand order: on a large temporary right
+        # operand, ``*`` runs in place on it with the operands swapped, and
+        # the complex product is not bitwise commutative
+        q = np.multiply(mag * (0.5 + u[:, :N]), np.exp(2j * np.pi * u[:, N:2 * N]))
+        # free flow: |coefficients| are invariant, traces pick up phases
+        yield float(s), np.multiply(q, np.exp(rotation * u[:, 2 * N:]))
 
 
 def _kato_row(s: float, i: int, eps: float, samples: List[float]) -> Dict:

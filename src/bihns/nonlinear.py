@@ -1,24 +1,31 @@
 """Picard iteration for the full nonlinear problem
 i u_t + u_xxxx + lam |u|^(p-2) u = 0 on (0,1) with boundary data.
 
-One driver, ``_picard``, iterates v -> lin + i Duhamel(forcing(v)) in the
-sup-in-time H^s-weighted mode coefficients; each family supplies its linear
-history ``lin`` and ``forcing``, the mode coefficients of the nonlinearity:
+Both families take one route: u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x),
+with four cubic lifts of the boundary data and a basis B_k that meets the
+homogeneous boundary conditions:
 
-* hinged family ("navier"): homogenize the corner data with a stationary cubic
-  gamma; lin is the free sine flow plus the boundary-kernel terms, forcing the
-  sine projection of the nonlinearity of v + gamma;
-* clamped family ("dirichlet"): write u = sum_i h_i(t) lift_i(x) +
-  sum_j c_j(t) phi_j(x) with the four cubic lifts of the boundary data and
-  the clamped eigenfunctions phi_j; lin is e^{i mu^4 t} c(0) -
-  Duhamel(sum_i h_i' <lift_i, phi_j>), forcing <nonlinearity(u), phi_j>.
-  One trapezoid grid on 4 max(N, K) + 1 points carries every projection.
+* hinged family ("navier"): the sine modes sin(k pi x), eigenvalues
+  (k pi)^4, lifts of (h1, h2, h5, h6) with closed-form sine coefficients;
+  the grid is the sine grid of ``_dealias_points`` intervals;
+* clamped family ("dirichlet"): the clamped eigenfunctions phi_j,
+  eigenvalues mu_j^4, lifts of (h1, h2, h3, h4) projected on one trapezoid
+  grid of 4 max(N, K) + 1 points.
 
-One kernel, ``_grid_forcing``, gives both forcings in blocks of time rows,
-each real GEMM folded onto half the grid by the bases' parity under x -> 1-x.
-T* halves whenever ``max_iter`` iterations leave the Picard distance above
-``tol``.  The fixed-point residual is, hinged, the distance after one more
-application of the map and, clamped, the last Picard distance.
+One driver, ``_picard``, builds each T* attempt from those pieces alike: the
+linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i)
+(``boundary_ops.lift_response``) and the forcing, the projection of the
+nonlinearity of u onto B; it then iterates c -> lin + i Duhamel(forcing(c))
+in the sup-in-time H^s-weighted coefficients.  One kernel, ``_grid_forcing``,
+gives both forcings in blocks of time rows, each real GEMM folded onto half
+the grid by the bases' parity under x -> 1-x.  T* halves whenever
+``max_iter`` iterations leave the Picard distance above ``tol``.  The
+fixed-point residual is, hinged, the distance after one more application of
+the map and, clamped, the last Picard distance.
+
+The records keep their own layouts: the hinged record holds the sine
+coefficients of v = u - gamma, gamma the stationary lift at h(0); the
+clamped record holds u on the half-weight mixed basis.
 """
 
 from __future__ import annotations
@@ -99,8 +106,8 @@ class ProblemSpec:
         if self.max_iter < 1 or self.K_clamped < 1:
             raise ValueError("max_iter and K_clamped must be >= 1")
         for h in (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6):
-            # _shifted takes h(0) to be the first sample; past the last one
-            # the interpolant would hold it constant
+            # the lift route reads h and h' from the interpolant of the
+            # samples, which past the last one would hold h constant
             if h.sample_t is not None and not (
                     h.sample_t[0] == 0 and h.sample_t[-1] >= min(self.T, 1.0)):
                 raise ValueError("sampled traces must cover [0, min(T, 1)]")
@@ -168,38 +175,6 @@ class SolutionRecord:
         if self.lift is not None:
             out = out + self.lift(np.asarray(x, dtype=np.float64))
         return out
-
-
-# ---------------------------------------------------------------------------
-# homogenization
-
-
-def homogenize_navier(h1_0: complex, h2_0: complex, h5_0: complex, h6_0: complex):
-    """Stationary cubic carrying the four corner values.
-
-    gamma(x) = navier_lift(h1(0), h5(0), 1-x) + navier_lift(h2(0), h6(0), x),
-    so gamma(0)=h1(0), gamma''(0)=h5(0), gamma(1)=h2(0), gamma''(1)=h6(0) and
-    gamma'''' = 0 (it drops out of the equation entirely).
-    """
-    def gamma(x):
-        return bops.navier_lift(h1_0, h5_0, 1.0 - x) + bops.navier_lift(h2_0, h6_0, x)
-    return gamma
-
-
-def _shifted(h: BoundaryTrace) -> BoundaryTrace:
-    """h(t) - h(0): subtract the corner value so the trace is compatible."""
-    if np.any(h.a != 0):
-        h0 = complex(np.sum(h.a))
-        if 0 in h.n:
-            a = h.a.copy()
-            a[np.searchsorted(h.n, 0)] -= h0
-            return BoundaryTrace(h.n, a)
-        return BoundaryTrace(np.concatenate((h.n, [0])),
-                             np.concatenate((h.a, [-h0])))
-    if h.sample_t is not None:
-        return BoundaryTrace(h.n, h.a, sample_t=h.sample_t,
-                             sample_h=h.sample_h - h.sample_h[0])
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +251,6 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
     return out
 
 
-def _nonlin_sine_history(v_hist: np.ndarray, gamma_vals: Optional[np.ndarray],
-                         p: float, lam: float, N: int) -> np.ndarray:
-    """Sine coefficients of lam |u|^(p-2) u along a coefficient history.
-
-    ``v_hist``: (T, N) sine coefficients; ``gamma_vals``: optional stationary
-    values on the shared grid, added before the pointwise power.  Synthesis
-    and projection run on the grid of ``_dealias_points`` intervals, exact
-    modulo the padding rule for integer p.
-    """
-    _, w, S = sine_grid(N, _dealias_points(N, p))
-    base = None if gamma_vals is None else (lambda rows: gamma_vals)
-    return _grid_forcing(v_hist, S.T, 2.0 * w, p, lam, base)
-
-
 # ---------------------------------------------------------------------------
 # Picard iteration: one driver, two families
 
@@ -299,37 +260,51 @@ def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(d.max()))
 
 
-def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray, attempt):
-    """Iterate v -> lin + i Duhamel(forcing(v)) on the modes ``omegas``.
+def _picard(spec: ProblemSpec, hs, omegas: np.ndarray, wgt: np.ndarray,
+            c_phi: np.ndarray, a: np.ndarray, B: np.ndarray, w: np.ndarray,
+            lift: np.ndarray):
+    """Iterate c -> lin + i Duhamel(forcing(c)) on the lift route.
 
-    ``attempt(times)`` gives the family's (T, K) linear history ``lin`` and
-    ``forcing(v)``; distances are sup-in-time with the H^s weights ``wgt``.
+    u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x) (module docstring):
+    ``hs`` are the family's four traces, ``B`` (K, M+1) its basis on a
+    uniform grid with weights ``w`` and eigenvalues ``omegas``, ``lift``
+    (4, M+1) the lift rows on that grid, ``a`` (4, K) their projections onto
+    B and ``c_phi`` that of the initial datum.  Each T* attempt builds
+    lin = e^{i omega t} (c_phi - h(0) @ a) + ``bops.lift_response`` and
+    forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u.
+    Distances are sup-in-time with the H^s weights ``wgt``.
+
     T* starts at min(T, 1) and halves until the iteration converges; below dt
     it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
-    takes zero iterations.  Returns (times, v, T*, contraction factors,
-    iterations, residual); the residual is 0 for lam = 0, else the hinged
-    distance after one more map application or the clamped last distance.
+    takes zero iterations.  Returns (times, vals, c, T*, contraction factors,
+    iterations, residual), vals the data h_i(t_j) (T, 4); the residual is 0
+    for lam = 0, else the hinged distance after one more map application or
+    the clamped last distance.
     """
+    lift = lift.astype(np.complex128)   # cast once, not in every forcing block
     T_star = min(spec.T, 1.0)
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
-        lin, forcing = attempt(times)
+        vals, lin = bops.lift_response(hs, times, a, omegas)
+        lin += (c_phi - vals[0] @ a) * np.exp(1j * np.outer(times, omegas))
 
-        def step(v):
-            V = lf.duhamel_history(lf.ForcingHistory(times, forcing(v), omegas))
+        def step(c):
+            f = _grid_forcing(c, B, w, spec.p, spec.lam,
+                              lambda rows: vals[rows] @ lift)
+            V = lf.duhamel_history(lf.ForcingHistory(times, f, omegas))
             V *= 1j
             V += lin
             return V
 
-        v, factors, dist, it = lin, [], None, 0
+        c, factors, dist, it = lin, [], None, 0
         converged = spec.lam == 0
         while not converged and it < spec.max_iter:
             it += 1
-            v_new = step(v)
-            d = _hs_dist(v_new, v, wgt)
+            c_new = step(c)
+            d = _hs_dist(c_new, c, wgt)
             if dist is not None and dist > 0:
                 factors.append(d / dist)
-            dist, v = d, v_new
+            dist, c = d, c_new
             converged = d < spec.tol
         if converged:
             break
@@ -342,57 +317,37 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray, attempt):
     if spec.lam == 0:
         residual = 0.0
     elif spec.family == NAVIER:
-        residual = _hs_dist(step(v), v, wgt)
+        residual = _hs_dist(step(c), c, wgt)
     else:
         residual = dist
-    return times, v, T_star, factors, it, residual
+    return times, vals, c, T_star, factors, it, residual
 
 
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
-    """Contraction iteration for the hinged family; returns v + gamma data.
+    """Contraction iteration for the hinged family on the lift route.
 
-    The record's rows ``q`` are the homogenized unknown v (sine basis); the
-    stationary corner polynomial gamma is attached as ``record.lift`` so that
-    ``record.evaluate`` reproduces u = v + gamma.
+    The record's rows ``q`` are the sine coefficients of v = u - gamma, with
+    gamma the lift of the corner data h(0): q = c + (h(t) - h(0)) @ a.
+    gamma is attached as ``record.lift`` so that ``record.evaluate``
+    reproduces u, and the traces are the endpoint values of v plus h1(0) and
+    h2(0).
     """
     if spec.family != NAVIER:
         raise ValueError("spec is not a hinged-family problem")
     N = spec.N
-    corner = [complex(h(0.0)) for h in (spec.h1, spec.h2, spec.h5, spec.h6)]
-    gamma = homogenize_navier(*corner)
-    ht = [_shifted(h) for h in (spec.h1, spec.h2, spec.h5, spec.h6)]
-
-    if spec.phi is not None:
-        phi_v = sine_coefficients(
-            lambda x: np.asarray(spec.phi(x), dtype=np.complex128) - gamma(x), N).q
-    else:
-        phi_v = (-sine_coefficients(lambda x: gamma(x), N).q
-                 if any(abs(c) > 0 for c in corner)
-                 else np.zeros(N, dtype=np.complex128))
-
-    omegas = lf.navier_eigenvalues(N)
-    gamma_vals = (gamma(sine_grid(N, _dealias_points(N, spec.p))[0])
-                  if any(abs(c) > 0 for c in corner) else None)
-
-    def forcing(v):
-        return _nonlin_sine_history(v, gamma_vals, spec.p, spec.lam, N)
-
-    def attempt(times):
-        # the table e^{i w t} feeds the boundary convolutions first and then
-        # holds the free flow in place, so no second (T, N) table stays alive
-        phase = np.exp(1j * np.outer(times, omegas))
-        bnd = bops.navier_boundary_history(*ht, times, N, phase)
-        lin = np.multiply(phi_v, phase, out=phase)
-        lin += bnd
-        return lin, forcing
-
-    times, v, T_star, factors, it, residual = _picard(
-        spec, omegas, sobolev_weights(N, spec.s), attempt)
-    lift = (lambda x: gamma(x)) if gamma_vals is not None else None
-    tr0, tr1 = bops.sine_endpoint_values(v)
-    return SolutionRecord(times=times, q=v, lift=lift,
-                          traces={"u0": tr0 + (gamma(0.0) if lift else 0.0),
-                                  "u1": tr1 + (gamma(1.0) if lift else 0.0)},
+    x, w, S = sine_grid(N, _dealias_points(N, spec.p))
+    a = bops.navier_lift_coeffs(N)
+    c_phi = (sine_coefficients(spec.phi, N).q if spec.phi is not None
+             else np.zeros(N, dtype=np.complex128))
+    times, vals, c, T_star, factors, it, residual = _picard(
+        spec, (spec.h1, spec.h2, spec.h5, spec.h6), lf.navier_eigenvalues(N),
+        sobolev_weights(N, spec.s), c_phi, a, S.T, 2.0 * w, bops.navier_lifts(x))
+    h0 = vals[0]
+    q = c + (vals - h0) @ a
+    lift = (lambda x: h0 @ bops.navier_lifts(x)) if np.any(h0) else None
+    tr0, tr1 = bops.sine_endpoint_values(q)
+    return SolutionRecord(times=times, q=q, lift=lift,
+                          traces={"u0": tr0 + h0[0], "u1": tr1 + h0[1]},
                           tstar=T_star, contraction_factors=factors,
                           iterations=it, residual=residual)
 
@@ -409,25 +364,13 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     basis = lf.build_clamped_basis(K)
     x, wq, S, C = bops.clamped_grid(N, K)
     phi_x = basis.evaluate(x)                              # (K, M+1)
+    lift = bops.dirichlet_lifts(x)
+    a = (lift * wq) @ phi_x.T
     c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
-    hs = (spec.h1, spec.h2, spec.h3, spec.h4)
-    vals = None                                            # lift values h_i(t)
-
-    def attempt(times):
-        nonlocal vals
-        vals, lift, a, c_b = bops.clamped_lift_response(*hs, times, basis, x,
-                                                        wq, phi_x)
-        c0 = c_phi - vals[0] @ a
-        lin = c0 * np.exp(1j * np.outer(times, basis.eigenvalues)) + c_b
-
-        def forcing(c):                                    # clamped projection
-            return _grid_forcing(c, phi_x, wq, spec.p, spec.lam,
-                                 lambda rows: vals[rows] @ lift)
-        return lin, forcing
-
-    times, c, T_star, factors, it, residual = _picard(
-        spec, basis.eigenvalues, (1.0 + basis.mu ** 2) ** spec.s, attempt)
+    times, vals, c, T_star, factors, it, residual = _picard(
+        spec, (spec.h1, spec.h2, spec.h3, spec.h4), basis.eigenvalues,
+        (1.0 + basis.mu ** 2) ** spec.s, c_phi, a, phi_x, wq, lift)
     q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
     cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
     return SolutionRecord(times=times, q=q, p=p, p0=p0,

@@ -198,6 +198,23 @@ def test_lift_mixed_coeffs_match_quadrature():
         assert abs(fe.p0 - coeffs[2]) < 1e-9
 
 
+def test_navier_lift_coeffs_match_gauss_legendre():
+    """Closed-form sine coefficients of the hinged lift rows (h1, h2, h5, h6)
+    vs 2 int_0^1 lift_i sin(k pi x) dx by Gauss-Legendre on 8 panels."""
+    N = 24
+    yg, wg = np.polynomial.legendre.leggauss(64)
+    x = (np.arange(8)[:, None] + 0.5 * (yg + 1.0)).ravel() / 8.0
+    w = np.tile(wg, 8) / 16.0
+    S = np.sin(np.pi * np.outer(np.arange(1, N + 1), x))
+    quad = 2.0 * (bops.navier_lifts(x) * w) @ S.T
+    got = bops.navier_lift_coeffs(N)
+    assert got.shape == (4, N)
+    assert np.max(np.abs(got - quad)) < 1e-14
+    # the rows are the unit data: value 1 at x = 0, 1 and curvature 1 there
+    assert np.allclose(bops.navier_lifts(np.array([0.0, 1.0])),
+                       [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # trace series of the split flow
 

@@ -98,6 +98,7 @@ BAD_LAB = [
     ("optimality", {"n_grid": [4.5]}),
     ("identities", {"K_grid": [0]}),
     ("identities", {"K_grid": [2.5]}),
+    ("identities", {"a_grid": [], "K_grid": [64]}),
     ("identities", {"tail": {"alpha": 0.5}}),
     ("identities", {"tail": {"lam_grid": [-1.0]}}),
     ("identities", {"tail": True}),
@@ -110,7 +111,7 @@ BAD_LAB = [
     "lambda4_K_null", "kato_ensemble_null", "kato_s_str", "kato_eps_nan",
     "kato_s_empty", "kato_s_nan", "kato_s_inf", "kato_s_negative",
     "optimality_order_null", "optimality_n_float", "identities_K_0",
-    "identities_K_float", "tail_alpha_low", "tail_lam_negative",
+    "identities_K_float", "identities_a_empty", "tail_alpha_low", "tail_lam_negative",
     "tail_not_object", "tail_one_lam"])
 def test_invalid_lab_config_exit2_no_artifacts(tmp_path, mode, payload):
     cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})

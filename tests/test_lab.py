@@ -214,6 +214,23 @@ def test_kato_sweep_one_estimator_call_per_s(monkeypatch):
     assert calls == [(24, 64), (24, 64)]
 
 
+@pytest.mark.parametrize("ensemble,N", [(16, 256), (32, 512)])
+def test_kato_ensemble_equals_per_sample_draws(ensemble, N):
+    # the ensemble is the per-sample recipe bit for bit: amplitude jitter
+    # uniform(0.5, 1.5), phases, then the flow time, drawn sample by sample;
+    # 32 x 512 complex values pass numpy's 256 KiB temporary-elision size
+    sweep = RegularitySweep(s_grid=[1.0, 2.5], ensemble=ensemble, N=N, seed=5)
+    rng = np.random.default_rng(5)
+    k = np.arange(1, N + 1)
+    for s, qs in lab._kato_ensemble(sweep):
+        for row in qs:
+            mag = k.astype(np.float64) ** (-s - 0.5 - sweep.eps)
+            mag = mag * rng.uniform(0.5, 1.5, N)
+            q = mag * np.exp(2j * np.pi * rng.random(N))
+            t = rng.random()
+            assert np.array_equal(row, q * np.exp(1j * (k * np.pi) ** 4 * t))
+
+
 def test_measured_exponent_tracks_decay():
     # heavier tails => larger measured exponent; pure power-law check
     n = np.arange(1, 257, dtype=np.float64) ** 4

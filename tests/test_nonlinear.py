@@ -6,12 +6,12 @@ import sympy as sp
 from scipy.optimize import brentq
 
 import bihns.nonlinear as nl
-from bihns.boundary_ops import clamped_grid
+from bihns.boundary_ops import (clamped_grid, navier_boundary_history,
+                                navier_lift_coeffs, navier_lifts)
 from bihns.cli import ConfigError, _build_problem
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _grid_forcing,
-                             _nonlin_sine_history, _power, homogenize_navier,
-                             picard_dirichlet, picard_navier)
+                             _power, picard_dirichlet, picard_navier)
 from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
                             sine_grid, sine_state, sobolev_norm, uniform_grid)
 
@@ -56,21 +56,23 @@ def test_unknown_family():
 
 
 # ---------------------------------------------------------------------------
-# homogenization
+# lifts of the hinged data
 
 
-def test_homogenize_corner_values():
-    g = homogenize_navier(1.0, 0.0, 0.0, 0.0)
-    assert g(0.0) == pytest.approx(1.0)
-    assert g(np.array([0.5]))[0] == pytest.approx(0.5)  # gamma = 1-x
-    g = homogenize_navier(0.0, 0.0, 0.0, 6.0)
-    assert g(0.5) == pytest.approx(0.5 ** 3 - 0.5)    # gamma = x^3 - x
-    g = homogenize_navier(0.0, 0.0, 0.0, 0.0)
-    assert np.max(np.abs(g(np.linspace(0, 1, 9)))) == 0.0
+def _gamma(h, x):
+    """The hinged lift h @ navier_lifts(x) of the data h = (h1, h2, h5, h6)."""
+    return np.asarray(h, dtype=complex) @ navier_lifts(x)
+
+
+def test_navier_lifts_corner_values():
+    assert _gamma([1, 0, 0, 0], 0.0) == pytest.approx(1.0)
+    assert _gamma([1, 0, 0, 0], np.array([0.5]))[0] == pytest.approx(0.5)  # 1-x
+    assert _gamma([0, 0, 0, 6], 0.5) == pytest.approx(0.5 ** 3 - 0.5)      # x^3-x
+    assert np.max(np.abs(_gamma([0, 0, 0, 0], np.linspace(0, 1, 9)))) == 0.0
     # differentiate the code: the four corner values, and no fourth derivative
     x = sp.symbols("x")
     h1, h2, h5, h6 = 0.3 - 1j, -0.7 + 0.2j, 1.9j, -2.4
-    gamma = homogenize_navier(h1, h2, h5, h6)(x)
+    gamma = sp.expand(np.array([h1, h2, h5, h6]) @ navier_lifts(x))
     d2 = sp.diff(gamma, x, 2)
     for expr, at, val in ((gamma, 0, h1), (d2, 0, h5), (gamma, 1, h2), (d2, 1, h6)):
         assert abs(complex(expr.subs(x, at)) - val) < 1e-14
@@ -94,9 +96,17 @@ def _trapezoid_projection(q, p, lam, M=8192, base=None):
     return 2.0 * (lam * np.abs(u) ** (p - 2.0) * u * w) @ S
 
 
+def _sine_forcing(v, p, lam, base=None):
+    """The hinged forcing of a (T, N) history: ``_grid_forcing`` with the
+    sine basis and twice the trapezoid weights of the solver's sine grid."""
+    N = v.shape[1]
+    _, w, S = sine_grid(N, nl._dealias_points(N, p))
+    return _grid_forcing(v, S.T, 2.0 * w, p, lam, base)
+
+
 def _nonlin_row(q, p, lam):
     q = np.asarray(q, dtype=complex)
-    return _nonlin_sine_history(q[None, :], None, p, lam, len(q))[0]
+    return _sine_forcing(q[None, :], p, lam)[0]
 
 
 def test_nonlinearity_zero():
@@ -134,13 +144,13 @@ def test_nonlinearity_dealias_doubling():
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
-def test_nonlin_sine_history_rows_match_nonlinearity(p):
+def test_sine_forcing_rows_match_nonlinearity(p):
     # the stacked real transform of the history must agree row by row with
     # the trapezoid sum from the definition on the same padded grid
     N, T = 24, 7
     v = (rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))) \
         / np.arange(1, N + 1) ** 2
-    hist = _nonlin_sine_history(v, None, p, 1.3, N)
+    hist = _sine_forcing(v, p, 1.3)
     M = max(2, math.ceil(p / 2.0)) * N + 1
     for row, got in zip(v, hist):
         expect = _trapezoid_projection(row, p, 1.3, M)
@@ -166,12 +176,15 @@ def test_grid_forcing_sine_matches_trapezoid(p, with_base, T, monkeypatch):
     g = np.random.default_rng(10)
     v = (g.standard_normal((T, N)) + 1j * g.standard_normal((T, N))) \
         / np.arange(1, N + 1)
-    gamma = (homogenize_navier(0.4 - 0.2j, 0.1j, -1.5, 2.0 + 1j)(x)
-             if with_base else None)
-    hist = _nonlin_sine_history(v, gamma, p, -0.7, N)
+    # time-dependent lift values, as the solver adds them: h(t_j) @ lifts
+    vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
+    lift = navier_lifts(x)
+    base = (lambda rows: vals[rows] @ lift) if with_base else None
+    hist = _sine_forcing(v, p, -0.7, base)
     assert hist.shape == (T, N)
-    for row, got in zip(v, hist):
-        expect = _trapezoid_projection(row, p, -0.7, M, base=gamma)
+    for row, h, got in zip(v, vals, hist):
+        expect = _trapezoid_projection(row, p, -0.7, M,
+                                       base=h @ lift if with_base else None)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -209,9 +222,9 @@ def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
     _small_blocks(monkeypatch, M + 1)
     v = np.full((5, N), 0.1 + 0.1j)
     v[4, 0] = 1e80                  # only the third block of rows overflows
-    assert np.all(np.isfinite(_nonlin_sine_history(v[:4], None, 5.0, 1.0, N)))
+    assert np.all(np.isfinite(_sine_forcing(v[:4], 5.0, 1.0)))
     with pytest.raises(OverflowError, match="blow-up"):
-        _nonlin_sine_history(v, None, 5.0, 1.0, N)
+        _sine_forcing(v, 5.0, 1.0)
 
 
 def test_clamped_basis_parity_on_the_solver_grid():
@@ -291,6 +304,39 @@ def test_picard_navier_small_data_contraction_and_residual():
     assert rec.iterations <= 8
     assert all(f <= 0.5 for f in rec.contraction_factors)
     assert rec.residual <= 10.0 * spec.tol
+
+
+def _minus_h0(h):
+    """The series h(t) - h(0) (h has no n = 0 term)."""
+    return BoundaryTrace.from_series(np.concatenate((h.n, [0])),
+                                     np.concatenate((h.a, [-h.a.sum()])))
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_picard_navier_four_data_linear_oracle(N):
+    # lam = 0 with all four hinged data: the record q (sine coefficients of
+    # u - gamma, gamma the lift at h(0)) against the exact free flow of
+    # q(0) - gamma plus the closed-form boundary convolution of h - h(0);
+    # the lift route errs only by its Duhamel quadrature of h'
+    g = np.random.default_rng(41)
+    hs = [BoundaryTrace.from_series([-1, 1, 2], 0.1 * (g.standard_normal(3)
+                                                       + 1j * g.standard_normal(3)))
+          for _ in range(4)]
+    q0 = np.zeros(N, dtype=complex)
+    q0[:3] = [0.3 - 0.1j, 0.2j, -0.1]
+    st0 = sine_state(q0)
+    spec = ProblemSpec(family="navier", s=1.0, lam=0.0, T=4e-3, N=N, dt=1e-5,
+                       phi=lambda x: reconstruct(st0, x),
+                       h1=hs[0], h2=hs[1], h5=hs[2], h6=hs[3])
+    rec = picard_navier(spec)
+    kp = np.arange(1, N + 1) * np.pi
+    ref = np.where(np.arange(1, N + 1) % 2 == 0, -1.0, 1.0)   # (-1)^(k+1)
+    h0 = [complex(h(0.0)) for h in hs]
+    gamma = (2.0 * (h0[0] + ref * h0[1]) / kp
+             - 2.0 * (h0[2] + ref * h0[3]) / kp ** 3)
+    want = ((q0 - gamma) * np.exp(1j * np.outer(rec.times, kp ** 4))
+            + navier_boundary_history(*map(_minus_h0, hs), rec.times, N))
+    assert np.max(np.abs(rec.q - want)) <= 1e-6
 
 
 def test_picard_navier_boundary_trace_reported():
