@@ -153,7 +153,7 @@ def navier_boundary_history(h1: BoundaryTrace, h2: BoundaryTrace,
     out = np.zeros((len(times), N), dtype=np.complex128)
     for h, w in ((h1, -table.navier0), (h2, -ref * table.navier0),
                  (h5, -table.navier2), (h6, -ref * table.navier2)):
-        if np.any(h.a != 0) or h.sample_t is not None:
+        if h.active:
             out += boundary_convolution(h, times, N) * w
     return out
 
@@ -248,13 +248,10 @@ def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray):
     T = len(times)
     vals = np.zeros((T, 4), dtype=np.complex128)
     forcing = np.zeros((T, len(omegas)), dtype=np.complex128)
-    active = False
-    for i, h in enumerate(hs):
-        if not (np.any(h.a != 0) or h.sample_t is not None):
-            continue
-        active = True
-        vals[:, i] = h(times)
-        forcing += -1j * np.asarray(h.derivative()(times))[:, None] * a[i]
+    active = [i for i, h in enumerate(hs) if h.active]
+    for i in active:
+        vals[:, i] = hs[i](times)
+        forcing += -1j * np.asarray(hs[i].derivative()(times))[:, None] * a[i]
     response = (-1j * duhamel_history(ForcingHistory(times, forcing, omegas))
                 if active else forcing)
     return vals, response

@@ -19,9 +19,10 @@ nonlinearity of u onto B; it then iterates c -> lin + i Duhamel(forcing(c))
 in the sup-in-time H^s-weighted coefficients.  One kernel, ``_grid_forcing``,
 gives both forcings in blocks of time rows, each real GEMM folded onto half
 the grid by the bases' parity under x -> 1-x.  T* halves whenever
-``max_iter`` iterations leave the Picard distance above ``tol``.  The
-fixed-point residual is, hinged, the distance after one more application of
-the map and, clamped, the last Picard distance.
+``max_iter`` iterations leave the Picard distance above ``tol``.  Both
+families report the last Picard distance |c_n - c_{n-1}| as the residual:
+by the contraction it bounds the fixed-point residual |Phi(c_n) - c_n| up
+to the factor kappa < 1, so no extra map application is made.
 
 The records keep their own layouts: the hinged record holds the sine
 coefficients of v = u - gamma, gamma the stationary lift at h(0); the
@@ -46,6 +47,8 @@ from .spectral import odd_even_extend
 
 NAVIER = "navier"
 DIRICHLET = "dirichlet"
+#: the four traces each family reads, in the order of its lift rows
+TRACES = {NAVIER: ("h1", "h2", "h5", "h6"), DIRICHLET: ("h1", "h2", "h3", "h4")}
 
 DIRICHLET_S_MIN = 10.0 / 7.0
 DIRICHLET_S_MAX = 4.5
@@ -105,12 +108,23 @@ class ProblemSpec:
             raise ValueError("N, T, dt, tol must be positive")
         if self.max_iter < 1 or self.K_clamped < 1:
             raise ValueError("max_iter and K_clamped must be >= 1")
-        for h in (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6):
+        unread = [name for name in ("h1", "h2", "h3", "h4", "h5", "h6")
+                  if name not in TRACES[self.family] and getattr(self, name).active]
+        if unread:
+            raise ValueError(f"the {self.family} family reads only "
+                             f"{', '.join(TRACES[self.family])}; "
+                             f"{', '.join(unread)} carries data")
+        for h in self.hs:
             # the lift route reads h and h' from the interpolant of the
             # samples, which past the last one would hold h constant
             if h.sample_t is not None and not (
                     h.sample_t[0] == 0 and h.sample_t[-1] >= min(self.T, 1.0)):
                 raise ValueError("sampled traces must cover [0, min(T, 1)]")
+
+    @property
+    def hs(self) -> tuple:
+        """The family's four traces in the order of its lift rows (``TRACES``)."""
+        return tuple(getattr(self, name) for name in TRACES[self.family])
 
 
 @dataclass
@@ -260,13 +274,13 @@ def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(d.max()))
 
 
-def _picard(spec: ProblemSpec, hs, omegas: np.ndarray, wgt: np.ndarray,
+def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
             c_phi: np.ndarray, a: np.ndarray, B: np.ndarray, w: np.ndarray,
             lift: np.ndarray):
     """Iterate c -> lin + i Duhamel(forcing(c)) on the lift route.
 
     u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x) (module docstring):
-    ``hs`` are the family's four traces, ``B`` (K, M+1) its basis on a
+    ``spec.hs`` are the family's four traces, ``B`` (K, M+1) its basis on a
     uniform grid with weights ``w`` and eigenvalues ``omegas``, ``lift``
     (4, M+1) the lift rows on that grid, ``a`` (4, K) their projections onto
     B and ``c_phi`` that of the initial datum.  Each T* attempt builds
@@ -277,18 +291,20 @@ def _picard(spec: ProblemSpec, hs, omegas: np.ndarray, wgt: np.ndarray,
     T* starts at min(T, 1) and halves until the iteration converges; below dt
     it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
     takes zero iterations.  Returns (times, vals, c, T*, contraction factors,
-    iterations, residual), vals the data h_i(t_j) (T, 4); the residual is 0
-    for lam = 0, else the hinged distance after one more map application or
-    the clamped last distance.
+    iterations, residual), vals the data h_i(t_j) (T, 4) and c the last
+    iterate c_n.  The residual is the last Picard distance |c_n - c_{n-1}|,
+    below ``tol``, and 0 for lam = 0: with the map's contraction factor
+    kappa < 1 it bounds the fixed-point residual, |Phi(c_n) - c_n| <=
+    kappa |c_n - c_{n-1}|, at no extra map application.
     """
     lift = lift.astype(np.complex128)   # cast once, not in every forcing block
     T_star = min(spec.T, 1.0)
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
-        vals, lin = bops.lift_response(hs, times, a, omegas)
+        vals, lin = bops.lift_response(spec.hs, times, a, omegas)
         lin += (c_phi - vals[0] @ a) * np.exp(1j * np.outer(times, omegas))
 
-        def step(c):
+        def step(c):    # returning frees the (T, K) forcing before the next step
             f = _grid_forcing(c, B, w, spec.p, spec.lam,
                               lambda rows: vals[rows] @ lift)
             V = lf.duhamel_history(lf.ForcingHistory(times, f, omegas))
@@ -296,13 +312,13 @@ def _picard(spec: ProblemSpec, hs, omegas: np.ndarray, wgt: np.ndarray,
             V += lin
             return V
 
-        c, factors, dist, it = lin, [], None, 0
+        c, factors, dist, it = lin, [], 0.0, 0
         converged = spec.lam == 0
         while not converged and it < spec.max_iter:
             it += 1
             c_new = step(c)
             d = _hs_dist(c_new, c, wgt)
-            if dist is not None and dist > 0:
+            if dist > 0:
                 factors.append(d / dist)
             dist, c = d, c_new
             converged = d < spec.tol
@@ -313,14 +329,7 @@ def _picard(spec: ProblemSpec, hs, omegas: np.ndarray, wgt: np.ndarray,
             raise RuntimeError(
                 "no contraction: T* underflowed below dt "
                 f"(data norm r={np.sqrt(np.abs(lin[0])**2 @ wgt):.3e})")
-
-    if spec.lam == 0:
-        residual = 0.0
-    elif spec.family == NAVIER:
-        residual = _hs_dist(step(c), c, wgt)
-    else:
-        residual = dist
-    return times, vals, c, T_star, factors, it, residual
+    return times, vals, c, T_star, factors, it, dist
 
 
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
@@ -340,8 +349,8 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     c_phi = (sine_coefficients(spec.phi, N).q if spec.phi is not None
              else np.zeros(N, dtype=np.complex128))
     times, vals, c, T_star, factors, it, residual = _picard(
-        spec, (spec.h1, spec.h2, spec.h5, spec.h6), lf.navier_eigenvalues(N),
-        sobolev_weights(N, spec.s), c_phi, a, S.T, 2.0 * w, bops.navier_lifts(x))
+        spec, lf.navier_eigenvalues(N), sobolev_weights(N, spec.s), c_phi, a,
+        S.T, 2.0 * w, bops.navier_lifts(x))
     h0 = vals[0]
     q = c + (vals - h0) @ a
     lift = (lambda x: h0 @ bops.navier_lifts(x)) if np.any(h0) else None
@@ -369,8 +378,8 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
     times, vals, c, T_star, factors, it, residual = _picard(
-        spec, (spec.h1, spec.h2, spec.h3, spec.h4), basis.eigenvalues,
-        (1.0 + basis.mu ** 2) ** spec.s, c_phi, a, phi_x, wq, lift)
+        spec, basis.eigenvalues, (1.0 + basis.mu ** 2) ** spec.s, c_phi, a,
+        phi_x, wq, lift)
     q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
     cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
     return SolutionRecord(times=times, q=q, p=p, p0=p0,

@@ -293,6 +293,11 @@ class BoundaryTrace:
             object.__setattr__(self, "sample_t", st)
             object.__setattr__(self, "sample_h", sh)
 
+    @property
+    def active(self) -> bool:
+        """True when the trace carries data: a nonzero series term or samples."""
+        return bool(np.any(self.a != 0)) or self.sample_t is not None
+
     def __call__(self, t) -> np.ndarray:
         """Evaluate the series (preferred) or the sampled interpolant."""
         t = np.asarray(t, dtype=np.float64)

@@ -70,10 +70,18 @@ def _samples(t, h=None):
     {**TRACE_BASE, "h1": _samples([1e-4, 1e-3])},
     {**TRACE_BASE, "h1": _samples([1e-3, 0])},
     {**TRACE_BASE, "h1": _samples([0, 1e-3], h=[[0, 0], [float("nan"), 0]])},
+    {**TRACE_BASE, "family": "dirichlet", "s": 1.8, "p": 4.0, "K_clamped": 4,
+     "h5": _samples([0, 1e-3])},
+    {**TRACE_BASE, "h3": {"kind": "series", "n": [0, 1], "a": [[1, 0], [-1, 0]]}},
+    {**TRACE_BASE, "N_typo": 32},
+    {**TRACE_BASE, "N": 16.5},
+    {**TRACE_BASE, "max_iter": 7.9},
 ], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
         "s_list", "trace_not_object", "phi_not_object", "series_n_fraction",
         "samples_empty", "samples_short_of_T", "clamped_samples_short_of_T",
-        "samples_late_start", "samples_decreasing", "samples_nan"])
+        "samples_late_start", "samples_decreasing", "samples_nan",
+        "clamped_h5", "hinged_h3", "unknown_key", "N_fraction",
+        "max_iter_fraction"])
 def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
@@ -87,6 +95,7 @@ BAD_LAB = [
     ("traces", {"phi": [{"kind": "poly", "coefficients": ["x"]}]}),
     ("traces", {"N": 0}),
     ("lambda4", {"K": None}),
+    ("lambda4", {"K": 20.5}),
     ("kato_sweep", {"ensemble": None}),
     ("kato_sweep", {"s_grid": ["x"]}),
     ("kato_sweep", {"eps": float("nan")}),
@@ -108,7 +117,7 @@ BAD_LAB = [
 
 @pytest.mark.parametrize("mode,payload", BAD_LAB, ids=[
     "traces_s_str", "traces_phi_not_object", "traces_phi_poly_str", "traces_N_0",
-    "lambda4_K_null", "kato_ensemble_null", "kato_s_str", "kato_eps_nan",
+    "lambda4_K_null", "lambda4_K_float", "kato_ensemble_null", "kato_s_str", "kato_eps_nan",
     "kato_s_empty", "kato_s_nan", "kato_s_inf", "kato_s_negative",
     "optimality_order_null", "optimality_n_float", "identities_K_0",
     "identities_K_float", "identities_a_empty", "tail_alpha_low", "tail_lam_negative",

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+import bihns.linear_flow as lf
 import bihns.nonlinear as nl
 from bihns.boundary_ops import (clamped_grid, navier_boundary_history,
                                 navier_lift_coeffs, navier_lifts)
 from bihns.cli import ConfigError, _build_problem
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
-from bihns.nonlinear import (ProblemSpec, SolutionRecord, _grid_forcing,
-                             _power, picard_dirichlet, picard_navier)
+from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
+                             _grid_forcing, _power, picard_dirichlet,
+                             picard_navier)
 from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
                             sine_grid, sine_state, sobolev_norm, uniform_grid)
 
@@ -53,6 +56,18 @@ def test_power_and_differentiability():
 def test_unknown_family():
     with pytest.raises(ValueError):
         ProblemSpec(family="periodic", s=1.0)
+
+
+@pytest.mark.parametrize("family,unread", [("navier", "h3"), ("navier", "h4"),
+                                           ("dirichlet", "h5"), ("dirichlet", "h6")])
+def test_trace_the_family_does_not_read_rejected(family, unread):
+    base = {"family": family, "s": 1.8, "p": 4.0}
+    h = BoundaryTrace.from_series([0, 1], [0.1, -0.1])
+    with pytest.raises(ValueError, match=f"reads only.*{unread} carries data"):
+        ProblemSpec(**base, **{unread: h})
+    # a zero trace carries no data, so it may be given for either family
+    ProblemSpec(**base, **{unread: BoundaryTrace.zero()})
+    assert ProblemSpec(**base, h1=h).hs[0] is h
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +321,44 @@ def test_picard_navier_small_data_contraction_and_residual():
     assert rec.residual <= 10.0 * spec.tol
 
 
+def test_picard_navier_nonlinear_galerkin_oracle():
+    """lam != 0 against an independent integration of the Galerkin system.
+
+    In the interaction picture c = e^{i omega t} w the hinged modes solve
+    w' = i e^{-i omega t} F(e^{i omega t} w), F the forcing of one row of the
+    solver's grid, which scipy's DOP853 integrates with its own steps.  So
+    the time rule, the Duhamel history and the Picard loop are checked; the
+    forcing kernel is shared, and ``_grid_forcing``'s own tests check it.
+    """
+    N, p, lam, T = 8, 3.0, 5.0, 0.01
+    q0 = np.zeros(N, dtype=complex)
+    q0[:3] = [1.0, 0.5j, 0.25]
+    x, w, S = sine_grid(N, _dealias_points(N, p))
+    omegas = lf.navier_eigenvalues(N)
+
+    def rhs(t, y):
+        rot = np.exp(1j * omegas * t)
+        f = 1j * _grid_forcing((rot * (y[:N] + 1j * y[N:]))[None], S.T,
+                               2.0 * w, p, lam)[0] / rot
+        return np.concatenate((f.real, f.imag))
+
+    ref = solve_ivp(rhs, (0.0, T), np.concatenate((q0.real, q0.imag)),
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
+    st0 = sine_state(q0)
+    errs = []
+    for dt in (1e-4, 5e-5, 2.5e-5):
+        spec = ProblemSpec(family="navier", s=1.0, p=p, lam=lam, T=T, N=N,
+                           dt=dt, tol=1e-13, phi=lambda x: reconstruct(st0, x))
+        rec = picard_navier(spec)
+        assert rec.tstar == T and rec.iterations > 0
+        y = ref.sol(rec.times)
+        exact = (y[:N] + 1j * y[N:]).T * np.exp(1j * np.outer(rec.times, omegas))
+        errs.append(np.abs(rec.q - exact).max())
+    assert errs[0] <= 1e-3 and errs[1] <= 2.5e-4
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.1))
+
+
 def _minus_h0(h):
     """The series h(t) - h(0) (h has no n = 0 term)."""
     return BoundaryTrace.from_series(np.concatenate((h.n, [0])),
@@ -446,6 +499,25 @@ def _clamped_record():
                        dt=1e-5, N=16, K_clamped=8,
                        phi=lambda x: (2.0 + 1j) * x ** 2 * (1.0 - x) ** 2, **hs)
     return spec, picard_dirichlet(spec)
+
+
+@pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
+                         ids=["hinged", "clamped"])
+def test_picard_applies_the_map_once_per_iteration(make, monkeypatch):
+    # boundary_ops.lift_response calls its own import of duhamel_history,
+    # so only the Picard steps' Duhamel histories are counted here
+    calls = []
+    duhamel_history = lf.duhamel_history
+
+    def counted(F):
+        calls.append(F)
+        return duhamel_history(F)
+
+    monkeypatch.setattr(lf, "duhamel_history", counted)
+    spec, rec = make()
+    assert spec.lam != 0 and rec.tstar == spec.T and rec.iterations > 0
+    assert len(calls) == rec.iterations
+    assert 0 < rec.residual < spec.tol
 
 
 @pytest.mark.parametrize("make", [_hinged_record, _clamped_record],

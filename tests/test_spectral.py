@@ -184,6 +184,13 @@ def test_trace_series_evaluation():
     assert abs(h(t) - expect) < 1e-14
 
 
+def test_trace_active_when_it_carries_data():
+    assert not BoundaryTrace.zero().active
+    assert not BoundaryTrace.from_series([0, 2], [0.0, 0.0]).active
+    assert BoundaryTrace.from_series([2], [1e-300]).active
+    assert BoundaryTrace(sample_t=[0.0, 1.0], sample_h=[0.0, 0.0]).active
+
+
 def test_trace_duplicate_indices_rejected():
     with pytest.raises(ValueError):
         BoundaryTrace.from_series([1, 1], [1.0, 2.0])
