@@ -10,7 +10,7 @@ the data are attained identically.  The families differ only in the basis,
 its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``dirichlet_lifts`` for (h1, h2, h3, h4), projected on the clamped grid.
-``lift_response`` gives the boundary part of c_k for either.
+``lift_response`` gives the linear history of c_k for either.
 ``clamped_mixed_history`` projects a clamped history onto the half-weight
 mixed basis, and ``clamped_grid`` (the shared ``spectral.uniform_grid`` on
 4 max(N, K) intervals) is the one trapezoid rule behind every clamped
@@ -231,30 +231,34 @@ def clamped_grid(N: int, K: int):
     return uniform_grid(N, 4 * max(N, K))
 
 
-def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray):
-    """Boundary part of u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
+def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
+                  c0: np.ndarray):
+    """Linear history of c_k in u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
 
     The basis e_k meets the family's four homogeneous conditions, with
     d^4/dx^4 e_k = omegas_k e_k, and the lifts of the four traces ``hs``
     have a zero fourth derivative.  So c_k solves
     i c_k' + omegas_k c_k = -i sum_i h_i'(t) a[i, k] (plus the
-    nonlinearity), where a[i, k] (4, K) is the projection of lift_i on e_k,
-    and its boundary part is -Duhamel(sum_i h_i' a_i).
+    nonlinearity), where a[i, k] (4, K) is the projection of lift_i on e_k.
+    With ``c0`` the projection of the initial datum, its linear part is
 
-    Returns (vals, response): the data h_i(t_j) (T, 4) and that response
-    (T, K); inactive data contribute zeros.
+        lin = e^{i omega t} (c0 - h(0) @ a) - Duhamel(sum_i h_i' a_i),
+
+    both terms from one ``duhamel_history`` recurrence started at that row.
+
+    Returns (vals, lin): the data h_i(t_j) (T, 4) and lin (T, K); inactive
+    data contribute zeros.
     """
     times = np.asarray(times, dtype=np.float64)
     T = len(times)
     vals = np.zeros((T, 4), dtype=np.complex128)
     forcing = np.zeros((T, len(omegas)), dtype=np.complex128)
-    active = [i for i, h in enumerate(hs) if h.active]
-    for i in active:
-        vals[:, i] = hs[i](times)
-        forcing += -1j * np.asarray(hs[i].derivative()(times))[:, None] * a[i]
-    response = (-1j * duhamel_history(ForcingHistory(times, forcing, omegas))
-                if active else forcing)
-    return vals, response
+    for i, h in enumerate(hs):
+        if h.active:
+            vals[:, i] = h(times)
+            forcing -= np.asarray(h.derivative()(times))[:, None] * a[i]
+    return vals, duhamel_history(ForcingHistory(times, forcing, omegas),
+                                 c0 - vals[0] @ a)
 
 
 def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
@@ -299,7 +303,8 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     x, w, S, C = clamped_grid(N, basis.K)
     phi = basis.evaluate(x)
     a = (dirichlet_lifts(x) * w) @ phi.T
-    vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues)
+    vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues,
+                            np.zeros(basis.K, dtype=np.complex128))
     return clamped_mixed_history(vals, c, phi, w, S, C)
 
 

@@ -289,7 +289,8 @@ def _run_solve(payload, outdir, seed):
         "mode_residual": None,
         "mode_residual_note": (
             "not computed: time differences resolve only the few modes with "
-            "(k pi)^4 dt < 1; 'residual' is the accuracy number"),
+            "(k pi)^4 dt < 1; 'residual' bounds the fixed-point residual of "
+            "the discrete map, not the time or space error"),
     }
     checks = {"converged": bool(rec.residual <= 10 * spec.tol),
               "tstar_reached": rec.tstar == spec.T}

@@ -5,13 +5,14 @@ Three flavors of the linear flow i u_t + u_xxxx = 0 live here:
 * hinged/Navier flow on sine series: q_k -> exp(i (k pi)^4 t) q_k,
 * the periodic group acting on odd+even extensions (same phases, p0 fixed),
 * the clamped flow W^D on the clamped-beam eigenbasis (eigenvalues mu_k^4
-  with cos(mu) cosh(mu) = 1); the clamped solver rotates its eigen
-  coefficients by e^{i mu_k^4 t} itself, so only the basis lives here.
+  with cos(mu) cosh(mu) = 1); only the basis lives here.
 
 ``duhamel`` evaluates int_0^t exp(i w (t-tau)) f(tau) dtau per mode, exactly
 for forcing that is piecewise linear between the history's time nodes
 (closed-form exponential-integrator weights, with a Taylor branch for small
-phases |w dt| < 1e-3 to dodge cancellation).
+phases |w dt| < 1e-3 to dodge cancellation).  ``duhamel_history`` gives it
+at every node, plus the free flow of a start row: both solver families take
+their linear history, free flow included, from that one recurrence.
 """
 
 from __future__ import annotations
@@ -201,12 +202,16 @@ def _interval_weights(z: np.ndarray):
 _DUHAMEL_BLOCK = 64
 
 
-def duhamel_history(F: ForcingHistory) -> np.ndarray:
-    """V[j, k] = int_0^{t_j} exp(i w_k (t_j - tau)) f_k(tau) dtau at every node.
+def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
+    """V[j, k] = e^{i w_k t_j} v0_k + int_0^{t_j} exp(i w_k (t_j - tau)) f_k(tau) dtau
+    at every node of a grid that starts at t_0 = 0 (v0 = 0 if not given).
 
-    The weights depend on the step only, so they are computed once per
-    distinct step length (a ``linspace`` grid has a handful) and the
-    recurrence indexes those rows.  The interval terms J are formed for
+    One recurrence V[j+1] = e^{i w dt} V[j] + J[j] gives both terms, so the
+    free flow of v0 rides on the step phases: a table exp(i w t_j) would
+    round the product w t_j, which reaches ~1e9 rad on the top modes.  The
+    weights depend on the step only, so they are computed once per distinct
+    step length (a ``linspace`` grid has a handful) and the recurrence
+    indexes those rows.  The interval terms J are formed for
     ``_DUHAMEL_BLOCK`` steps at a time, bit for bit the per-step products:
     the complex products are explicit ``np.multiply`` calls into fresh
     arrays, since ``fb * g0[s]`` would run in place on the large temporary
@@ -214,6 +219,8 @@ def duhamel_history(F: ForcingHistory) -> np.ndarray:
     """
     t, c, w = F.times, F.coeffs, F.omegas
     V = np.zeros_like(c)
+    if v0 is not None:
+        V[0] = v0
     steps, which = np.unique(np.diff(t), return_inverse=True)
     z = 1j * w[None, :] * steps[:, None]
     g0, g1 = _interval_weights(z)

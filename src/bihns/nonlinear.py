@@ -13,12 +13,16 @@ homogeneous boundary conditions:
   grid of 4 max(N, K) + 1 points.
 
 One driver, ``_picard``, builds each T* attempt from those pieces alike: the
-linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i)
-(``boundary_ops.lift_response``) and the forcing, the projection of the
-nonlinearity of u onto B; it then iterates c -> lin + i Duhamel(forcing(c))
-in the sup-in-time H^s-weighted coefficients.  One kernel, ``_grid_forcing``,
-gives both forcings in blocks of time rows, each real GEMM folded onto half
-the grid by the bases' parity under x -> 1-x.  T* halves whenever
+linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
+both terms from one Duhamel recurrence (``boundary_ops.lift_response``), and
+the forcing, the projection of the nonlinearity of u onto B; it then
+iterates c -> lin + i Duhamel(forcing(c)) in the sup-in-time H^s-weighted
+coefficients.  One kernel, ``_grid_forcing``, gives both forcings in blocks
+of time rows, on stacked real (re; im) rows folded onto half the grid by the
+bases' parity under x -> 1-x: real GEMMs synthesize the parts of u
+symmetric and antisymmetric under that map, the lift rows riding along as
+extra synthesis rows, and the power acts on u(x) and u(1-x) made from
+them.  T* halves whenever
 ``max_iter`` iterations leave the Picard distance above ``tol``.  Both
 families report the last Picard distance |c_n - c_{n-1}| as the residual:
 by the contraction it bounds the fixed-point residual |Phi(c_n) - c_n| up
@@ -200,66 +204,78 @@ def _dealias_points(N: int, p: float) -> int:
 
 
 def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
-    """lam |u|^(p-2) u in place on grid values ``u`` (p >= 3 keeps
-    0 ** (p-2) = 0); a non-finite value raises ``OverflowError``."""
+    """lam |u|^(p-2) u in place on stacked real rows ``u``: its first half of
+    rows are the real parts and its second half the imaginary parts of the
+    same values, so |u|^2 = re^2 + im^2 on contiguous rows (p >= 3 keeps
+    0 ** (p-2) = 0).  A non-finite value raises ``OverflowError``."""
+    r = len(u) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        fac = np.abs(u)
-        fac **= p - 2.0
+        sq = np.square(u)               # one temporary: re^2 over im^2
+        fac = sq[:r]
+        fac += sq[r:]
+        fac **= 0.5 * (p - 2.0)
         fac *= lam
-        u *= fac
-    if not np.all(np.isfinite(u.view(np.float64))):
+        u[:r] *= fac
+        u[r:] *= fac
+    if not np.isfinite(u).all():
         raise OverflowError("nonlinearity overflow: blow-up candidate")
     return u
 
 
-#: bytes of the grid values of one block of time rows, R x (M+1) complex:
-#: small enough to stay in L2 from synthesis to projection
+#: bytes of the grid values of one block of time rows, R x (M+1) complex
+#: as 2R real rows: small enough to stay in L2 from synthesis to projection
 _BLOCK_BYTES = 1 << 19
 
 
 def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
-                  lam: float, base: Optional[Callable] = None) -> np.ndarray:
+                  lam: float, vals: Optional[np.ndarray] = None,
+                  lift: Optional[np.ndarray] = None) -> np.ndarray:
     """(T, K) projections sum_x w(x) lam |u|^(p-2) u(x) B_k(x) of the grid
-    values u = c @ B (+ ``base``) for the complex coefficient history ``c``.
+    values u = c @ B + vals @ lift for the complex coefficient history ``c``
+    and, if given, the complex data ``vals`` (T, L) of the real lift rows
+    ``lift`` (L, M+1).
 
     ``B`` is a real (K, M+1) basis on a uniform grid with the parity
     B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x) and the clamped phi_j
-    both have it), and ``w`` are weights symmetric under x -> 1-x.  So both
-    GEMMs fold onto the nodes x < 1/2: the symmetric rows meet u(x) + u(1-x),
-    the antisymmetric rows u(x) - u(1-x), and a middle node x = 1/2 (M even)
-    goes to the symmetric rows only.  ``base(rows)``, if given, is the
-    complex value on the grid added to the time rows ``rows`` before the
-    power.  Time rows go in blocks of ``_BLOCK_BYTES``; the GEMMs run on
-    stacked real (re; im) rows, and the fold passes move the values to and
-    from the complex block that ``_power`` works on.
+    both have it), and ``w`` are weights symmetric under x -> 1-x.  So the
+    work folds onto the nodes x < 1/2: the even rows of B and the lifts'
+    symmetric parts synthesize the part S of u symmetric under x -> 1-x,
+    the odd rows and the lifts' antisymmetric parts its part A, and
+    u(x) = S + A, u(1-x) = S - A.  ``_power`` turns those values into
+    g = lam |u|^(p-2) u, which folds back as S' = g(x) + g(1-x) onto the
+    even rows and A' = g(x) - g(1-x) onto the odd ones; a middle node
+    x = 1/2 (M even) belongs to S and S' alone.  Time rows go in blocks of
+    ``_BLOCK_BYTES``, each as stacked real (re; im) rows, so every GEMM is
+    real and no complex grid block is formed.
     """
     T, K = c.shape
     M1 = B.shape[1]
     H, mid = M1 // 2, M1 % 2                       # nodes x < 1/2; x = 1/2
-    Bs = np.ascontiguousarray(B[0::2, :H + mid])   # symmetric rows
-    Ba = np.ascontiguousarray(B[1::2, :H])         # antisymmetric rows
-    Ps, Pa = Bs * w[:H + mid], Ba * w[:H]
+    if vals is None:
+        vals, lift = np.zeros((T, 0)), np.zeros((0, M1))
+    flip = lift[:, ::-1]                           # lift rows at 1 - x
+    Bs = np.concatenate((B[0::2, :H + mid], 0.5 * (lift + flip)[:, :H + mid]))
+    Ba = np.concatenate((B[1::2, :H], 0.5 * (lift - flip)[:, :H]))
+    Ps, Pa = B[0::2, :H + mid] * w[:H + mid], B[1::2, :H] * w[:H]
     R = max(1, _BLOCK_BYTES // (16 * M1))
+    grid = np.empty((2 * R, 2 * H + mid))         # u(x) | u(1-x) | u(1/2)
     out = np.empty((T, K), dtype=np.complex128)
     for r0 in range(0, T, R):
         rows = slice(r0, min(r0 + R, T))
-        cb, ob, r = c[rows], out[rows], min(R, T - r0)
-        sym = np.concatenate((cb.real[:, 0::2], cb.imag[:, 0::2])) @ Bs
-        anti = np.concatenate((cb.real[:, 1::2], cb.imag[:, 1::2])) @ Ba
-        u = np.empty((r, M1), dtype=np.complex128)
-        halves = ((u.real, slice(0, r)), (u.imag, slice(r, 2 * r)))
-        for part, h in halves:                     # part[:, ::-1] is 1 - x
-            np.add(sym[h, :H], anti[h], out=part[:, :H])
-            np.subtract(sym[h, :H], anti[h], out=part[:, ::-1][:, :H])
-            part[:, H:H + mid] = sym[h, H:]
-        if base is not None:
-            u += base(rows)
+        r, ob = min(R, T - r0), out[rows]
+        xs = np.concatenate((c[rows, 0::2], vals[rows]), axis=1)
+        xa = np.concatenate((c[rows, 1::2], vals[rows]), axis=1)
+        S = np.concatenate((xs.real, xs.imag)) @ Bs
+        A = np.concatenate((xa.real, xa.imag)) @ Ba
+        u = grid[:2 * r]
+        np.add(S[:, :H], A, out=u[:, :H])
+        np.subtract(S[:, :H], A, out=u[:, H:2 * H])
+        u[:, 2 * H:] = S[:, H:]
         _power(u, p, lam)
-        for part, h in halves:
-            np.subtract(part[:, :H], part[:, ::-1][:, :H], out=anti[h])
-            np.add(part[:, :H], part[:, ::-1][:, :H], out=sym[h, :H])
-            sym[h, H:] = part[:, H:H + mid]
-        fs, fa = sym @ Ps.T, anti @ Pa.T
+        np.add(u[:, :H], u[:, H:2 * H], out=S[:, :H])
+        np.subtract(u[:, :H], u[:, H:2 * H], out=A)
+        S[:, H:] = u[:, 2 * H:]
+        fs, fa = S @ Ps.T, A @ Pa.T
         ob.real[:, 0::2], ob.imag[:, 0::2] = fs[:r], fs[r:]
         ob.real[:, 1::2], ob.imag[:, 1::2] = fa[:r], fa[r:]
     return out
@@ -284,8 +300,9 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
     uniform grid with weights ``w`` and eigenvalues ``omegas``, ``lift``
     (4, M+1) the lift rows on that grid, ``a`` (4, K) their projections onto
     B and ``c_phi`` that of the initial datum.  Each T* attempt builds
-    lin = e^{i omega t} (c_phi - h(0) @ a) + ``bops.lift_response`` and
-    forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u.
+    lin = e^{i omega t} (c_phi - h(0) @ a) - Duhamel(sum_i h_i' a_i) in one
+    recurrence (``bops.lift_response``) and forcing(c), the
+    ``_grid_forcing`` projection of the nonlinearity of u.
     Distances are sup-in-time with the H^s weights ``wgt``.
 
     T* starts at min(T, 1) and halves until the iteration converges; below dt
@@ -297,16 +314,13 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
     kappa < 1 it bounds the fixed-point residual, |Phi(c_n) - c_n| <=
     kappa |c_n - c_{n-1}|, at no extra map application.
     """
-    lift = lift.astype(np.complex128)   # cast once, not in every forcing block
     T_star = min(spec.T, 1.0)
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
-        vals, lin = bops.lift_response(spec.hs, times, a, omegas)
-        lin += (c_phi - vals[0] @ a) * np.exp(1j * np.outer(times, omegas))
+        vals, lin = bops.lift_response(spec.hs, times, a, omegas, c_phi)
 
         def step(c):    # returning frees the (T, K) forcing before the next step
-            f = _grid_forcing(c, B, w, spec.p, spec.lam,
-                              lambda rows: vals[rows] @ lift)
+            f = _grid_forcing(c, B, w, spec.p, spec.lam, vals, lift)
             V = lf.duhamel_history(lf.ForcingHistory(times, f, omegas))
             V *= 1j
             V += lin

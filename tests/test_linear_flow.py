@@ -192,11 +192,14 @@ def test_duhamel_midinterval_evaluation():
     assert abs(got - expect) < 1e-12
 
 
-def _duhamel_per_step(F):
-    """Reference recurrence with the weights recomputed on every step."""
+def _duhamel_per_step(F, v0=None):
+    """Reference recurrence with the weights recomputed on every step,
+    started from the row ``v0`` (zeros if not given)."""
     from bihns.linear_flow import _interval_weights
     t, c, w = F.times, F.coeffs, F.omegas
     V = np.zeros_like(c)
+    if v0 is not None:
+        V[0] = v0
     for j in range(len(t) - 1):
         dt = t[j + 1] - t[j]
         z = 1j * w * dt
@@ -217,6 +220,24 @@ def test_duhamel_history_matches_per_step_weights_exactly(grid):
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     F = ForcingHistory(t, c, w)
     assert np.array_equal(duhamel_history(F), _duhamel_per_step(F))
+
+
+@pytest.mark.parametrize("grid", ["linspace", "random"])
+def test_duhamel_history_from_a_start_row_matches_per_step(grid):
+    # the free flow of v0 rides on the same step phases as the forcing,
+    # bit for bit, on the grids of the test above
+    g = np.random.default_rng(14)
+    t = (np.linspace(0.0, 0.013, 301) if grid == "linspace"
+         else np.cumsum(np.concatenate(([0.0], g.uniform(1e-5, 1e-4, 300)))))
+    w = np.concatenate(([0.0, 1.0, 20.0], navier_eigenvalues(12)))
+    shape = (len(t), len(w))
+    c = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    v0 = g.standard_normal(len(w)) + 1j * g.standard_normal(len(w))
+    F = ForcingHistory(t, c, w)
+    V = duhamel_history(F, v0)
+    assert np.array_equal(V, _duhamel_per_step(F, v0))
+    assert np.array_equal(V[0], v0)
+    assert not np.array_equal(V, duhamel_history(F))
 
 
 def test_duhamel_history_exact_on_full_blocks():

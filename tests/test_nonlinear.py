@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -8,8 +9,9 @@ from scipy.optimize import brentq
 
 import bihns.linear_flow as lf
 import bihns.nonlinear as nl
-from bihns.boundary_ops import (clamped_grid, navier_boundary_history,
-                                navier_lift_coeffs, navier_lifts)
+from bihns.boundary_ops import (clamped_grid, dirichlet_lifts,
+                                navier_boundary_history, navier_lift_coeffs,
+                                navier_lifts)
 from bihns.cli import ConfigError, _build_problem
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
@@ -111,12 +113,12 @@ def _trapezoid_projection(q, p, lam, M=8192, base=None):
     return 2.0 * (lam * np.abs(u) ** (p - 2.0) * u * w) @ S
 
 
-def _sine_forcing(v, p, lam, base=None):
+def _sine_forcing(v, p, lam, vals=None, lift=None):
     """The hinged forcing of a (T, N) history: ``_grid_forcing`` with the
     sine basis and twice the trapezoid weights of the solver's sine grid."""
     N = v.shape[1]
     _, w, S = sine_grid(N, nl._dealias_points(N, p))
-    return _grid_forcing(v, S.T, 2.0 * w, p, lam, base)
+    return _grid_forcing(v, S.T, 2.0 * w, p, lam, vals, lift)
 
 
 def _nonlin_row(q, p, lam):
@@ -194,8 +196,7 @@ def test_grid_forcing_sine_matches_trapezoid(p, with_base, T, monkeypatch):
     # time-dependent lift values, as the solver adds them: h(t_j) @ lifts
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
     lift = navier_lifts(x)
-    base = (lambda rows: vals[rows] @ lift) if with_base else None
-    hist = _sine_forcing(v, p, -0.7, base)
+    hist = _sine_forcing(v, p, -0.7, *((vals, lift) if with_base else ()))
     assert hist.shape == (T, N)
     for row, h, got in zip(v, vals, hist):
         expect = _trapezoid_projection(row, p, -0.7, M,
@@ -225,9 +226,31 @@ def test_grid_forcing_clamped_matches_dense(p, with_base, M, monkeypatch):
         / np.arange(1, K + 1) ** 2
     vals = g.standard_normal((T, 2)) + 1j * g.standard_normal((T, 2))
     lift = np.stack((1.0 - x, x ** 2 * (3.0 - 2.0 * x)))
-    base = (lambda rows: vals[rows] @ lift) if with_base else None
-    got = _grid_forcing(c, phi, w, p, 1.3, base)
+    got = _grid_forcing(c, phi, w, p, 1.3, *((vals, lift) if with_base else ()))
     expect = _dense_forcing(c, phi, w, p, 1.3, vals @ lift if with_base else None)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("family", ["hinged", "clamped"])
+def test_grid_forcing_solver_sized_blocks(family):
+    # the solvers' grids at the bench sizes and the default block size:
+    # 150 rows walk blocks of 63, 63 and 24 with all four lift rows
+    if family == "hinged":
+        N, p = 256, 3.0
+        x, w, S = sine_grid(N, _dealias_points(N, p))
+        B, w, lift = S.T, 2.0 * w, navier_lifts(x)
+    else:
+        N, K, p = 128, 48, 5.0
+        x, w = clamped_grid(N, K)[:2]
+        B, lift = build_clamped_basis(K).evaluate(x), dirichlet_lifts(x)
+    K, T = B.shape[0], 150
+    assert T > 2 * (nl._BLOCK_BYTES // (16 * B.shape[1]))
+    g = np.random.default_rng(13)
+    c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
+        / np.arange(1, K + 1)
+    vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
+    got = _grid_forcing(c, B, w, p, 1.3, vals, lift)
+    expect = _dense_forcing(c, B, w, p, 1.3, vals @ lift)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -265,10 +288,11 @@ def test_clamped_solve_evaluates_the_basis_once(monkeypatch):
 
 
 def test_power_in_place_zero_and_overflow():
-    u = np.zeros(5, dtype=complex)
+    # stacked real rows: the real parts over the imaginary parts
+    u = np.zeros((2, 5))
     assert _power(u, 3.0, 1.0) is u and not np.any(u)
     with pytest.raises(OverflowError, match="blow-up"):
-        _power(np.array([1e200 + 1e200j, 1.0]), 5.0, 1.0)
+        _power(np.array([[1e200, 1.0], [1e200, 0.0]]), 5.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +343,30 @@ def test_picard_navier_small_data_contraction_and_residual():
     assert rec.iterations <= 8
     assert all(f <= 0.5 for f in rec.contraction_factors)
     assert rec.residual <= 10.0 * spec.tol
+
+
+def test_free_flow_phases_on_the_recurrence():
+    # lam = 0 and zero boundary data: q[j] = q[0] e^{i omega t_j} against
+    # 40-digit phases of the stored omega and t_j.  The recurrence sums the
+    # rounding of omega dt over the steps: on mode 256 that is 5.6e-9 at
+    # t = T and 2.4e-8 at worst on the way.  A table exp(i omega t_j)
+    # rounds omega t_j itself (up to 4e9 rad): 8.7e-8 at T, 2.4e-7 at worst
+    N, ks = 256, np.array([1, 64, 128, 256])
+    q0 = np.zeros(N, dtype=complex)
+    q0[ks - 1] = [1.0, 0.5j, 0.25, 0.1 - 0.1j]
+    st0 = sine_state(q0)
+    spec = ProblemSpec(family="navier", s=1.0, lam=0.0, T=0.01, N=N, dt=1e-5,
+                       phi=lambda x: reconstruct(st0, x))
+    rec = picard_navier(spec)
+    omegas = lf.navier_eigenvalues(N)
+    with mpmath.workdps(40):
+        for k in ks:
+            w = mpmath.mpf(float(omegas[k - 1]))
+            exact = np.array([complex(mpmath.expj(w * mpmath.mpf(float(t))))
+                              for t in rec.times])
+            err = np.abs(rec.q[:, k - 1] - rec.q[0, k - 1] * exact)
+            assert err[-1] <= 2e-8 * abs(rec.q[0, k - 1])
+            assert err.max() <= 5e-8 * abs(rec.q[0, k - 1])
 
 
 def test_picard_navier_nonlinear_galerkin_oracle():
