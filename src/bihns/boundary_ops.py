@@ -250,14 +250,13 @@ def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
     data contribute zeros.
     """
     times = np.asarray(times, dtype=np.float64)
-    T = len(times)
-    vals = np.zeros((T, 4), dtype=np.complex128)
-    forcing = np.zeros((T, len(omegas)), dtype=np.complex128)
+    vals = np.zeros((len(times), 4), dtype=np.complex128)
+    slopes = np.zeros_like(vals)                   # h_i'(t_j)
     for i, h in enumerate(hs):
         if h.active:
             vals[:, i] = h(times)
-            forcing -= np.asarray(h.derivative()(times))[:, None] * a[i]
-    return vals, duhamel_history(ForcingHistory(times, forcing, omegas),
+            slopes[:, i] = h.derivative()(times)
+    return vals, duhamel_history(ForcingHistory(times, slopes @ -a, omegas),
                                  c0 - vals[0] @ a)
 
 

@@ -285,6 +285,7 @@ def _run_solve(payload, outdir, seed):
         "tstar": rec.tstar,
         "iterations": rec.iterations,
         "contraction_factors": factors,
+        "step_precision": rec.step_precision,
         "residual": rec.residual,
         "mode_residual": None,
         "mode_residual_note": (

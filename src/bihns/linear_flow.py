@@ -213,26 +213,29 @@ def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
     step length (a ``linspace`` grid has a handful) and the recurrence
     indexes those rows.  The interval terms J are formed for
     ``_DUHAMEL_BLOCK`` steps at a time, bit for bit the per-step products:
-    the complex products are explicit ``np.multiply`` calls into fresh
-    arrays, since ``fb * g0[s]`` would run in place on the large temporary
-    ``g0[s]``, in a numpy loop that rounds differently.
+    the complex products are explicit ``np.multiply`` calls into arrays that
+    are not their operands, since ``fb * g0[s]`` would run in place on the
+    large temporary ``g0[s]``, in a numpy loop that rounds differently.  So
+    each step writes the phase product straight into V[j+1] and adds J[j]
+    there (an addition rounds alike in place).
     """
     t, c, w = F.times, F.coeffs, F.omegas
-    V = np.zeros_like(c)
-    if v0 is not None:
-        V[0] = v0
+    V = np.empty_like(c)
+    V[0] = 0.0 if v0 is None else v0
     steps, which = np.unique(np.diff(t), return_inverse=True)
     z = 1j * w[None, :] * steps[:, None]
     g0, g1 = _interval_weights(z)
-    ez = np.exp(z)
+    phases = list(np.exp(z))
     for a in range(0, len(t) - 1, _DUHAMEL_BLOCK):
         s = which[a:a + _DUHAMEL_BLOCK]
         fa, fb = c[a:a + len(s)], c[a + 1:a + 1 + len(s)]
         J = np.multiply(fb, g0[s])
         J += np.multiply(fa - fb, g1[s])
         J *= steps[s][:, None]
-        for i, si in enumerate(s):
-            V[a + i + 1] = ez[si] * V[a + i] + J[i]
+        for i, si in enumerate(s.tolist()):
+            row = V[a + i + 1]
+            np.multiply(phases[si], V[a + i], out=row)
+            np.add(row, J[i], out=row)
     return V
 
 

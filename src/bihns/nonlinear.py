@@ -28,6 +28,15 @@ families report the last Picard distance |c_n - c_{n-1}| as the residual:
 by the contraction it bounds the fixed-point residual |Phi(c_n) - c_n| up
 to the factor kappa < 1, so no extra map application is made.
 
+The Picard steps run in mixed precision (``_step_dtype``).  A step that
+cannot be the last one runs its forcing kernel in float32: step 1, and a
+step for which the last contraction factor predicts a distance of at least
+``tol`` while the last distance is still above sqrt(eps_32) times the first.
+Only a float64 step may stop, so the accepted iterate is always
+c_n = Phi(c_{n-1}) in float64 and the residual keeps its meaning; the
+float32 steps only supply the starting point.  A float32 step that
+overflows runs again in float64.  The records list each step's precision.
+
 The records keep their own layouts: the hinged record holds the sine
 coefficients of v = u - gamma, gamma the stationary lift at h(0); the
 clamped record holds u on the half-weight mixed basis.
@@ -140,6 +149,8 @@ class SolutionRecord:
     holds u on the half-weight mixed basis, ``q`` and ``p`` (T, N) and the
     constant mode ``p0`` (T,).  ``states`` builds ``FourierState``s from the
     rows on demand and ``norms`` gives the whole H^s history in one pass.
+    ``step_precision`` names the working dtype of each Picard step of the
+    accepted T* attempt ("float32" or "float64"; the last is float64).
     Non-finite coefficients raise ``ValueError`` at construction.
     """
 
@@ -153,6 +164,7 @@ class SolutionRecord:
     contraction_factors: List[float] = field(default_factory=list)
     iterations: int = 0
     residual: float = float("nan")
+    step_precision: List[str] = field(default_factory=list)
 
     def __post_init__(self):
         names = ("q",) if self.p is None else ("q", "p", "p0")
@@ -223,13 +235,15 @@ def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
 
 
 #: bytes of the grid values of one block of time rows, R x (M+1) complex
-#: as 2R real rows: small enough to stay in L2 from synthesis to projection
+#: as 2R real rows of the working dtype: small enough to stay in L2 from
+#: synthesis to projection
 _BLOCK_BYTES = 1 << 19
 
 
 def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
                   lam: float, vals: Optional[np.ndarray] = None,
-                  lift: Optional[np.ndarray] = None) -> np.ndarray:
+                  lift: Optional[np.ndarray] = None,
+                  dtype=np.float64) -> np.ndarray:
     """(T, K) projections sum_x w(x) lam |u|^(p-2) u(x) B_k(x) of the grid
     values u = c @ B + vals @ lift for the complex coefficient history ``c``
     and, if given, the complex data ``vals`` (T, L) of the real lift rows
@@ -247,37 +261,49 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
     x = 1/2 (M even) belongs to S and S' alone.  Time rows go in blocks of
     ``_BLOCK_BYTES``, each as stacked real (re; im) rows, so every GEMM is
     real and no complex grid block is formed.
+
+    ``dtype`` is the working precision of the folded matrices, the stacked
+    rows and the grid block (float64 or float32); the output is complex128
+    either way.  Overflow anywhere, in a cast to float32 included, raises
+    ``OverflowError``.
     """
     T, K = c.shape
     M1 = B.shape[1]
     H, mid = M1 // 2, M1 % 2                       # nodes x < 1/2; x = 1/2
     if vals is None:
         vals, lift = np.zeros((T, 0)), np.zeros((0, M1))
+    work = {"dtype": dtype, "casting": "same_kind"}
     flip = lift[:, ::-1]                           # lift rows at 1 - x
-    Bs = np.concatenate((B[0::2, :H + mid], 0.5 * (lift + flip)[:, :H + mid]))
-    Ba = np.concatenate((B[1::2, :H], 0.5 * (lift - flip)[:, :H]))
-    Ps, Pa = B[0::2, :H + mid] * w[:H + mid], B[1::2, :H] * w[:H]
-    R = max(1, _BLOCK_BYTES // (16 * M1))
-    grid = np.empty((2 * R, 2 * H + mid))         # u(x) | u(1-x) | u(1/2)
+    Bs = np.concatenate((B[0::2, :H + mid], 0.5 * (lift + flip)[:, :H + mid]),
+                        **work)
+    Ba = np.concatenate((B[1::2, :H], 0.5 * (lift - flip)[:, :H]), **work)
+    Ps = (B[0::2, :H + mid] * w[:H + mid]).astype(dtype, copy=False)
+    Pa = (B[1::2, :H] * w[:H]).astype(dtype, copy=False)
+    R = max(1, _BLOCK_BYTES // (2 * np.dtype(dtype).itemsize * M1))
+    grid = np.empty((2 * R, 2 * H + mid), dtype=dtype)  # u(x) | u(1-x) | u(1/2)
     out = np.empty((T, K), dtype=np.complex128)
-    for r0 in range(0, T, R):
-        rows = slice(r0, min(r0 + R, T))
-        r, ob = min(R, T - r0), out[rows]
-        xs = np.concatenate((c[rows, 0::2], vals[rows]), axis=1)
-        xa = np.concatenate((c[rows, 1::2], vals[rows]), axis=1)
-        S = np.concatenate((xs.real, xs.imag)) @ Bs
-        A = np.concatenate((xa.real, xa.imag)) @ Ba
-        u = grid[:2 * r]
-        np.add(S[:, :H], A, out=u[:, :H])
-        np.subtract(S[:, :H], A, out=u[:, H:2 * H])
-        u[:, 2 * H:] = S[:, H:]
-        _power(u, p, lam)
-        np.add(u[:, :H], u[:, H:2 * H], out=S[:, :H])
-        np.subtract(u[:, :H], u[:, H:2 * H], out=A)
-        S[:, H:] = u[:, 2 * H:]
-        fs, fa = S @ Ps.T, A @ Pa.T
-        ob.real[:, 0::2], ob.imag[:, 0::2] = fs[:r], fs[r:]
-        ob.real[:, 1::2], ob.imag[:, 1::2] = fa[:r], fa[r:]
+    # an overflow shows as a non-finite value, which the checks raise on
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, T, R):
+            rows = slice(r0, min(r0 + R, T))
+            r, ob = min(R, T - r0), out[rows]
+            xs = np.concatenate((c[rows, 0::2], vals[rows]), axis=1)
+            xa = np.concatenate((c[rows, 1::2], vals[rows]), axis=1)
+            S = np.concatenate((xs.real, xs.imag), **work) @ Bs
+            A = np.concatenate((xa.real, xa.imag), **work) @ Ba
+            u = grid[:2 * r]
+            np.add(S[:, :H], A, out=u[:, :H])
+            np.subtract(S[:, :H], A, out=u[:, H:2 * H])
+            u[:, 2 * H:] = S[:, H:]
+            _power(u, p, lam)
+            np.add(u[:, :H], u[:, H:2 * H], out=S[:, :H])
+            np.subtract(u[:, :H], u[:, H:2 * H], out=A)
+            S[:, H:] = u[:, 2 * H:]
+            fs, fa = S @ Ps.T, A @ Pa.T
+            if not (np.isfinite(fs).all() and np.isfinite(fa).all()):
+                raise OverflowError("forcing overflow: blow-up candidate")
+            ob.real[:, 0::2], ob.imag[:, 0::2] = fs[:r], fs[r:]
+            ob.real[:, 1::2], ob.imag[:, 1::2] = fa[:r], fa[r:]
     return out
 
 
@@ -286,8 +312,32 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
 
 
 def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    d = np.abs(a - b) ** 2 @ w
-    return float(np.sqrt(d.max()))
+    """sup_t (sum_k w_k |a_k - b_k|^2)^(1/2) for complex (T, K) histories,
+    with |z|^2 = re^2 + im^2 on the float view of the difference."""
+    d = (a - b).view(np.float64)                   # re, im interleaved
+    d *= d
+    return float(np.sqrt((d @ np.repeat(w, 2)).max()))
+
+
+#: a step may run in float32 only while the last distance exceeds this
+#: multiple of the first one, which keeps the iterate far above float32
+#: rounding: sqrt of the float32 machine epsilon
+_F32_FLOOR = math.sqrt(np.finfo(np.float32).eps)
+
+
+def _step_dtype(dists: List[float], tol: float, max_iter: int):
+    """Working dtype of Picard step n after the distances ``dists`` =
+    [D_1, ..., D_{n-1}] of the steps before it, by the rule in ``_picard``."""
+    n = len(dists) + 1
+    if n == max_iter:
+        return np.float64
+    if n == 1:
+        return np.float32
+    if n == 2 or not dists[-2] > 0:
+        return np.float64
+    d = dists[-1]
+    cannot_stop = d / dists[-2] * d >= tol and d > _F32_FLOOR * dists[0]
+    return np.float32 if cannot_stop else np.float64
 
 
 def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
@@ -305,37 +355,57 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
     ``_grid_forcing`` projection of the nonlinearity of u.
     Distances are sup-in-time with the H^s weights ``wgt``.
 
+    Mixed precision: a step whose forcing runs in float32 only supplies the
+    next starting point, and the stop test D_n = |c_n - c_{n-1}| < ``tol`` is
+    read on float64 steps alone.  ``_step_dtype`` picks float32 for step 1
+    and for a step that cannot stop: the last factor kappa_{n-1} predicts
+    kappa_{n-1} D_{n-1} >= tol, and D_{n-1} > sqrt(eps_32) D_1 keeps the
+    iterate far above float32 rounding (about eps_32 D_1).  The last allowed
+    step is float64.  A float32 step that overflows (|u|^2 leaves the
+    float32 range at |u| ~ 1.8e19, the power sooner for p > 3) runs again
+    in float64; an overflow in float64 raises ``OverflowError`` (a blow-up
+    candidate).
+
     T* starts at min(T, 1) and halves until the iteration converges; below dt
     it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
     takes zero iterations.  Returns (times, vals, c, T*, contraction factors,
-    iterations, residual), vals the data h_i(t_j) (T, 4) and c the last
-    iterate c_n.  The residual is the last Picard distance |c_n - c_{n-1}|,
-    below ``tol``, and 0 for lam = 0: with the map's contraction factor
-    kappa < 1 it bounds the fixed-point residual, |Phi(c_n) - c_n| <=
-    kappa |c_n - c_{n-1}|, at no extra map application.
+    iterations, residual, step precisions), vals the data h_i(t_j) (T, 4), c
+    the last iterate c_n and the precisions the dtype name of each step.
+    The residual is the last Picard distance |c_n - c_{n-1}|, below ``tol``,
+    and 0 for lam = 0.  Since c_n = Phi(c_{n-1}) was computed in float64, the
+    residual is the map's own: with its contraction factor kappa < 1 it
+    bounds the fixed-point residual, |Phi(c_n) - c_n| <= kappa |c_n - c_{n-1}|,
+    at no extra map application.
     """
     T_star = min(spec.T, 1.0)
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
         vals, lin = bops.lift_response(spec.hs, times, a, omegas, c_phi)
 
-        def step(c):    # returning frees the (T, K) forcing before the next step
-            f = _grid_forcing(c, B, w, spec.p, spec.lam, vals, lift)
+        def step(c, dtype):     # returning frees the (T, K) forcing
+            try:
+                f = _grid_forcing(c, B, w, spec.p, spec.lam, vals, lift, dtype)
+            except OverflowError:
+                if dtype == np.float64:
+                    raise
+                dtype = np.float64
+                f = _grid_forcing(c, B, w, spec.p, spec.lam, vals, lift, dtype)
             V = lf.duhamel_history(lf.ForcingHistory(times, f, omegas))
             V *= 1j
             V += lin
-            return V
+            return V, dtype
 
-        c, factors, dist, it = lin, [], 0.0, 0
+        c, factors, dists, precisions = lin, [], [], []
         converged = spec.lam == 0
-        while not converged and it < spec.max_iter:
-            it += 1
-            c_new = step(c)
+        while not converged and len(dists) < spec.max_iter:
+            c_new, dtype = step(c, _step_dtype(dists, spec.tol, spec.max_iter))
             d = _hs_dist(c_new, c, wgt)
-            if dist > 0:
-                factors.append(d / dist)
-            dist, c = d, c_new
-            converged = d < spec.tol
+            if dists and dists[-1] > 0:
+                factors.append(d / dists[-1])
+            dists.append(d)
+            precisions.append(np.dtype(dtype).name)
+            c = c_new
+            converged = dtype == np.float64 and d < spec.tol
         if converged:
             break
         T_star *= 0.5
@@ -343,7 +413,8 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
             raise RuntimeError(
                 "no contraction: T* underflowed below dt "
                 f"(data norm r={np.sqrt(np.abs(lin[0])**2 @ wgt):.3e})")
-    return times, vals, c, T_star, factors, it, dist
+    return (times, vals, c, T_star, factors, len(dists),
+            dists[-1] if dists else 0.0, precisions)
 
 
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
@@ -362,7 +433,7 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     a = bops.navier_lift_coeffs(N)
     c_phi = (sine_coefficients(spec.phi, N).q if spec.phi is not None
              else np.zeros(N, dtype=np.complex128))
-    times, vals, c, T_star, factors, it, residual = _picard(
+    times, vals, c, T_star, factors, it, residual, precisions = _picard(
         spec, lf.navier_eigenvalues(N), sobolev_weights(N, spec.s), c_phi, a,
         S.T, 2.0 * w, bops.navier_lifts(x))
     h0 = vals[0]
@@ -372,7 +443,8 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     return SolutionRecord(times=times, q=q, lift=lift,
                           traces={"u0": tr0 + h0[0], "u1": tr1 + h0[1]},
                           tstar=T_star, contraction_factors=factors,
-                          iterations=it, residual=residual)
+                          iterations=it, residual=residual,
+                          step_precision=precisions)
 
 
 def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
@@ -391,7 +463,7 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     a = (lift * wq) @ phi_x.T
     c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
-    times, vals, c, T_star, factors, it, residual = _picard(
+    times, vals, c, T_star, factors, it, residual, precisions = _picard(
         spec, basis.eigenvalues, (1.0 + basis.mu ** 2) ** spec.s, c_phi, a,
         phi_x, wq, lift)
     q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
@@ -400,4 +472,5 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
                           traces={"u0": 2.0 * (p0 + p.sum(axis=1)),
                                   "u1": 2.0 * (p0 + p @ cos_kpi)},
                           tstar=T_star, contraction_factors=factors,
-                          iterations=it, residual=residual)
+                          iterations=it, residual=residual,
+                          step_precision=precisions)

@@ -411,3 +411,20 @@ def test_linear_solve_takes_no_iterations(tmp_path, family):
     summary = json.loads((out / "summary.json").read_text())["summary"]
     assert summary["iterations"] == 0 and summary["residual"] == 0.0
     assert summary["contraction_factors"] == []
+
+
+def test_solve_summary_lists_step_precision(tmp_path):
+    # one dtype name per Picard step, the stopping step float64, and the
+    # same bytes on a second run
+    for payload in (p for m, p in STRICT_RUNS if m == "solve"):
+        cfg = write_cfg(tmp_path, "s.json", {"mode": "solve", "solve": payload})
+        texts = []
+        for name in ("s1", "s2"):
+            out = tmp_path / payload["family"] / name
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            texts.append((out / "summary.json").read_bytes())
+        assert texts[0] == texts[1]
+        summary = json.loads(texts[0], parse_constant=_reject_constant)["summary"]
+        steps = summary["step_precision"]
+        assert len(steps) == summary["iterations"] > 0
+        assert set(steps) <= {"float32", "float64"} and steps[-1] == "float64"

@@ -254,6 +254,43 @@ def test_grid_forcing_solver_sized_blocks(family):
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("family", ["hinged", "clamped"])
+def test_grid_forcing_float32_within_its_rounding(family):
+    # float32 blocks hold twice the rows; 300 rows walk three of them on the
+    # hinged grid.  The error is float32 rounding: 3e-7 measured
+    if family == "hinged":
+        N, p = 256, 3.0
+        x, w, S = sine_grid(N, _dealias_points(N, p))
+        B, w, lift = S.T, 2.0 * w, navier_lifts(x)
+    else:
+        N, K, p = 128, 48, 5.0
+        x, w = clamped_grid(N, K)[:2]
+        B, lift = build_clamped_basis(K).evaluate(x), dirichlet_lifts(x)
+    K, T = B.shape[0], 300
+    g = np.random.default_rng(14)
+    c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
+        / np.arange(1, K + 1)
+    vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
+    got = _grid_forcing(c, B, w, p, 1.3, vals, lift, np.float32)
+    expect = _dense_forcing(c, B, w, p, 1.3, vals @ lift)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - expect)) <= 5e-6 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("p,lam,big", [(5.0, 1e-200, 1e39), (5.0, 1e-200, 1e20),
+                                        (3.0, 1.0, 1.4e19)])
+def test_grid_forcing_float32_overflow_raises(p, lam, big):
+    # 1e39 does not cast to float32 and 1e20 squares past its range; at
+    # 1.4e19 the power stays finite (1.9e38) but its fold g(x) + g(1-x) does not
+    N = 8
+    x, w, S = sine_grid(N, _dealias_points(N, p))
+    v = np.full((3, N), 0.1 + 0.1j)
+    v[1, 0] = big
+    assert np.all(np.isfinite(_grid_forcing(v, S.T, 2.0 * w, p, lam)))
+    with pytest.raises(OverflowError, match="blow-up"):
+        _grid_forcing(v, S.T, 2.0 * w, p, lam, dtype=np.float32)
+
+
 def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
     N = 8
     M = nl._dealias_points(N, 5.0)
@@ -631,3 +668,119 @@ def test_hinged_solve_builds_no_cosine_matrix():
     _hinged_record()
     assert sine_grid.cache_info().misses > 0
     assert uniform_grid.cache_info().misses == 0
+
+
+# ---------------------------------------------------------------------------
+# mixed-precision Picard steps
+
+
+def _float64_only(monkeypatch):
+    """Every step in float64, each one able to stop: the plain Picard loop."""
+    monkeypatch.setattr(nl, "_step_dtype", lambda *args: np.float64)
+
+
+def _bench_sized_spec(family, **kw):
+    if family == "hinged":
+        q0 = np.zeros(256, dtype=complex)
+        q0[:3] = [0.8, 0.4j, -0.2 + 0.1j]
+        st0 = sine_state(q0)
+        n = [-2, -1, 0, 1, 2]
+        h1 = BoundaryTrace.from_series(n, [0.1, -0.05j, 0.25, 0.08, -0.1j])
+        h5 = BoundaryTrace.from_series(n, [0.1j, 0.2, -0.15, 0.05, 0.1 + 0.1j])
+        return ProblemSpec(family="navier", s=1.0, p=3.0, lam=1.0, T=0.01,
+                           dt=1e-5, N=256, h1=h1, h5=h5,
+                           phi=lambda x: reconstruct(st0, x), **kw)
+    hs = {key: BoundaryTrace.from_series([0, 1], [-b, b]) for key, b in
+          zip(("h1", "h2", "h3", "h4"), (0.1, 0.15j, -0.08, 0.12 + 0.03j))}
+    return ProblemSpec(family="dirichlet", s=2.0, p=5.0, lam=1.0, T=2e-3,
+                       dt=4e-6, N=128, K_clamped=48,
+                       phi=lambda x: (3.0 + 1j) * x ** 2 * (1.0 - x) ** 2,
+                       **hs, **kw)
+
+
+def _solve(spec):
+    return picard_navier(spec) if spec.family == "navier" else picard_dirichlet(spec)
+
+
+@pytest.mark.parametrize("family", ["hinged", "clamped"])
+def test_mixed_precision_matches_float64_solve(family, monkeypatch):
+    spec = _bench_sized_spec(family)
+    rec = _solve(spec)
+    assert "float32" in rec.step_precision
+    assert rec.step_precision[-1] == "float64"
+    assert len(rec.step_precision) == rec.iterations
+    _float64_only(monkeypatch)
+    ref = _solve(spec)
+    assert ref.step_precision == ["float64"] * ref.iterations
+    assert rec.iterations == ref.iterations and rec.tstar == ref.tstar
+    assert 0 < rec.residual < spec.tol
+    for name in ("q", "p", "p0"):
+        got, want = getattr(rec, name), getattr(ref, name)
+        if want is not None:
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_first_step_below_tol_still_stops_on_float64():
+    # the float32 first step already meets tol but cannot stop; the float64
+    # step after it does
+    q0 = np.zeros(32, dtype=complex)
+    q0[:3] = [0.3, 0.2j, -0.1]
+    st0 = sine_state(q0)
+    spec = ProblemSpec(family="navier", s=1.0, p=3.0, lam=1e-12, T=0.005,
+                       N=32, dt=1e-4, phi=lambda x: reconstruct(st0, x))
+    rec = picard_navier(spec)
+    assert rec.step_precision == ["float32", "float64"]
+    assert rec.iterations == 2 and rec.residual < spec.tol
+    for make in (_hinged_record, _clamped_record):
+        assert make()[1].step_precision[-1] == "float64"
+
+
+def test_step_dtype_rule():
+    tol, f32, f64 = 1e-8, np.float32, np.float64
+    assert nl._step_dtype([], tol, 25) is f32
+    assert nl._step_dtype([], tol, 1) is f64           # the only step
+    assert nl._step_dtype([1e-2], tol, 25) is f64      # no factor yet
+    assert nl._step_dtype([1e-2, 1e-4], tol, 25) is f32    # predicts 1e-6
+    assert nl._step_dtype([1e-2, 1e-4], tol, 3) is f64     # last allowed step
+    assert nl._step_dtype([1e-2, 5e-6], tol, 25) is f64    # predicts 2.5e-9
+    # a distance near float32 rounding of the first step: too close to trust
+    assert nl._step_dtype([1.0, 1e-3, 1e-4], 1e-6, 25) is f64
+    assert nl._step_dtype([1.0, 1e-2, 1e-3], 1e-6, 25) is f32
+
+
+def test_float32_overflow_reruns_in_float64(monkeypatch):
+    # u -> alpha u, lam -> lam / alpha^(p-2), tol -> alpha tol maps solves to
+    # solves, exactly in float64 for alpha a power of two.  At alpha = 2^66
+    # (|u| ~ 1e20) |u|^2 overflows float32 but not float64, so every float32
+    # step falls back and the scaled solve is alpha times the float64 one
+    alpha, p = 2.0 ** 66, 5.0
+    q0 = np.zeros(32, dtype=complex)
+    q0[:3] = [1.0, 0.5j, -0.25]
+    st0 = sine_state(q0)
+    base = dict(family="navier", s=1.0, p=p, T=0.005, N=32, dt=1e-4)
+    spec = ProblemSpec(lam=20.0, phi=lambda x: reconstruct(st0, x), **base)
+    scaled = ProblemSpec(lam=20.0 / alpha ** (p - 2.0), tol=alpha * spec.tol,
+                         phi=lambda x: alpha * reconstruct(st0, x), **base)
+    assert "float32" in picard_navier(spec).step_precision
+    kernels = []
+    grid_forcing = nl._grid_forcing
+
+    def recorded(*args):
+        try:
+            grid_forcing(*args)
+        except OverflowError:
+            kernels.append((np.dtype(args[-1]).name, "overflow"))
+            raise
+        kernels.append((np.dtype(args[-1]).name, "ok"))
+        return grid_forcing(*args)
+
+    monkeypatch.setattr(nl, "_grid_forcing", recorded)
+    rec = picard_navier(scaled)
+    assert ("float32", "overflow") in kernels
+    assert ("float32", "ok") not in kernels
+    assert rec.step_precision == ["float64"] * rec.iterations
+    _float64_only(monkeypatch)
+    ref = picard_navier(spec)
+    assert rec.iterations == ref.iterations >= 3
+    assert rec.residual < scaled.tol
+    assert np.max(np.abs(rec.q / alpha - ref.q)) <= 1e-11 * np.max(np.abs(ref.q))
