@@ -10,11 +10,12 @@ the data are attained identically.  The families differ only in the basis,
 its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``dirichlet_lifts`` for (h1, h2, h3, h4), projected on the clamped grid.
-``lift_response`` gives the linear history of c_k for either.
-``clamped_mixed_history`` projects a clamped history onto the half-weight
-mixed basis, and ``clamped_grid`` (the shared ``spectral.uniform_grid`` on
-4 max(N, K) intervals) is the one trapezoid rule behind every clamped
-projection.
+``lift_response`` gives the linear history of c_k for either, and
+``clamped_grid`` (the shared ``spectral.uniform_grid`` on 4 max(N, K)
+intervals) is the one trapezoid rule behind every clamped projection.
+The solvers record c itself.  ``clamped_mixed_history`` projects a clamped
+history onto the half-weight mixed basis; it serves only the clamped
+record's ``states`` view and ``dirichlet_linear_history``.
 
 The closed-form convolution weights of the boundary data stay as the
 reference of that route, exact in time for lattice-series data:
@@ -38,11 +39,9 @@ Note on the clamped value-data cosine weight: expanding the clamped cubic
 lift in the half-weight sine/cosine convention gives the b01/b11/b12 closed
 forms of ``BetaTable`` exactly, but its cosine coefficient for value data is
 12(1 - cos k pi)/(k pi)^4, not the reference closed form 12(1 - k pi)/(k pi)^4
-recorded as b02 (and the lift's cell average is h1/4 + h3/24).  The lift
-coefficients of ``clamped_mixed_history`` use the expansion-consistent values
--- that is what makes the reconstructed solution actually attain its boundary
-data; ``BetaTable`` keeps the reference forms verbatim for the bit-exactness
-check.
+recorded as b02 (and the lift's cell average is h1/4 + h3/24).
+``clamped_mixed_history`` uses the expansion-consistent values, and
+``BetaTable`` keeps the reference forms verbatim for the bit-exactness check.
 """
 
 from __future__ import annotations
@@ -226,7 +225,7 @@ def clamped_grid(N: int, K: int):
     The one quadrature of the clamped family: every integrand it meets
     (initial datum, lift or nonlinearity times phi_j; phi_j times sin/cos)
     has a vanishing first derivative at both ends, so the trapezoid rule is
-    O(h^4).  S and C carry the record's N sine/cosine modes.
+    O(h^4).  S and C carry the N sine/cosine modes of the mixed basis.
     """
     return uniform_grid(N, 4 * max(N, K))
 

@@ -270,7 +270,8 @@ def _run_solve(payload, outdir, seed):
     rec = picard_navier(spec) if spec.family == NAVIER else picard_dirichlet(spec)
     t, hs = _float_cells(rec.times), _float_cells(rec.norms(spec.s))
     _write_table(outdir / "solve_norms.csv",
-                 "sup-in-time fixed-point norm: max_t ||u(t)||_{H^s}",
+                 "(sum_k (1+xi_k^2)^s |c_k|^2)^(1/2) of the solver coefficients c "
+                 "with xi_k = k pi or mu_k; s = 0 for l2_norm",
                  ["t", "hs_norm", "l2_norm"],
                  zip(t, hs, _float_cells(rec.norms(0.0))))
     u0, u1 = rec.traces["u0"], rec.traces["u1"]
@@ -278,7 +279,7 @@ def _run_solve(payload, outdir, seed):
                  "reconstructed endpoint values u(0,t), u(1,t)",
                  ["t", "u0_re", "u0_im", "u1_re", "u1_im"],
                  zip(t, *(_float_cells(a) for a in (u0.real, u0.imag, u1.real, u1.imag))))
-    _write_table(outdir / "solve_plot.csv", "norm history (t, ||u||_{H^s})",
+    _write_table(outdir / "solve_plot.csv", "norm history (t, hs_norm)",
                  ["x", "y"], zip(t, hs))
     factors = [float(f) for f in rec.contraction_factors]
     summary = {

@@ -28,18 +28,16 @@ families report the last Picard distance |c_n - c_{n-1}| as the residual:
 by the contraction it bounds the fixed-point residual |Phi(c_n) - c_n| up
 to the factor kappa < 1, so no extra map application is made.
 
-The Picard steps run in mixed precision (``_step_dtype``).  A step that
-cannot be the last one runs its forcing kernel in float32: step 1, and a
-step for which the last contraction factor predicts a distance of at least
-``tol`` while the last distance is still above sqrt(eps_32) times the first.
-Only a float64 step may stop, so the accepted iterate is always
-c_n = Phi(c_{n-1}) in float64 and the residual keeps its meaning; the
-float32 steps only supply the starting point.  A float32 step that
-overflows runs again in float64.  The records list each step's precision.
+The Picard steps run in mixed precision (``_step_dtype``): a step that
+cannot be the last one runs its forcing kernel in float32.  Only a float64
+step may stop, so the accepted iterate is always c_n = Phi(c_{n-1}) in
+float64 and the residual keeps its meaning.  A float32 step that overflows
+runs again in float64.  The records list each step's precision.
 
-The records keep their own layouts: the hinged record holds the sine
-coefficients of v = u - gamma, gamma the stationary lift at h(0); the
-clamped record holds u on the half-weight mixed basis.
+Both families return one record in the solver's own terms: the data
+h_i(t_j), the coefficients c_k(t_j) and the family's ``Basis``.  So the
+traces are the data, the norms weigh c as the Picard distance does, and
+``evaluate`` sums lifts and modes.
 """
 
 from __future__ import annotations
@@ -53,10 +51,10 @@ import numpy as np
 from . import boundary_ops as bops
 from . import linear_flow as lf
 from .spectral import (BoundaryTrace, FourierState, _sample, mixed_state,
-                       reconstruct, sine_coefficients, sine_grid,
-                       sine_state, sobolev_weights)
+                       sine_coefficients, sine_grid, sine_state)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
-from .spectral import odd_even_extend
+# and nonlinear.reconstruct
+from .spectral import odd_even_extend, reconstruct
 
 NAVIER = "navier"
 DIRICHLET = "dirichlet"
@@ -140,26 +138,49 @@ class ProblemSpec:
         return tuple(getattr(self, name) for name in TRACES[self.family])
 
 
+@dataclass(frozen=True)
+class Basis:
+    """One family's basis B_k and lifts, and the uniform grid of its forcing.
+
+    ``xi`` are the frequencies of the modes (k pi hinged, mu_k clamped) and
+    ``omegas`` their eigenvalues xi^4; ``modes`` and ``lifts`` evaluate the
+    (K, len(x)) modes and the (4, len(x)) lift rows at any x.  On the grid:
+    ``B`` and ``L`` hold those values, ``w`` the quadrature weights, and ``a``
+    (4, K) the projections of the lifts onto the modes.  ``states`` maps a
+    record to its older state layout: the hinged sine coefficients of
+    u - gamma, gamma the lift at h(0), or the clamped u on the half-weight
+    mixed basis.
+    """
+
+    xi: np.ndarray
+    omegas: np.ndarray
+    modes: Callable
+    lifts: Callable
+    B: np.ndarray
+    w: np.ndarray
+    L: np.ndarray
+    a: np.ndarray
+    states: Callable
+
+    def weights(self, s: float) -> np.ndarray:
+        """(K,) H^s weights (1 + xi^2)^s of the Picard distance and the norms."""
+        return (1.0 + self.xi ** 2) ** s
+
+
 @dataclass
 class SolutionRecord:
-    """Time-stamped solution as coefficient arrays, with diagnostics.
+    """u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x) as the solver holds it.
 
-    Row j of the read-only arrays is the state at ``times[j]``: the hinged
-    record holds the sine coefficients ``q`` (T, N) of v; the clamped record
-    holds u on the half-weight mixed basis, ``q`` and ``p`` (T, N) and the
-    constant mode ``p0`` (T,).  ``states`` builds ``FourierState``s from the
-    rows on demand and ``norms`` gives the whole H^s history in one pass.
-    ``step_precision`` names the working dtype of each Picard step of the
-    accepted T* attempt ("float32" or "float64"; the last is float64).
-    Non-finite coefficients raise ``ValueError`` at construction.
+    Row j of the read-only ``vals`` (T, 4), the data h_i in the order of
+    ``TRACES``, and ``c`` (T, K), the coefficients on ``basis``, is time
+    ``times[j]``; non-finite rows raise ``ValueError``.  ``step_precision``
+    names the dtype of each Picard step of the accepted T* attempt.
     """
 
     times: np.ndarray
-    q: np.ndarray
-    p: Optional[np.ndarray] = None
-    p0: Optional[np.ndarray] = None
-    lift: Optional[Callable] = None     # stationary x-polynomial added back
-    traces: Dict[str, np.ndarray] = field(default_factory=dict)
+    vals: np.ndarray
+    c: np.ndarray
+    basis: Basis
     tstar: float = 0.0
     contraction_factors: List[float] = field(default_factory=list)
     iterations: int = 0
@@ -167,44 +188,47 @@ class SolutionRecord:
     step_precision: List[str] = field(default_factory=list)
 
     def __post_init__(self):
-        names = ("q",) if self.p is None else ("q", "p", "p0")
-        for name in names:
+        for name in ("vals", "c"):
             view = getattr(self, name).view()
             view.flags.writeable = False
             setattr(self, name, view)
-        if not all(np.isfinite(getattr(self, name)).all() for name in names):
+        if not (np.isfinite(self.vals).all() and np.isfinite(self.c).all()):
             raise ValueError("non-finite coefficients rejected")
 
-    def _state(self, j: int) -> FourierState:
-        if self.p is None:
-            return sine_state(self.q[j], t=self.times[j])
-        return mixed_state(self.q[j], self.p[j], self.p0[j], t=self.times[j])
+    @property
+    def traces(self) -> Dict[str, np.ndarray]:
+        """The endpoint values u(0, t) = h1(t) and u(1, t) = h2(t), exact."""
+        return {"u0": self.vals[:, 0], "u1": self.vals[:, 1]}
 
     @property
     def states(self) -> List[FourierState]:
-        """One read-only ``FourierState`` per time node, built on each access."""
-        return [self._state(j) for j in range(len(self.times))]
+        """One ``FourierState`` per time node in the family's older layout
+        (``Basis.states``), built on each access for the benchmark's twins."""
+        return self.basis.states(self)
 
     def norms(self, s: float) -> np.ndarray:
-        """(T,) truncated H^s norms, bit-identical to ``sobolev_norm`` per state.
-
-        Elementwise squares, weights and a pairwise ``sum`` per row keep the
-        per-state summation order (a BLAS ``@ w`` would not).  The constant
-        mode stays the scalar ``abs(p0) ** 2``: numpy's complex abs and its
-        x*x square each differ from it by an ulp on some rows.
-        """
-        w = sobolev_weights(self.q.shape[1], float(s))
-        if self.p is None:
-            return np.sqrt((w * np.abs(self.q) ** 2).sum(axis=1))
-        mean_sq = np.array([abs(z) ** 2 for z in self.p0.tolist()])
-        return np.sqrt(mean_sq + (w * (np.abs(self.q) ** 2
-                                       + np.abs(self.p) ** 2)).sum(axis=1))
+        """(T,) norms (sum_k (1 + xi_k^2)^s |c_k|^2)^(1/2) of the rows of c,
+        in the weights of the Picard distance."""
+        return np.sqrt(_hs_sq(self.c.copy(), self.basis.weights(float(s))))
 
     def evaluate(self, j: int, x) -> np.ndarray:
-        out = reconstruct(self._state(j), x)
-        if self.lift is not None:
-            out = out + self.lift(np.asarray(x, dtype=np.float64))
-        return out
+        """u(x, times[j]): the lifts of the data plus the modes."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return self.vals[j] @ self.basis.lifts(x) + self.c[j] @ self.basis.modes(x)
+
+
+def _sine_states(rec: SolutionRecord) -> List[FourierState]:
+    """Hinged ``states``: sine states of c + (h(t) - h(0)) @ a."""
+    q = rec.c + (rec.vals - rec.vals[0]) @ rec.basis.a
+    return [sine_state(row, t=t) for row, t in zip(q, rec.times)]
+
+
+def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
+    """Clamped ``states``: u projected onto N half-weight mixed modes."""
+    S, C = bops.clamped_grid(N, len(rec.basis.xi))[2:]
+    q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.B,
+                                          rec.basis.w, S, C)
+    return [mixed_state(*row, t=t) for *row, t in zip(q, p, p0, rec.times)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +335,13 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
 # Picard iteration: one driver, two families
 
 
-def _hs_dist(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    """sup_t (sum_k w_k |a_k - b_k|^2)^(1/2) for complex (T, K) histories,
-    with |z|^2 = re^2 + im^2 on the float view of the difference."""
-    d = (a - b).view(np.float64)                   # re, im interleaved
-    d *= d
-    return float(np.sqrt((d @ np.repeat(w, 2)).max()))
+def _hs_sq(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(T,) sums sum_k w_k |d_k|^2 over the rows of a complex (T, K) history,
+    with |z|^2 = re^2 + im^2 squared in place on the float view of ``d``;
+    the Picard distance is the sup over t of their square roots."""
+    f = d.view(np.float64)                         # re, im interleaved
+    f *= f
+    return f @ np.repeat(w, 2)
 
 
 #: a step may run in float32 only while the last distance exceeds this
@@ -327,7 +352,13 @@ _F32_FLOOR = math.sqrt(np.finfo(np.float32).eps)
 
 def _step_dtype(dists: List[float], tol: float, max_iter: int):
     """Working dtype of Picard step n after the distances ``dists`` =
-    [D_1, ..., D_{n-1}] of the steps before it, by the rule in ``_picard``."""
+    [D_1, ..., D_{n-1}] of the steps before it.
+
+    float32 for step 1 and for a step that cannot stop: the last factor
+    kappa_{n-1} predicts kappa_{n-1} D_{n-1} >= tol, and D_{n-1} >
+    sqrt(eps_32) D_1 keeps the iterate far above float32 rounding (about
+    eps_32 D_1).  float64 otherwise, and always for step ``max_iter``.
+    """
     n = len(dists) + 1
     if n == max_iter:
         return np.float64
@@ -340,57 +371,51 @@ def _step_dtype(dists: List[float], tol: float, max_iter: int):
     return np.float32 if cannot_stop else np.float64
 
 
-def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
-            c_phi: np.ndarray, a: np.ndarray, B: np.ndarray, w: np.ndarray,
-            lift: np.ndarray):
+def _picard(spec: ProblemSpec, basis: Basis,
+            c_phi: np.ndarray) -> SolutionRecord:
     """Iterate c -> lin + i Duhamel(forcing(c)) on the lift route.
 
     u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x) (module docstring):
-    ``spec.hs`` are the family's four traces, ``B`` (K, M+1) its basis on a
-    uniform grid with weights ``w`` and eigenvalues ``omegas``, ``lift``
-    (4, M+1) the lift rows on that grid, ``a`` (4, K) their projections onto
-    B and ``c_phi`` that of the initial datum.  Each T* attempt builds
-    lin = e^{i omega t} (c_phi - h(0) @ a) - Duhamel(sum_i h_i' a_i) in one
-    recurrence (``bops.lift_response``) and forcing(c), the
-    ``_grid_forcing`` projection of the nonlinearity of u.
-    Distances are sup-in-time with the H^s weights ``wgt``.
+    ``spec.hs`` are the family's four traces, ``basis`` its modes, lifts and
+    grid, and ``c_phi`` the projection of the initial datum onto the modes.
+    Each T* attempt builds lin = e^{i omega t} (c_phi - h(0) @ a)
+    - Duhamel(sum_i h_i' a_i) in one recurrence (``bops.lift_response``) and
+    forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u.
+    Distances are sup-in-time with the H^s weights ``basis.weights(s)``.
 
-    Mixed precision: a step whose forcing runs in float32 only supplies the
-    next starting point, and the stop test D_n = |c_n - c_{n-1}| < ``tol`` is
-    read on float64 steps alone.  ``_step_dtype`` picks float32 for step 1
-    and for a step that cannot stop: the last factor kappa_{n-1} predicts
-    kappa_{n-1} D_{n-1} >= tol, and D_{n-1} > sqrt(eps_32) D_1 keeps the
-    iterate far above float32 rounding (about eps_32 D_1).  The last allowed
-    step is float64.  A float32 step that overflows (|u|^2 leaves the
-    float32 range at |u| ~ 1.8e19, the power sooner for p > 3) runs again
-    in float64; an overflow in float64 raises ``OverflowError`` (a blow-up
-    candidate).
+    Mixed precision: ``_step_dtype`` picks each step's working dtype, and
+    the stop test D_n = |c_n - c_{n-1}| < ``tol`` is read on float64 steps
+    alone.  A float32 step that overflows (|u|^2 leaves the float32 range at
+    |u| ~ 1.8e19, the power sooner for p > 3) runs again in float64; an
+    overflow in float64 raises ``OverflowError`` (a blow-up candidate).
 
     T* starts at min(T, 1) and halves until the iteration converges; below dt
     it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
-    takes zero iterations.  Returns (times, vals, c, T*, contraction factors,
-    iterations, residual, step precisions), vals the data h_i(t_j) (T, 4), c
-    the last iterate c_n and the precisions the dtype name of each step.
-    The residual is the last Picard distance |c_n - c_{n-1}|, below ``tol``,
-    and 0 for lam = 0.  Since c_n = Phi(c_{n-1}) was computed in float64, the
-    residual is the map's own: with its contraction factor kappa < 1 it
-    bounds the fixed-point residual, |Phi(c_n) - c_n| <= kappa |c_n - c_{n-1}|,
-    at no extra map application.
+    takes zero iterations.  The record holds the data h_i(t_j), the last
+    iterate c_n and the dtype name of each step.  Its residual is the last
+    Picard distance |c_n - c_{n-1}|, below ``tol``, and 0 for lam = 0.
+    Since c_n = Phi(c_{n-1}) was computed in float64, the residual is the
+    map's own: with its contraction factor kappa < 1 it bounds the
+    fixed-point residual, |Phi(c_n) - c_n| <= kappa |c_n - c_{n-1}|, at no
+    extra map application.
     """
+    wgt = basis.weights(spec.s)
     T_star = min(spec.T, 1.0)
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
-        vals, lin = bops.lift_response(spec.hs, times, a, omegas, c_phi)
+        vals, lin = bops.lift_response(spec.hs, times, basis.a, basis.omegas,
+                                       c_phi)
 
         def step(c, dtype):     # returning frees the (T, K) forcing
+            args = (c, basis.B, basis.w, spec.p, spec.lam, vals, basis.L)
             try:
-                f = _grid_forcing(c, B, w, spec.p, spec.lam, vals, lift, dtype)
+                f = _grid_forcing(*args, dtype)
             except OverflowError:
                 if dtype == np.float64:
                     raise
                 dtype = np.float64
-                f = _grid_forcing(c, B, w, spec.p, spec.lam, vals, lift, dtype)
-            V = lf.duhamel_history(lf.ForcingHistory(times, f, omegas))
+                f = _grid_forcing(*args, dtype)
+            V = lf.duhamel_history(lf.ForcingHistory(times, f, basis.omegas))
             V *= 1j
             V += lin
             return V, dtype
@@ -399,7 +424,7 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
         converged = spec.lam == 0
         while not converged and len(dists) < spec.max_iter:
             c_new, dtype = step(c, _step_dtype(dists, spec.tol, spec.max_iter))
-            d = _hs_dist(c_new, c, wgt)
+            d = float(np.sqrt(_hs_sq(c_new - c, wgt).max()))
             if dists and dists[-1] > 0:
                 factors.append(d / dists[-1])
             dists.append(d)
@@ -413,64 +438,41 @@ def _picard(spec: ProblemSpec, omegas: np.ndarray, wgt: np.ndarray,
             raise RuntimeError(
                 "no contraction: T* underflowed below dt "
                 f"(data norm r={np.sqrt(np.abs(lin[0])**2 @ wgt):.3e})")
-    return (times, vals, c, T_star, factors, len(dists),
-            dists[-1] if dists else 0.0, precisions)
+    return SolutionRecord(times=times, vals=vals, c=c, basis=basis,
+                          tstar=T_star, contraction_factors=factors,
+                          iterations=len(dists),
+                          residual=dists[-1] if dists else 0.0,
+                          step_precision=precisions)
 
 
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
-    """Contraction iteration for the hinged family on the lift route.
-
-    The record's rows ``q`` are the sine coefficients of v = u - gamma, with
-    gamma the lift of the corner data h(0): q = c + (h(t) - h(0)) @ a.
-    gamma is attached as ``record.lift`` so that ``record.evaluate``
-    reproduces u, and the traces are the endpoint values of v plus h1(0) and
-    h2(0).
-    """
+    """The hinged solve on its ``Basis`` (module docstring)."""
     if spec.family != NAVIER:
         raise ValueError("spec is not a hinged-family problem")
     N = spec.N
     x, w, S = sine_grid(N, _dealias_points(N, spec.p))
-    a = bops.navier_lift_coeffs(N)
+    xi = np.arange(1, N + 1, dtype=np.float64) * np.pi
+    basis = Basis(xi=xi, omegas=lf.navier_eigenvalues(N),
+                  modes=lambda y: np.sin(np.outer(xi, y)),
+                  lifts=bops.navier_lifts, B=S.T, w=2.0 * w,
+                  L=bops.navier_lifts(x), a=bops.navier_lift_coeffs(N),
+                  states=_sine_states)
     c_phi = (sine_coefficients(spec.phi, N).q if spec.phi is not None
              else np.zeros(N, dtype=np.complex128))
-    times, vals, c, T_star, factors, it, residual, precisions = _picard(
-        spec, lf.navier_eigenvalues(N), sobolev_weights(N, spec.s), c_phi, a,
-        S.T, 2.0 * w, bops.navier_lifts(x))
-    h0 = vals[0]
-    q = c + (vals - h0) @ a
-    lift = (lambda x: h0 @ bops.navier_lifts(x)) if np.any(h0) else None
-    tr0, tr1 = bops.sine_endpoint_values(q)
-    return SolutionRecord(times=times, q=q, lift=lift,
-                          traces={"u0": tr0 + h0[0], "u1": tr1 + h0[1]},
-                          tstar=T_star, contraction_factors=factors,
-                          iterations=it, residual=residual,
-                          step_precision=precisions)
+    return _picard(spec, basis, c_phi)
 
 
 def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
-    """Clamped-family pipeline on cubic lifts plus the clamped eigenbasis.
-
-    u = sum_i h_i(t) lift_i(x) + sum_j c_j(t) phi_j(x) (see module docstring);
-    the record holds u projected once onto the half-weight mixed basis.
-    """
+    """The clamped solve on its ``Basis`` (module docstring)."""
     if spec.family != DIRICHLET:
         raise ValueError("spec is not a clamped-family problem")
     N, K = spec.N, spec.K_clamped
-    basis = lf.build_clamped_basis(K)
-    x, wq, S, C = bops.clamped_grid(N, K)
-    phi_x = basis.evaluate(x)                              # (K, M+1)
-    lift = bops.dirichlet_lifts(x)
-    a = (lift * wq) @ phi_x.T
-    c_phi = (phi_x @ (wq * _sample(spec.phi, len(x) - 1)[1])
+    cb = lf.build_clamped_basis(K)
+    x, w = bops.clamped_grid(N, K)[:2]
+    B, L = cb.evaluate(x), bops.dirichlet_lifts(x)
+    basis = Basis(xi=cb.mu, omegas=cb.eigenvalues, modes=cb.evaluate,
+                  lifts=bops.dirichlet_lifts, B=B, w=w, L=L, a=(L * w) @ B.T,
+                  states=lambda rec: _mixed_states(rec, N))
+    c_phi = (B @ (w * _sample(spec.phi, len(x) - 1)[1])
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
-    times, vals, c, T_star, factors, it, residual, precisions = _picard(
-        spec, basis.eigenvalues, (1.0 + basis.mu ** 2) ** spec.s, c_phi, a,
-        phi_x, wq, lift)
-    q, p, p0 = bops.clamped_mixed_history(vals, c, phi_x, wq, S, C)
-    cos_kpi = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
-    return SolutionRecord(times=times, q=q, p=p, p0=p0,
-                          traces={"u0": 2.0 * (p0 + p.sum(axis=1)),
-                                  "u1": 2.0 * (p0 + p @ cos_kpi)},
-                          tstar=T_star, contraction_factors=factors,
-                          iterations=it, residual=residual,
-                          step_precision=precisions)
+    return _picard(spec, basis, c_phi)

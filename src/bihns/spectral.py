@@ -19,8 +19,8 @@ coefficient conventions share that grid and differ only by a factor 2:
   transform; used by the hinged/Navier pipeline).
 * ``odd_even_extend``    -- q_k = int_0^1 f sin, p_k = int_0^1 f cos,
   p0 = (1/2) int_0^1 f  (half-weight coefficients of the odd/even *split*
-  f = f_o + f_e; the clamped/Dirichlet solver records its states in this
-  convention, and the clamped trace study splits data this way).
+  f = f_o + f_e; the clamped trace study splits data this way, and the
+  clamped record's ``states`` view is in this convention).
 
 Boundary signals h(t) are almost-periodic series over the frequency lattice
 {n pi^4} (period 2/pi^3), see ``BoundaryTrace``.
@@ -228,20 +228,15 @@ def reconstruct_derivative(state: FourierState, grid, order: int = 1) -> np.ndar
 # norms
 
 
-def sobolev_weights(N: int, s: float) -> np.ndarray:
-    k = np.arange(1, N + 1, dtype=np.float64)
-    return (1.0 + (k * np.pi) ** 2) ** s
-
-
 def sobolev_norm(state: FourierState, s: float) -> float:
     """Truncated H^s norm (|p0|^2 + sum (1+(k pi)^2)^s (|q_k|^2+|p_k|^2))^(1/2).
 
     The (1 + (k pi)^2)^s weight is the fixed convention here (equivalent to the
     homogeneous (k pi)^{2s} weight away from k=0, without the constant-mode
-    degeneracy).  ``nonlinear.SolutionRecord.norms`` gives the same numbers,
-    bit for bit, for every state of a solve at once.
+    degeneracy).  ``nonlinear.SolutionRecord.norms`` weighs the solver's
+    coefficients c alike, with (1 + xi_k^2)^s.
     """
-    w = sobolev_weights(state.N, float(s))
+    w = (1.0 + (np.arange(1.0, state.N + 1) * np.pi) ** 2) ** float(s)
     total = abs(state.p0) ** 2 + np.sum(w * (np.abs(state.q) ** 2 + np.abs(state.p) ** 2))
     return float(np.sqrt(total))
 
