@@ -480,8 +480,7 @@ def test_picard_navier_four_data_linear_oracle(N):
     assert np.max(np.abs(rec.c - want)) <= 1e-6
 
 
-@pytest.mark.parametrize("family", ["navier", "dirichlet"])
-def test_picard_navier_boundary_trace_reported(family):
+def _assert_traces_are_the_data(family):
     # the lifts carry the data and every mode vanishes at both ends, so the
     # reported endpoint values are the data, bit for bit, with h1(0) != 0
     h1 = BoundaryTrace.from_series([-1, 0, 1], [-0.25, 0.75, -0.25j])
@@ -499,6 +498,14 @@ def test_picard_navier_boundary_trace_reported(family):
     ends = np.array([rec.evaluate(j, [0.0, 1.0]) for j in range(len(rec.times))])
     assert np.max(np.abs(ends - np.stack((spec.h1(rec.times),
                                           spec.h2(rec.times)), axis=1))) < 1e-12
+
+
+def test_picard_navier_boundary_trace_reported():
+    _assert_traces_are_the_data("navier")
+
+
+def test_picard_dirichlet_boundary_trace_reported():
+    _assert_traces_are_the_data("dirichlet")
 
 
 def _hinged_norms_over_N(lam, compatible):
@@ -678,14 +685,15 @@ def test_picard_applies_the_map_once_per_iteration(make, monkeypatch):
 
 @pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
                          ids=["hinged", "clamped"])
-def test_record_norms_weigh_c_like_the_picard_distance(make):
+def test_record_norms_equal_per_state_norms(make):
+    # each time row's norm weighs its c like the Picard distance does
     spec, rec = make()
     xi = (np.arange(1, spec.N + 1) * np.pi if spec.family == "navier"
           else build_clamped_basis(spec.K_clamped).mu)
     for s in (spec.s, 0.0):
         w = (1.0 + xi ** 2) ** s
         assert np.array_equal(rec.basis.weights(s), w)
-        want = np.sqrt(np.sum(w * np.abs(rec.c) ** 2, axis=1))
+        want = np.array([np.sqrt(np.sum(w * np.abs(c) ** 2)) for c in rec.c])
         assert np.max(np.abs(rec.norms(s) - want)) <= 1e-14 * want.max()
 
 
@@ -704,7 +712,8 @@ def test_record_norms_of_zero_data_hinged_solve_are_sobolev_norms():
 
 @pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
                          ids=["hinged", "clamped"])
-def test_record_rows_are_read_only_and_evaluate_sums_lifts_and_modes(make):
+def test_record_states_are_read_only_rows(make):
+    # rows of c, vals and states are read-only; evaluate sums lifts and modes
     spec, rec = make()
     j = len(rec.times) // 2
     for a in (rec.c[j], rec.vals[j], rec.states[j].q):
@@ -728,13 +737,14 @@ def test_record_rows_are_read_only_and_evaluate_sums_lifts_and_modes(make):
     assert mid.shape == (1,) and abs(mid[0] - want[4]) <= 1e-13 * abs(want[4])
 
 
-@pytest.mark.parametrize("name", ["c", "vals"])
-def test_record_rejects_non_finite(name):
-    _, rec = _hinged_record()
-    rows = {"c": np.array(rec.c), "vals": np.array(rec.vals)}
-    rows[name][1, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        SolutionRecord(times=rec.times, basis=rec.basis, **rows)
+@pytest.mark.parametrize("clamped", [False, True])
+def test_record_rejects_non_finite(clamped):
+    _, rec = (_clamped_record if clamped else _hinged_record)()
+    for name in ("c", "vals"):
+        rows = {"c": np.array(rec.c), "vals": np.array(rec.vals)}
+        rows[name][1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            SolutionRecord(times=rec.times, basis=rec.basis, **rows)
 
 
 def test_hinged_solve_builds_no_cosine_matrix():
