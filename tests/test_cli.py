@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bihns.cli import (ConfigError, _float_cells, _fmt, _write_table,
-                       load_config, main)
+from bihns.cli import (ConfigError, _fmt, _write_floats, load_config,
+                       main)
 
 PERIOD = 2.0 / np.pi ** 3
 
@@ -307,12 +307,32 @@ def test_float_table_bytes_match_fmt_rows(tmp_path):
     z = vals - 1j * vals[::-1]              # strided .real/.imag views
     cols = (vals, z.real, z.imag)
     header = ["t", "re", "im"]
-    _write_table(tmp_path / "new.csv", "anchor text", header,
-                 zip(*map(_float_cells, cols)))
+    _write_floats(tmp_path / "new.csv", "anchor text", header, cols)
     _write_fmt_rows(tmp_path / "old.csv", "anchor text", header, zip(*cols))
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.count(b"\r\n") == 2 + len(vals) and b"-0," in new
+
+
+def test_float_table_bytes_match_csv_writer_on_edge_floats(tmp_path):
+    # the one-pass table against csv.writer cell by cell: signed zero, the
+    # smallest subnormal, the largest double, a small exponent, integral and
+    # negative values; no cell needs quoting
+    vals = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1e-5, 3.0, -2.0,
+                     -1.7976931348623157e308, -5e-324, 1e16, -0.1])
+    cols = (vals, vals[::-1], -vals)
+    header = ["t", "a,b", "c"]
+    _write_floats(tmp_path / "new.csv", "anchor, quoted", header, cols)
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["anchor", "anchor, quoted", ""])
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in zip(*cols))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert b"4.9406564584124654e-324" in new
+    assert b"1.7976931348623157e+308" in new
+    assert b"1.0000000000000001e-05" in new and b",3," in new
 
 
 CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,

@@ -791,8 +791,9 @@ def _solve(spec):
 def test_mixed_precision_matches_float64_solve(family, monkeypatch):
     spec = _bench_sized_spec(family)
     rec = _solve(spec)
-    assert "float32" in rec.step_precision
-    assert rec.step_precision[-1] == "float64"
+    assert rec.step_precision == {
+        "hinged": ["float32", "float32", "float32", "float64"],
+        "clamped": ["float32", "float64"]}[family]
     assert len(rec.step_precision) == rec.iterations
     _float64_only(monkeypatch)
     ref = _solve(spec)
@@ -829,6 +830,16 @@ def test_step_dtype_rule():
     # a distance near float32 rounding of the first step: too close to trust
     assert nl._step_dtype([1.0, 1e-3, 1e-4], 1e-6, 25) is f64
     assert nl._step_dtype([1.0, 1e-2, 1e-3], 1e-6, 25) is f32
+    # step 2 reads the predicted factor kappa_hat: float32 when kappa_hat D_1
+    # reaches 100 tol (powers of two make the products exact)
+    tol2, d1 = 2.0 ** -27, 2.0 ** -7
+    at = 100.0 * 2.0 ** -20                  # kappa_hat D_1 = 100 tol2 exactly
+    assert nl._step_dtype([d1], tol2, 25, at) is f32
+    assert nl._step_dtype([d1], tol2, 25, 4.0 * at) is f32
+    assert nl._step_dtype([d1], tol2, 25, np.nextafter(at, 0.0)) is f64
+    assert nl._step_dtype([d1], tol2, 25, 0.1 * at) is f64
+    assert nl._step_dtype([d1], tol2, 25, math.nan) is f64    # undefined
+    assert nl._step_dtype([d1], tol2, 2, 4.0 * at) is f64     # step max_iter
 
 
 def test_float32_overflow_reruns_in_float64(monkeypatch):
