@@ -120,11 +120,11 @@ def convolve_series(omegas: np.ndarray, h: BoundaryTrace, times: np.ndarray) -> 
 def boundary_convolution(h: BoundaryTrace, times: np.ndarray, N: int) -> np.ndarray:
     """Shared I[j,k] = int_0^{t_j} e^{i(k pi)^4 (t-tau)} h(tau) dtau, k = 1..N.
 
-    Uses the exact lattice-series route when a series is present (a zero
-    series gives zeros), else the piecewise-linear sampled route.
+    Uses the piecewise-linear route for a sampled trace, else the exact
+    lattice-series route (a zero series gives zeros).
     """
     omegas = navier_eigenvalues(N)
-    if np.any(h.a != 0) or h.sample_t is None:
+    if h.sample_t is None:
         return convolve_series(omegas, h, times)
     times = np.asarray(times, dtype=np.float64)
     coeffs = np.repeat(h(times)[:, None], len(omegas), axis=1)

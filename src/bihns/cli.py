@@ -91,8 +91,8 @@ def _phi_from_config(raw):
     raise ConfigError(f"phi: unknown initial-data kind {kind!r}")
 
 
-#: keys of a solve payload: the ProblemSpec fields plus ``metric``
-_SOLVE_KEYS = frozenset(f.name for f in dataclasses.fields(ProblemSpec)) | {"metric"}
+#: keys of a solve payload: the ProblemSpec fields
+_SOLVE_KEYS = frozenset(f.name for f in dataclasses.fields(ProblemSpec))
 
 
 def _build_problem(payload: Dict) -> ProblemSpec:
@@ -102,8 +102,6 @@ def _build_problem(payload: Dict) -> ProblemSpec:
     unknown = sorted(set(payload) - _SOLVE_KEYS)
     if unknown:
         raise ConfigError(f"unknown solve keys: {', '.join(unknown)}")
-    if payload.get("metric", "hs") != "hs":
-        raise ConfigError(f"metric must be 'hs' (got {payload['metric']!r})")
     try:
         traces = {key: _trace_from_config(payload.get(key), key)
                   for key in ("h1", "h2", "h3", "h4", "h5", "h6")}
@@ -209,8 +207,11 @@ def load_config(path) -> Dict:
     mode = cfg.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES} (got {mode!r})")
+    unknown = sorted(set(cfg) - {"mode", mode})
+    if unknown:
+        raise ConfigError(f"unknown top-level keys: {', '.join(unknown)}")
     # eager validation so that bad configs never emit partial artifacts
-    payload = cfg.get(mode, cfg.get("payload", {}))
+    payload = cfg.get(mode, {})
     if not isinstance(payload, dict):
         raise ConfigError(f"section {mode!r} must be an object")
     try:
@@ -429,7 +430,7 @@ _RUNNERS = {
 def run(cfg: Dict, outdir, seed: int = 0) -> int:
     """Execute a validated config; returns the process exit code."""
     mode = cfg["mode"]
-    payload = cfg.get(mode, cfg.get("payload", {}))
+    payload = cfg.get(mode, {})
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

@@ -7,12 +7,12 @@ Three flavors of the linear flow i u_t + u_xxxx = 0 live here:
 * the clamped flow W^D on the clamped-beam eigenbasis (eigenvalues mu_k^4
   with cos(mu) cosh(mu) = 1); only the basis lives here.
 
-``duhamel`` evaluates int_0^t exp(i w (t-tau)) f(tau) dtau per mode, exactly
-for forcing that is piecewise linear between the history's time nodes
+``duhamel_history`` gives int_0^t exp(i w (t-tau)) f(tau) dtau per mode at
+every node, exactly for forcing that is piecewise linear between the nodes
 (closed-form exponential-integrator weights, with a Taylor branch for small
-phases |w dt| < 1e-3 to dodge cancellation).  ``duhamel_history`` gives it
-at every node, plus the free flow of a start row: both solver families take
-their linear history, free flow included, from that one recurrence.
+phases |w dt| < 1e-3 to dodge cancellation), plus the free flow of a start
+row: both solver families take their linear history from that one
+recurrence, and ``duhamel`` reads it at one time.
 """
 
 from __future__ import annotations
@@ -240,25 +240,18 @@ def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
 
 
 def duhamel(F: ForcingHistory, t: float) -> np.ndarray:
-    """Mode vector int_0^t exp(i w (t - tau)) f(tau) dtau for t inside the grid.
-
-    The i / -i prefactors required by the various solution formulas are applied
-    by the callers; this is the bare convolution.
+    """Mode vector int_0^t exp(i w (t - tau)) f(tau) dtau for t inside the grid:
+    the last row of ``duhamel_history`` on the grid cut at t, the forcing
+    linear in between.  Callers apply the i / -i prefactors of their formulas.
     """
-    times = F.times
+    times, c = F.times, F.coeffs
     if t < times[0] - 1e-14 or t > times[-1] + 1e-14:
         raise ValueError("evaluation time outside the forcing history")
     t = min(max(t, times[0]), times[-1])
-    V = duhamel_history(F)
-    j = int(np.searchsorted(times, t, side="right") - 1)
-    j = min(j, len(times) - 2) if len(times) > 1 else 0
-    if t == times[j]:
-        return V[j]
-    dt = t - times[j]
-    frac = dt / (times[j + 1] - times[j])
-    f_end = F.coeffs[j] + frac * (F.coeffs[j + 1] - F.coeffs[j])
-    z = 1j * F.omegas * dt
-    g0, g1 = _interval_weights(z)
-    J = dt * (f_end * g0 + (F.coeffs[j] - f_end) * g1)
-    return np.exp(z) * V[j] + J
-
+    j = int(np.searchsorted(times, t, side="right"))      # nodes at or before t
+    times, c = times[:j], c[:j]
+    if t > times[-1]:
+        frac = (t - times[-1]) / (F.times[j] - times[-1])
+        times = np.append(times, t)
+        c = np.vstack((c, c[-1] + frac * (F.coeffs[j] - c[-1])))
+    return duhamel_history(ForcingHistory(times, c, F.omegas))[-1]

@@ -509,6 +509,6 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     basis = Basis(xi=cb.mu, omegas=cb.eigenvalues, modes=cb.evaluate,
                   lifts=bops.dirichlet_lifts, B=B, w=w, L=L, a=(L * w) @ B.T,
                   states=lambda rec: _mixed_states(rec, N))
-    c_phi = (B @ (w * _sample(spec.phi, len(x) - 1)[1])
+    c_phi = (B @ (w * _sample(spec.phi, len(x) - 1))
              if spec.phi is not None else np.zeros(K, dtype=np.complex128))
     return _picard(spec, basis, c_phi)

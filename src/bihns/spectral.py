@@ -109,22 +109,20 @@ def mixed_state(q, p, p0: complex = 0.0, t: float = 0.0) -> FourierState:
 # transforms
 
 
-def _sample(f, M: int):
-    """Evaluate callable/sample input on the closed uniform grid of M+1 points."""
-    x = np.linspace(0.0, 1.0, M + 1)
+def _sample(f, M: int) -> np.ndarray:
+    """Values of ``f`` on the closed uniform grid of [0, 1]: a callable is
+    evaluated once on M+1 nodes and must give one value per node; a sample
+    array including both endpoints is its own grid (M = len - 1)."""
     if callable(f):
-        try:
-            vals = np.asarray(f(x), dtype=np.complex128)
-            if vals.shape != x.shape:
-                raise TypeError
-        except Exception:
-            vals = np.asarray([f(xi) for xi in x], dtype=np.complex128)
+        vals = np.asarray(f(np.linspace(0.0, 1.0, M + 1)), dtype=np.complex128)
+        if vals.shape != (M + 1,):
+            raise ValueError(f"a callable must map the {M + 1} grid nodes to as "
+                             f"many values (got shape {vals.shape})")
     else:
         vals = np.asarray(f, dtype=np.complex128)
-        x = np.linspace(0.0, 1.0, len(vals))
     if not np.all(np.isfinite(vals.view(np.float64))):
         raise ValueError("non-finite samples rejected")
-    return x, vals
+    return vals
 
 
 def _read_only(*arrays):
@@ -164,22 +162,21 @@ def matmul_real(a, B) -> np.ndarray:
     return out.reshape(a.shape[:-1] + (r.shape[1],))
 
 
-def sine_coefficients(f, N: int, grid_points: Optional[int] = None) -> FourierState:
+def sine_coefficients(f, N: int) -> FourierState:
     """Full sine transform q_k = 2*int_0^1 f(x) sin(k pi x) dx, k=1..N.
 
-    ``f`` may be a callable on [0,1] or uniform samples including both
-    endpoints.  Composite trapezoid on >= 4N+1 points is the single transform
-    convention used throughout (exact for band-limited input).
+    ``f`` is a callable on [0,1], sampled on max(4N, 8) intervals, or uniform
+    samples including both endpoints.  Composite trapezoid is the single
+    transform convention used throughout (exact for band-limited input).
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    M = (grid_points - 1) if grid_points else max(4 * N, 8)
-    vals = _sample(f, M)[1]
+    vals = _sample(f, max(4 * N, 8))
     _, w, S = sine_grid(N, len(vals) - 1)
     return sine_state(2.0 * matmul_real(vals * w, S))
 
 
-def odd_even_extend(f, N: int, grid_points: Optional[int] = None):
+def odd_even_extend(f, N: int):
     """Split f on (0,1) into odd/even two-periodic parts f = f_o + f_e.
 
     Returns ``(f_o, f_e)`` as (Sine, Cosine) states with the half-weight
@@ -189,8 +186,7 @@ def odd_even_extend(f, N: int, grid_points: Optional[int] = None):
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    M = (grid_points - 1) if grid_points else max(4 * N, 8)
-    vals = _sample(f, M)[1]
+    vals = _sample(f, max(4 * N, 8))
     _, w, S, C = uniform_grid(N, len(vals) - 1)
     vw = vals * w
     return (sine_state(matmul_real(vw, S)),
@@ -199,29 +195,9 @@ def odd_even_extend(f, N: int, grid_points: Optional[int] = None):
 
 def reconstruct(state: FourierState, grid) -> np.ndarray:
     """Evaluate p0 + sum p_k cos(k pi x) + sum q_k sin(k pi x) on the grid."""
-    return reconstruct_derivative(state, grid, 0)
-
-
-def reconstruct_derivative(state: FourierState, grid, order: int = 1) -> np.ndarray:
-    """Term-by-term x-derivative of the series on the grid."""
     x = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    k = np.arange(1, state.N + 1)
-    w = (k * np.pi) ** order
-    arg = np.pi * np.outer(x, k)
-    # d/dx cycles sin -> cos -> -sin -> -cos; handle the four phases
-    r = order % 4
-    if r == 0:
-        s_part, c_part = np.sin(arg), np.cos(arg)
-    elif r == 1:
-        s_part, c_part = np.cos(arg), -np.sin(arg)
-    elif r == 2:
-        s_part, c_part = -np.sin(arg), -np.cos(arg)
-    else:
-        s_part, c_part = -np.cos(arg), np.sin(arg)
-    out = s_part @ (w * state.q) + c_part @ (w * state.p)
-    if order == 0:
-        out = out + state.p0
-    return out
+    arg = np.pi * np.outer(x, np.arange(1, state.N + 1))
+    return np.sin(arg) @ state.q + np.cos(arg) @ state.p + state.p0
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +223,12 @@ def sobolev_norm(state: FourierState, s: float) -> float:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Time signal h(t) = sum_n a_n exp(i n pi^4 t) on the integer lattice.
+    """Time signal h(t) in one form: the series sum_n a_n exp(i n pi^4 t) on
+    the integer lattice, or samples (t_j, h_j) read piecewise linearly.
 
     ``n`` holds the (sparse, sorted, unique) lattice indices and ``a`` the
-    matching coefficients; the series has period 2/pi^3.  Optionally a dense
-    sampled form (t_j, h_j) is carried alongside (used by the piecewise-linear
-    convolution path when no series is available).
+    matching coefficients; the series has period 2/pi^3.  Samples come only
+    with the default zero series; every reader takes them if ``sample_t`` is set.
     """
 
     n: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
@@ -285,6 +261,8 @@ class BoundaryTrace:
                 raise ValueError("non-finite trace samples rejected")
             if np.any(np.diff(st) <= 0):
                 raise ValueError("sample times must be strictly increasing")
+            if np.any(a != 0):
+                raise ValueError("a trace is a series or samples, not both")
             object.__setattr__(self, "sample_t", st)
             object.__setattr__(self, "sample_h", sh)
 
@@ -294,9 +272,9 @@ class BoundaryTrace:
         return bool(np.any(self.a != 0)) or self.sample_t is not None
 
     def __call__(self, t) -> np.ndarray:
-        """Evaluate the series (preferred) or the sampled interpolant."""
+        """Evaluate the sampled interpolant or the series."""
         t = np.asarray(t, dtype=np.float64)
-        if self.sample_t is not None and not np.any(self.a != 0):
+        if self.sample_t is not None:
             re = np.interp(t, self.sample_t, self.sample_h.real)
             im = np.interp(t, self.sample_t, self.sample_h.imag)
             return re + 1j * im
@@ -306,12 +284,12 @@ class BoundaryTrace:
         return phases @ self.a
 
     def derivative(self) -> "BoundaryTrace":
-        """d/dt of the signal: series termwise, sampled form by differences."""
-        if np.any(self.a != 0) or self.sample_t is None:
-            return BoundaryTrace(self.n, 1j * TRACE_FREQ
-                                 * self.n.astype(np.float64) * self.a)
-        dh = np.gradient(self.sample_h, self.sample_t)
-        return BoundaryTrace(sample_t=self.sample_t, sample_h=dh)
+        """d/dt of the signal: sampled form by differences, series termwise."""
+        if self.sample_t is not None:
+            dh = np.gradient(self.sample_h, self.sample_t)
+            return BoundaryTrace(sample_t=self.sample_t, sample_h=dh)
+        return BoundaryTrace(self.n, 1j * TRACE_FREQ
+                             * self.n.astype(np.float64) * self.a)
 
     @staticmethod
     def zero() -> "BoundaryTrace":

@@ -189,10 +189,10 @@ def test_lift_mixed_coeffs_match_quadrature():
     """Closed-form lift expansions vs the shared transform (dual route)."""
     N = 24
     (q1, p1, c01), (q3, p3, c03) = bops._lift_mixed_coeffs(N)
+    x = np.linspace(0, 1, 4096 * 4 + 1)
     for coeffs, poly in (((q1, p1, c01), lambda x: bops.dirichlet_lift(1, 0, 1 - x)),
                          ((q3, p3, c03), lambda x: bops.dirichlet_lift(0, 1, 1 - x))):
-        fo, fe = odd_even_extend(lambda x: poly(x).astype(complex), N,
-                                 grid_points=4096 * 4 + 1)
+        fo, fe = odd_even_extend(poly(x).astype(complex), N)
         assert np.max(np.abs(fo.q - coeffs[0])) < 1e-7
         assert np.max(np.abs(fe.p - coeffs[1])) < 1e-7
         assert abs(fe.p0 - coeffs[2]) < 1e-9
@@ -220,8 +220,8 @@ def test_navier_lift_coeffs_match_gauss_legendre():
 
 
 def test_dirichlet_traces_cosine_mode():
-    fo, fe = odd_even_extend(lambda x: np.cos(2 * np.pi * x) + 0j, 8,
-                             grid_points=4097)
+    x = np.linspace(0, 1, 4097)
+    fo, fe = odd_even_extend(np.cos(2 * np.pi * x) + 0j, 8)
     r1, r2, r3, r4 = bops.dirichlet_traces(fo, fe)
     t = 0.011
     # single even-part term at lattice index 2^4, half-weight normalization
@@ -230,8 +230,8 @@ def test_dirichlet_traces_cosine_mode():
 
 
 def test_dirichlet_traces_sine_mode():
-    fo, fe = odd_even_extend(lambda x: np.sin(np.pi * x) + 0j, 8,
-                             grid_points=4097)
+    x = np.linspace(0, 1, 4097)
+    fo, fe = odd_even_extend(np.sin(np.pi * x) + 0j, 8)
     r1, r2, r3, r4 = bops.dirichlet_traces(fo, fe)
     t = 0.007
     assert abs(r3(t) - 0.5 * np.pi * np.exp(1j * np.pi ** 4 * t)) < 1e-6
@@ -262,7 +262,7 @@ def test_sine_endpoint_values_smooth_function():
     N = 128
     f = lambda x: np.cos(0.5 * np.pi * x) + 0.25 * x
     from bihns.spectral import sine_coefficients
-    q = sine_coefficients(f, N, grid_points=64 * N + 1).q
+    q = sine_coefficients(f(np.linspace(0, 1, 64 * N + 1)), N).q
     a, b = bops.sine_endpoint_values(q[None, :])
     assert abs(a[0] - 1.0) < 1e-4
     assert abs(b[0] - 0.25) < 1e-4

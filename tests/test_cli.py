@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bihns.cli import (ConfigError, _fmt, _write_floats, load_config,
-                       main)
+from bihns.cli import (ConfigError, _fmt, _strict, _write_floats,
+                       load_config, main)
 
 PERIOD = 2.0 / np.pi ** 3
 
@@ -76,16 +76,28 @@ def _samples(t, h=None):
     {**TRACE_BASE, "N_typo": 32},
     {**TRACE_BASE, "N": 16.5},
     {**TRACE_BASE, "max_iter": 7.9},
+    {**TRACE_BASE, "metric": "hs"},
 ], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
         "s_list", "trace_not_object", "phi_not_object", "series_n_fraction",
         "samples_empty", "samples_short_of_T", "clamped_samples_short_of_T",
         "samples_late_start", "samples_decreasing", "samples_nan",
         "clamped_h5", "hinged_h3", "unknown_key", "N_fraction",
-        "max_iter_fraction"])
+        "max_iter_fraction", "metric_key"])
 def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"mode": "lambda4", "payload": {"K": 20}},
+    {"mode": "lambda4", "lambda4": {"K": 20}, "solve": {"family": "navier"}},
+], ids=["payload_alias", "second_section"])
+def test_unknown_top_level_key_exit2_no_artifacts(tmp_path, cfg):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = tmp_path / "o"
+    assert main(["lambda4", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -209,6 +221,24 @@ def test_identities_run_cli(tmp_path):
     assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["rotated_sine_machine_precision"] is True
+
+
+def test_identities_tail_run_cli(tmp_path):
+    lam_grid = [16.0, 256.0, 4096.0, 65536.0]
+    cfg = write_cfg(tmp_path, "c.json", {
+        "mode": "identities",
+        "identities": {"a_grid": [1.0], "K_grid": [256],
+                       "tail": {"lam_grid": lam_grid, "alpha": 0.9}}})
+    out = tmp_path / "o"
+    assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "tail_bound.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1] == ["lam", "x", "value"]
+    assert len(rows) - 2 == len(lam_grid) * 6      # lam x the default x grid
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["summary"]["tail_bound"]) == {
+        "fitted_C", "slope_x", "slope_lam", "alpha_minus_1"}
+    assert summary["checks"]["tail_all_finite"] is True
 
 
 def test_traces_run_cli(tmp_path):
@@ -448,3 +478,20 @@ def test_solve_summary_lists_step_precision(tmp_path):
         steps = summary["step_precision"]
         assert len(steps) == summary["iterations"] > 0
         assert set(steps) <= {"float32", "float64"} and steps[-1] == "float64"
+
+
+def test_strict_turns_nonfinite_into_none_with_a_note():
+    record = {"nan": float("nan"), "inf": np.float64("inf"),
+              "neg": -float("inf"), "neg_note": "written by the runner",
+              "seq": [1.0, float("nan"), np.float64("-inf")],
+              "arr": np.array([np.inf, 2.0]), "scalar": np.float64(0.25),
+              "count": np.int64(3), "none": None, "nested": {"x": float("nan")}}
+    got = _strict(record)
+    assert got == {"nan": None, "nan_note": "non-finite value nan",
+                   "inf": None, "inf_note": "non-finite value inf",
+                   "neg": None, "neg_note": "written by the runner",
+                   "seq": [1.0, None, None], "arr": [None, 2.0],
+                   "scalar": 0.25, "count": 3, "none": None,
+                   "nested": {"x": None, "x_note": "non-finite value nan"}}
+    assert type(got["scalar"]) is float and type(got["count"]) is int
+    json.dumps(got, allow_nan=False)

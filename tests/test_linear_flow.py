@@ -192,6 +192,17 @@ def test_duhamel_midinterval_evaluation():
     assert abs(got - expect) < 1e-12
 
 
+def test_duhamel_at_a_node_is_that_history_row():
+    # one interval formula: at a node, duhamel reads the recurrence itself
+    t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 0.01, 40))))
+    w = navier_eigenvalues(16)
+    c = rng.standard_normal((41, 16)) + 1j * rng.standard_normal((41, 16))
+    F = ForcingHistory(t, c, w)
+    V = duhamel_history(F)
+    for j in (0, 1, 17, 40):
+        assert np.array_equal(duhamel(F, t[j]), V[j])
+
+
 def _duhamel_per_step(F, v0=None):
     """Reference recurrence with the weights recomputed on every step,
     started from the row ``v0`` (zeros if not given)."""

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bihns.spectral import (BoundaryTrace, FourierState, TRACE_FREQ,
                             cosine_state, matmul_real, mixed_state,
-                            odd_even_extend, reconstruct,
-                            reconstruct_derivative, sine_coefficients,
+                            odd_even_extend, reconstruct, sine_coefficients,
                             sine_state, sobolev_norm, trace_sobolev_norm,
                             uniform_grid)
 
@@ -58,19 +57,6 @@ def test_reconstruct_matches_naive_summation():
     assert np.max(np.abs(reconstruct(state, x) - naive)) < 1e-13
 
 
-def test_reconstruct_derivative_all_phases():
-    # d/dx cycles through four phases; check each against sympy closed forms
-    import sympy as sp
-    xs = sp.symbols("x")
-    expr = 2 * sp.sin(sp.pi * xs) - sp.Rational(1, 3) * sp.cos(2 * sp.pi * xs)
-    state = mixed_state([2.0, 0.0], [0.0, -1.0 / 3.0], 0.0)
-    pts = np.array([0.15, 0.4, 0.73])
-    for order in (1, 2, 3, 4):
-        dex = sp.lambdify(xs, sp.diff(expr, xs, order), "numpy")
-        got = reconstruct_derivative(state, pts, order=order)
-        assert np.max(np.abs(got - dex(pts))) < 1e-10 * max(1.0, np.abs(dex(pts)).max())
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -82,8 +68,7 @@ def test_sine_roundtrip(N, seed):
     r = np.random.default_rng(seed)
     q = r.standard_normal(N) + 1j * r.standard_normal(N)
     state = sine_state(q)
-    back = sine_coefficients(lambda x: reconstruct(state, x), N,
-                             grid_points=8 * N + 1)
+    back = sine_coefficients(reconstruct(state, np.linspace(0, 1, 8 * N + 1)), N)
     assert np.max(np.abs(back.q - q)) < 1e-12 * max(1.0, np.abs(q).max())
 
 
@@ -93,10 +78,15 @@ def test_odd_even_extend_reconstructs():
     x = np.linspace(0.1, 0.9, 33)
     target = f(x)
     for N in (16, 32, 64):
-        fo, fe = odd_even_extend(f, N, grid_points=64 * N + 1)
+        fo, fe = odd_even_extend(f(np.linspace(0, 1, 64 * N + 1)), N)
         got = reconstruct(fo, x) + reconstruct(fe, x)
         errs.append(np.sqrt(np.mean(np.abs(got - target) ** 2)))
     assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+def test_callable_must_return_one_value_per_node():
+    with pytest.raises(ValueError, match="grid nodes"):
+        sine_coefficients(lambda x: 1.0, 4)
 
 
 def test_odd_even_constant_mean_mode():
@@ -189,6 +179,23 @@ def test_trace_active_when_it_carries_data():
     assert not BoundaryTrace.from_series([0, 2], [0.0, 0.0]).active
     assert BoundaryTrace.from_series([2], [1e-300]).active
     assert BoundaryTrace(sample_t=[0.0, 1.0], sample_h=[0.0, 0.0]).active
+
+
+def test_trace_is_a_series_or_samples_not_both():
+    with pytest.raises(ValueError, match="not both"):
+        BoundaryTrace([0, 1], [0.0, 0.5], sample_t=[0.0, 1.0], sample_h=[0.0, 1.0])
+    # the zero series a sampled trace carries by default stays legal
+    assert BoundaryTrace([0, 1], [0.0, 0.0], sample_t=[0.0, 1.0],
+                         sample_h=[0.0, 1.0]).active
+
+
+def test_sampled_trace_reads_its_samples():
+    # built as cli._trace_from_config builds a "samples" trace
+    h = BoundaryTrace(sample_t=[0.0, 0.5, 1.0], sample_h=[0.0, 1 + 2j, 1 - 1j])
+    assert np.array_equal(h([0.25, 0.5, 0.75]), [0.5 + 1j, 1 + 2j, 1 + 0.5j])
+    hp = h.derivative()
+    assert np.array_equal(hp.sample_h, [2 + 4j, 1 - 1j, -6j])
+    assert hp(0.25) == 1.5 + 1.5j
 
 
 def test_trace_duplicate_indices_rejected():
