@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -27,13 +26,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import lab
-from .nonlinear import (DIRICHLET, NAVIER, ProblemSpec, picard_dirichlet,
-                        picard_navier)
+from .nonlinear import NAVIER, ProblemSpec, picard_dirichlet, picard_navier
 from .spectral import BoundaryTrace, reconstruct, sine_state
 # unused here; kept because bench/tracing.py wraps cli.sobolev_norm
 from .spectral import sobolev_norm
-
-MODES = ("solve", "kato_sweep", "optimality", "lambda4", "identities", "traces")
 
 
 class ConfigError(ValueError):
@@ -42,155 +38,149 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config ingestion
+#
+# One key rule at every depth: a config object takes only the keys of its
+# reader table, each present key is converted by its reader, and an absent
+# key takes the default of the function the object builds.  A number is a
+# JSON number: a boolean or a string in a number slot is a config error.
 
 
-def _complex_list(raw, field) -> np.ndarray:
-    try:
-        return np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{field}: expected a list of [re, im] pairs ({e})")
+def _as_is(v, field):
+    return v
 
 
-def _section(raw, field) -> Dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{field}: expected an object (got {raw!r})")
-    return raw
+def _number(v, field) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{field}: expected a number (got {v!r})")
+    return float(v)
 
 
-def _trace_from_config(raw, field) -> BoundaryTrace:
-    if raw is None or _section(raw, field).get("kind", "zero") == "zero":
-        return BoundaryTrace.zero()
-    kind = raw.get("kind")
-    if kind == "series":
-        n = np.asarray(raw.get("n", []), dtype=np.float64)
-        if not np.all(np.abs(n) <= 2.0 ** 53) or np.any(n != np.round(n)):
-            raise ConfigError(f"{field}: lattice indices n must be integers")
-        a = _complex_list(raw.get("a", []), field)
-        if len(n) != len(a):
-            raise ConfigError(f"{field}: n and a lengths differ")
-        return BoundaryTrace.from_series(n, a)
-    if kind == "samples":
-        t = np.asarray(raw.get("t", []), dtype=np.float64)
-        h = _complex_list(raw.get("h", []), field)
-        return BoundaryTrace(sample_t=t, sample_h=h)
-    raise ConfigError(f"{field}: unknown trace kind {kind!r}")
+def _integer(v, field) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{field}: expected an integer (got {v!r})")
+    return v
 
 
-def _phi_from_config(raw):
-    if raw is None or _section(raw, "phi").get("kind", "zero") == "zero":
-        return None
-    kind = raw.get("kind")
-    if kind == "sine":
-        q = _complex_list(raw.get("coefficients", []), "phi")
-        st = sine_state(q)
-        return lambda x: reconstruct(st, x)
-    if kind == "poly":
-        c = [complex(v) if not isinstance(v, list) else complex(*v)
-             for v in raw.get("coefficients", [])]
-        return lambda x: np.polyval(list(reversed(c)), np.asarray(x, dtype=np.float64))
-    raise ConfigError(f"phi: unknown initial-data kind {kind!r}")
+def _count(v, field) -> int:
+    if _integer(v, field) < 1:
+        raise ConfigError(f"{field}: expected an integer >= 1 (got {v!r})")
+    return v
 
 
-#: keys of a solve payload: the ProblemSpec fields
-_SOLVE_KEYS = frozenset(f.name for f in dataclasses.fields(ProblemSpec))
+def _pair(v, field) -> complex:
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ConfigError(f"{field}: expected an [re, im] pair (got {v!r})")
+    return complex(_number(v[0], field), _number(v[1], field))
 
 
-def _build_problem(payload: Dict) -> ProblemSpec:
-    family = payload.get("family")
-    if family not in (NAVIER, DIRICHLET):
-        raise ConfigError(f"family must be 'navier' or 'dirichlet' (got {family!r})")
-    unknown = sorted(set(payload) - _SOLVE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown solve keys: {', '.join(unknown)}")
-    try:
-        traces = {key: _trace_from_config(payload.get(key), key)
-                  for key in ("h1", "h2", "h3", "h4", "h5", "h6")}
-        return ProblemSpec(
-            family=family,
-            s=float(payload.get("s", 1.0)),
-            p=float(payload.get("p", 3.0)),
-            lam=float(payload.get("lam", 1.0)),
-            T=float(payload.get("T", 0.01)),
-            phi=_phi_from_config(payload.get("phi")),
-            N=operator.index(payload.get("N", 128)),
-            dt=float(payload.get("dt", 1e-4)),
-            tol=float(payload.get("tol", 1e-8)),
-            max_iter=operator.index(payload.get("max_iter", 25)),
-            K_clamped=operator.index(payload.get("K_clamped", 32)),
-            **traces,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e))
+def _index(v, field) -> float:
+    """A lattice index: an integral number, 2 and 2.0 alike."""
+    if not abs(_number(v, field)) <= 2.0 ** 53 or v != round(v):
+        raise ConfigError(f"{field}: lattice indices n must be integers")
+    return float(v)
 
 
-# Each lab builder reads its payload exactly as the runner does; load_config
-# calls it first, so a payload it rejects exits 2 before anything is written.
+def _list_of(read):
+    """Reader of a JSON list whose items ``read`` converts."""
+    def read_list(v, field):
+        if not isinstance(v, list):
+            raise ConfigError(f"{field}: expected a list (got {v!r})")
+        return [read(x, f"{field}[{i}]") for i, x in enumerate(v)]
+    return read_list
 
 
-def _kato_sweeps(payload: Dict, seed: int = 0) -> List[lab.RegularitySweep]:
-    """One sweep per s of the grid; the s at position idx uses seed + idx."""
-    base = lab.RegularitySweep(
-        s_grid=[float(s) for s in payload.get("s_grid", [1.0, 2.0, 3.0])],
-        ensemble=operator.index(payload.get("ensemble", 16)),
-        eps=float(payload.get("eps", 0.05)),
-        N=operator.index(payload.get("N", 256)))
-    return [dataclasses.replace(base, s_grid=[s], seed=seed + idx)
-            for idx, s in enumerate(base.s_grid)]
+_numbers, _pairs = _list_of(_number), _list_of(_pair)
 
 
-def _counterexample_run(payload: Dict) -> lab.CounterexampleRun:
-    return lab.CounterexampleRun(
-        alpha=float(payload.get("alpha", 0.6)),
-        beta=float(payload.get("beta", 3.4)),
-        n_grid=[operator.index(n) for n in payload.get("n_grid", [4, 8, 16, 32, 64])],
-        order=operator.index(payload.get("order", 0)))
+def _coefficient(v, field) -> complex:
+    """A poly coefficient: a number, or a list of up to two numbers (re, im)."""
+    return complex(*_numbers(v, field)) if isinstance(v, list) else complex(_number(v, field))
 
 
-def _lambda4_K(payload: Dict) -> int:
-    K = operator.index(payload.get("K", 200))
+def _object(readers, build=dict):
+    """Reader of a JSON object that takes only the keys of ``readers``; it
+    returns ``build`` called with the converted keys as keyword arguments."""
+    def read_object(v, field):
+        if not isinstance(v, dict):
+            raise ConfigError(f"{field}: expected an object (got {v!r})")
+        unknown = sorted(set(v) - set(readers))
+        if unknown:
+            raise ConfigError(f"{field}: unknown keys: {', '.join(unknown)}")
+        return build(**{k: readers[k](x, f"{field}.{k}") for k, x in v.items()})
+    return read_object
+
+
+def _tagged(kinds):
+    """Reader of an object whose ``kind`` ("zero" when absent, and for null)
+    picks the reader of its other keys from ``kinds``."""
+    def read_tagged(v, field):
+        if not isinstance(v, (dict, type(None))):
+            raise ConfigError(f"{field}: expected an object (got {v!r})")
+        rest = dict(v or {})
+        kind = rest.pop("kind", "zero")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{field}: unknown kind {kind!r}")
+        return kinds[kind](rest, field)
+    return read_tagged
+
+
+def _sine_datum(coefficients=()):
+    st = sine_state(coefficients)
+    return lambda x: reconstruct(st, x)
+
+
+def _poly_datum(coefficients=()):
+    c = coefficients[::-1]
+    return lambda x: np.polyval(c, np.asarray(x, dtype=np.float64))
+
+
+_trace = _tagged({
+    "zero": _object({}, BoundaryTrace.zero),
+    "series": _object({"n": _list_of(_index), "a": _pairs},
+                      lambda n=(), a=(): BoundaryTrace.from_series(n, a)),
+    "samples": _object({"t": _numbers, "h": _pairs},
+                       lambda t, h: BoundaryTrace(sample_t=t, sample_h=h))})
+
+#: initial datum; None is the zero datum
+_phi = _tagged({
+    "zero": _object({}, lambda: None),
+    "sine": _object({"coefficients": _pairs}, _sine_datum),
+    "poly": _object({"coefficients": _list_of(_coefficient)}, _poly_datum)})
+
+
+def _lambda4_K(K: int = 200) -> int:
     lab.check_lambda4_K(K)
     return K
 
 
-def _identity_args(payload: Dict):
-    """(``identity_checks`` kwargs, ``tail_bound_spotcheck`` kwargs or None)."""
-    K_grid = [operator.index(K) for K in payload.get("K_grid", [1024, 4096, 16384])]
-    if not K_grid or min(K_grid) < 1:
-        raise ConfigError("identities K_grid must be a nonempty list of integers >= 1")
-    a_grid = [float(a) for a in payload.get("a_grid", [0.5, 1.0, 2.0, 3.5, 5.0])]
-    if not a_grid:
-        raise ConfigError("identities a_grid must be a nonempty list")
-    checks = {"a_grid": a_grid, "K_grid": K_grid}
-    tail = payload.get("tail")
-    if not tail:
-        return checks, None
-    _section(tail, "tail")
-    spot = {"lam_grid": [float(v) for v in tail.get("lam_grid", [16.0, 256.0, 4096.0, 65536.0])],
-            "alpha": float(tail.get("alpha", 0.9))}
+def _tail(v, field) -> Optional[Dict]:
+    """``tail_bound_spotcheck`` kwargs; a null or absent tail runs no check."""
+    if v is None:
+        return None
+    spot = {"lam_grid": [16.0, 256.0, 4096.0, 65536.0], "alpha": 0.9,
+            **_object({"lam_grid": _numbers, "alpha": _number})(v, field)}
     lab.check_tail_bound(**spot)
-    return checks, spot
+    return spot
 
 
-def _traces_args(payload: Dict):
-    """(initial data, s grid, N) of ``trace_regularity_r``."""
-    s_grid = [float(s) for s in payload.get("s_grid", [0.5, 1.5])]
-    if not all(0.0 < s <= 2.0 for s in s_grid):
-        raise ConfigError("traces s_grid must lie in (0, 2]")
-    phis = [p for p in map(_phi_from_config, payload.get("phi", [])) if p is not None]
-    N = operator.index(payload.get("N", 256))
-    if N < 1:
-        raise ConfigError("traces N must be >= 1")
-    return phis or [lambda x: x ** 2 * (1.0 - x) ** 2], s_grid, N
+def _identity_args(tail=None, **checks):
+    """(``identity_checks`` kwargs, ``tail_bound_spotcheck`` kwargs or None)."""
+    if [] in checks.values():
+        raise ConfigError("identities a_grid and K_grid must be nonempty lists")
+    return checks, tail
 
 
-_BUILDERS = {
-    "solve": _build_problem,
-    "kato_sweep": _kato_sweeps,
-    "optimality": _counterexample_run,
-    "lambda4": _lambda4_K,
-    "identities": _identity_args,
-    "traces": _traces_args,
-}
+def _traces_args(s_grid=(0.5, 1.5), phi=(), **kw) -> Dict:
+    """``trace_regularity_r`` kwargs; zero data are dropped, and with none
+    left the datum is x^2 (1-x)^2."""
+    lab.check_trace_s_grid(s_grid)
+    phis = [p for p in phi if p is not None] or [lambda x: x ** 2 * (1.0 - x) ** 2]
+    return {"phis": phis, "s_grid": s_grid, **kw}
+
+
+def _build(mode: str, payload):
+    """The runner's argument of ``mode`` read from its config section."""
+    return _MODES[mode][0](payload, mode)
 
 
 def load_config(path) -> Dict:
@@ -205,18 +195,13 @@ def load_config(path) -> Dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     mode = cfg.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES} (got {mode!r})")
-    unknown = sorted(set(cfg) - {"mode", mode})
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {', '.join(unknown)}")
+    if mode not in tuple(_MODES):
+        raise ConfigError(f"mode must be one of {tuple(_MODES)} (got {mode!r})")
     # eager validation so that bad configs never emit partial artifacts
-    payload = cfg.get(mode, {})
-    if not isinstance(payload, dict):
-        raise ConfigError(f"section {mode!r} must be an object")
     try:
-        _BUILDERS[mode](payload)
-    except (TypeError, ValueError) as e:
+        _object({"mode": _as_is, mode: _as_is})(cfg, "config")
+        _build(mode, cfg.get(mode, {}))
+    except (ArithmeticError, TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
     return cfg
 
@@ -267,7 +252,7 @@ def _write_floats(path: Path, anchor: str, header: Sequence[str],
 # mode runners (each returns (summary dict, checks dict))
 
 
-def _run_solve(payload, outdir, seed):
+def _run_solve(spec, outdir, seed):
     """Solve, write the norm/trace/plot tables and check the outcome.
 
     ``converged``: the residual, the last Picard distance (0 for lam = 0; a
@@ -275,7 +260,6 @@ def _run_solve(payload, outdir, seed):
     ``tstar_reached``: the solve covers the requested T, i.e. T* = T; it fails
     when T* was halved and also when T > 1, which the solver caps at 1.
     """
-    spec = _build_problem(payload)
     rec = picard_navier(spec) if spec.family == NAVIER else picard_dirichlet(spec)
     t, hs = rec.times, rec.norms(spec.s)
     _write_floats(outdir / "solve_norms.csv",
@@ -307,8 +291,10 @@ def _run_solve(payload, outdir, seed):
     return summary, checks
 
 
-def _run_kato(payload, outdir, seed):
-    tables = [lab.kato_sweep(sweep) for sweep in _kato_sweeps(payload, seed)]
+def _run_kato(sweep, outdir, seed):
+    """One seeded sweep per s of the grid; the s at position idx uses seed + idx."""
+    tables = [lab.kato_sweep(dataclasses.replace(sweep, s_grid=[s], seed=seed + idx))
+              for idx, s in enumerate(sweep.s_grid)]
     rows = [r for table in tables for r in table]
     _write_csv(outdir / "kato_sweep.csv", "smoothing_exponent:max(0,(s-i+eps)/4)",
                ["s", "order", "measured", "predicted", "boundary_exponent",
@@ -324,8 +310,7 @@ def _run_kato(payload, outdir, seed):
     return summary, {"monotone_in_order": bool(mono)}
 
 
-def _run_optimality(payload, outdir, seed):
-    cfg = _counterexample_run(payload)
+def _run_optimality(cfg, outdir, seed):
     rows = lab.optimality_run(cfg)
     header = ["n", "norm_u_sq", "norm_h", "ratio"]
     if cfg.order == 0:
@@ -346,8 +331,8 @@ def _run_optimality(payload, outdir, seed):
     return summary, checks
 
 
-def _run_lambda4(payload, outdir, seed):
-    res = lab.count_lambda4(_lambda4_K(payload))
+def _run_lambda4(K, outdir, seed):
+    res = lab.count_lambda4(K)
     _write_csv(outdir / "lambda4.csv",
                "coincidence count of (k-l, k^4-l^4), nonzero buckets, max<=3",
                ["multiplicity", "bucket_count"],
@@ -359,8 +344,8 @@ def _run_lambda4(payload, outdir, seed):
     return summary, {"max_multiplicity_le_3": res["max_multiplicity"] <= 3}
 
 
-def _run_identities(payload, outdir, seed):
-    checks_args, spot_args = _identity_args(payload)
+def _run_identities(args, outdir, seed):
+    checks_args, spot_args = args
     rep = lab.identity_checks(**checks_args)
     res = rep["series_residual_by_K"]
     _write_csv(outdir / "identities.csv",
@@ -398,9 +383,8 @@ def _run_identities(payload, outdir, seed):
     return summary, checks
 
 
-def _run_traces(payload, outdir, seed):
-    phis, s_grid, N = _traces_args(payload)
-    rows = lab.trace_regularity_r(phis, s_grid, N=N)
+def _run_traces(args, outdir, seed):
+    rows = lab.trace_regularity_r(**args)
     header = ["s", "datum", "norm_r12", "norm_r34", "norm_phi_even",
               "norm_phi_odd", "fitted_C_even", "fitted_C_odd",
               "(s+3)/8<s", "(s+10)/8<s"]
@@ -417,24 +401,34 @@ def _run_traces(payload, outdir, seed):
                              "norms_finite": bool(finite)}
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "kato_sweep": _run_kato,
-    "optimality": _run_optimality,
-    "lambda4": _run_lambda4,
-    "identities": _run_identities,
-    "traces": _run_traces,
+#: mode -> (reader of its config section, runner of what the reader builds)
+_MODES = {
+    "solve": (_object({"family": _as_is, "s": _number, "p": _number, "lam": _number,
+                       "T": _number, "phi": _phi, "N": _integer, "dt": _number,
+                       "tol": _number, "max_iter": _integer, "K_clamped": _integer,
+                       **dict.fromkeys(("h1", "h2", "h3", "h4", "h5", "h6"), _trace)},
+                      ProblemSpec), _run_solve),
+    "kato_sweep": (_object({"s_grid": _numbers, "ensemble": _integer, "eps": _number,
+                            "N": _integer}, lab.RegularitySweep), _run_kato),
+    "optimality": (_object({"alpha": _number, "beta": _number,
+                            "n_grid": _list_of(_integer), "order": _integer},
+                           lab.CounterexampleRun), _run_optimality),
+    "lambda4": (_object({"K": _integer}, _lambda4_K), _run_lambda4),
+    "identities": (_object({"a_grid": _numbers, "K_grid": _list_of(_count),
+                            "tail": _tail}, _identity_args), _run_identities),
+    "traces": (_object({"s_grid": _numbers, "phi": _list_of(_phi), "N": _count},
+                       _traces_args), _run_traces),
 }
 
 
 def run(cfg: Dict, outdir, seed: int = 0) -> int:
     """Execute a validated config; returns the process exit code."""
     mode = cfg["mode"]
-    payload = cfg.get(mode, {})
+    args = _build(mode, cfg.get(mode, {}))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        summary, checks = _RUNNERS[mode](payload, outdir, seed)
+        summary, checks = _MODES[mode][1](args, outdir, seed)
     except (RuntimeError, OverflowError, ArithmeticError) as e:
         _write_summary(outdir, {"mode": mode, "seed": seed, "error": str(e),
                                 "checks": {}})
@@ -478,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="bihns",
         description="Spectral experiments for the fourth-order Schrodinger "
                     "equation on the unit interval")
-    ap.add_argument("mode", choices=MODES)
+    ap.add_argument("mode", choices=tuple(_MODES))
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=0, help="ensemble seed (u64)")

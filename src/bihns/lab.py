@@ -87,7 +87,7 @@ def count_lambda4(K: int) -> Dict:
 class RegularitySweep:
     """Randomized ensemble for the trace-exponent measurement."""
 
-    s_grid: Sequence[float]
+    s_grid: Sequence[float] = (1.0, 2.0, 3.0)
     ensemble: int = 16
     eps: float = 0.05
     N: int = 256
@@ -373,8 +373,8 @@ class CounterexampleRun:
     recomputed from the same exponent arithmetic.
     """
 
-    alpha: float
-    beta: float
+    alpha: float = 0.6
+    beta: float = 3.4
     n_grid: Sequence[int] = (4, 8, 16, 32, 64)
     order: int = 0
     interior_modes: int = 4000
@@ -395,7 +395,7 @@ class CounterexampleRun:
         elif not (lo < self.beta < hi):
             raise ValueError(
                 f"beta={self.beta} outside the admissible window ({lo}, {hi})")
-        if any(n < 1 for n in self.n_grid) or list(self.n_grid) != sorted(set(self.n_grid)):
+        if min(self.n_grid, default=0) < 1 or list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be increasing positive integers")
 
     @property
@@ -472,6 +472,12 @@ def _book_keeping(s) -> Dict:
     }
 
 
+def check_trace_s_grid(s_grid: Sequence[float]) -> None:
+    """Raise ValueError unless every s of ``s_grid`` lies in (0, 2]."""
+    if not all(0.0 < s <= 2.0 for s in s_grid):
+        raise ValueError("s-grid must lie in (0, 2]")
+
+
 def trace_regularity_r(phis: Sequence[Callable], s_grid: Sequence[float],
                        N: int = 256, eps: float = 0.01) -> List[Dict]:
     """Norm table for the four traces generated by an initial datum.
@@ -482,10 +488,9 @@ def trace_regularity_r(phis: Sequence[Callable], s_grid: Sequence[float],
     the fitted constant.  The exact rational bookkeeping inequalities are
     attached per s.
     """
+    check_trace_s_grid(s_grid)
     rows: List[Dict] = []
     for s in s_grid:
-        if not 0.0 < s <= 2.0:
-            raise ValueError("s-grid must lie in (0, 2]")
         rhs_exp = 0.5 * (s + eps) if s <= 1.0 else 4.0 * (s + eps) - 3.5
         for j, phi in enumerate(phis):
             phi_o, phi_e = odd_even_extend(phi, N)

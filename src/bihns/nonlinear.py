@@ -81,7 +81,7 @@ class ProblemSpec:
     """Full problem description; validation happens at construction."""
 
     family: str
-    s: float
+    s: float = 1.0
     p: float = 3.0
     lam: float = 1.0
     T: float = 0.01

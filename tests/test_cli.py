@@ -77,12 +77,23 @@ def _samples(t, h=None):
     {**TRACE_BASE, "N": 16.5},
     {**TRACE_BASE, "max_iter": 7.9},
     {**TRACE_BASE, "metric": "hs"},
+    {**TRACE_BASE, "N": True},
+    {**TRACE_BASE, "lam": False},
+    {**TRACE_BASE, "s": "1.0"},
+    {**TRACE_BASE, "phi": {"kind": "sine", "coefficients": [[True, 0]]}},
+    {**TRACE_BASE, "phi": {"kind": "poly", "coefficients": ["1"]}},
+    {**TRACE_BASE, "h1": {"kind": "series", "n": [True], "a": [[0.1, 0]]}},
+    {**TRACE_BASE, "h1": _samples(["0", 1e-3])},
+    {**TRACE_BASE, "phi": {"kind": "poly", "coeficients": [[0, 0], [1, 0]]}},
+    {**TRACE_BASE, "h1": {"kind": "series", "n": [0], "a": [[0.1, 0]], "t": [0]}},
 ], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
         "s_list", "trace_not_object", "phi_not_object", "series_n_fraction",
         "samples_empty", "samples_short_of_T", "clamped_samples_short_of_T",
         "samples_late_start", "samples_decreasing", "samples_nan",
         "clamped_h5", "hinged_h3", "unknown_key", "N_fraction",
-        "max_iter_fraction", "metric_key"])
+        "max_iter_fraction", "metric_key", "N_bool", "lam_bool", "s_str",
+        "sine_pair_bool", "poly_coefficient_str", "series_n_bool",
+        "samples_t_str", "poly_coeficients", "series_extra_key"])
 def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
@@ -124,6 +135,21 @@ BAD_LAB = [
     ("identities", {"tail": {"lam_grid": [-1.0]}}),
     ("identities", {"tail": True}),
     ("identities", {"tail": {"lam_grid": [16.0]}}),
+    ("kato_sweep", {"ensembel": 8}),
+    ("kato_sweep", {"s_grid": [True]}),
+    ("optimality", {"alpah": 0.6}),
+    ("optimality", {"alpha": "0.6"}),
+    ("optimality", {"n_grid": []}),
+    ("identities", {"K_grdi": [64]}),
+    ("identities", {"a_grid": ["1.0"], "K_grid": [64]}),
+    ("identities", {"K_grid": [True]}),
+    ("identities", {"K_grid": [64], "tail": {"alpah": 0.9}}),
+    ("identities", {"K_grid": [64], "tail": []}),
+    ("traces", {"n": 64}),
+    ("traces", {"N": True}),
+    ("traces", {"s_grid": ["1.0"]}),
+    ("traces", {"phi": [{"kind": "poly", "coefficients": [1], "x": 1}]}),
+    ("lambda4", {"k": 20}),
 ]
 
 
@@ -133,7 +159,11 @@ BAD_LAB = [
     "kato_s_empty", "kato_s_nan", "kato_s_inf", "kato_s_negative",
     "optimality_order_null", "optimality_n_float", "identities_K_0",
     "identities_K_float", "identities_a_empty", "tail_alpha_low", "tail_lam_negative",
-    "tail_not_object", "tail_one_lam"])
+    "tail_not_object", "tail_one_lam", "kato_ensembel", "kato_s_bool",
+    "optimality_alpah", "optimality_alpha_str", "optimality_n_empty",
+    "identities_K_grdi", "identities_a_str", "identities_K_bool", "tail_alpah",
+    "tail_list", "traces_n", "traces_N_bool", "traces_s_numeric_str",
+    "traces_phi_extra_key", "lambda4_k"])
 def test_invalid_lab_config_exit2_no_artifacts(tmp_path, mode, payload):
     cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})
     out = tmp_path / "o"
@@ -224,21 +254,22 @@ def test_identities_run_cli(tmp_path):
 
 
 def test_identities_tail_run_cli(tmp_path):
+    # an empty tail runs the spot check at its defaults, the same four lam
     lam_grid = [16.0, 256.0, 4096.0, 65536.0]
-    cfg = write_cfg(tmp_path, "c.json", {
-        "mode": "identities",
-        "identities": {"a_grid": [1.0], "K_grid": [256],
-                       "tail": {"lam_grid": lam_grid, "alpha": 0.9}}})
-    out = tmp_path / "o"
-    assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
-    with open(out / "tail_bound.csv", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[1] == ["lam", "x", "value"]
-    assert len(rows) - 2 == len(lam_grid) * 6      # lam x the default x grid
-    summary = json.loads((out / "summary.json").read_text())
-    assert set(summary["summary"]["tail_bound"]) == {
-        "fitted_C", "slope_x", "slope_lam", "alpha_minus_1"}
-    assert summary["checks"]["tail_all_finite"] is True
+    for name, tail in (("given", {"lam_grid": lam_grid, "alpha": 0.9}), ("empty", {})):
+        cfg = write_cfg(tmp_path, f"{name}.json", {
+            "mode": "identities",
+            "identities": {"a_grid": [1.0], "K_grid": [256], "tail": tail}})
+        out = tmp_path / name
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "tail_bound.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[1] == ["lam", "x", "value"]
+        assert len(rows) - 2 == len(lam_grid) * 6      # lam x the default x grid
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["summary"]["tail_bound"]) == {
+            "fitted_C", "slope_x", "slope_lam", "alpha_minus_1"}
+        assert summary["checks"]["tail_all_finite"] is True
 
 
 def test_traces_run_cli(tmp_path):

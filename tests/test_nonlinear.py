@@ -12,7 +12,7 @@ import bihns.nonlinear as nl
 from bihns.boundary_ops import (clamped_grid, dirichlet_lifts,
                                 navier_boundary_history, navier_lift_coeffs,
                                 navier_lifts)
-from bihns.cli import ConfigError, _build_problem
+from bihns.cli import ConfigError, _build
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
                              _grid_forcing, _power, picard_dirichlet,
@@ -43,7 +43,7 @@ def test_navier_range():
     # only the H^s metric exists; any other metric is a config error
     for s in (0.3, 0.7):
         with pytest.raises(ConfigError, match="metric"):
-            _build_problem({"family": "navier", "s": s, "metric": "l4"})
+            _build("solve", {"family": "navier", "s": s, "metric": "l4"})
 
 
 def test_power_and_differentiability():

@@ -190,7 +190,7 @@ def test_trace_is_a_series_or_samples_not_both():
 
 
 def test_sampled_trace_reads_its_samples():
-    # built as cli._trace_from_config builds a "samples" trace
+    # built as the CLI reader `cli._trace` builds a "samples" trace
     h = BoundaryTrace(sample_t=[0.0, 0.5, 1.0], sample_h=[0.0, 1 + 2j, 1 - 1j])
     assert np.array_equal(h([0.25, 0.5, 0.75]), [0.5 + 1j, 1 + 2j, 1 + 0.5j])
     hp = h.derivative()
