@@ -47,12 +47,12 @@ recorded as b02 (and the lift's cell average is h1/4 + h3/24).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, uniform_grid
-from .linear_flow import (ClampedBasis, ForcingHistory, build_clamped_basis,
+from .linear_flow import (ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
 
@@ -285,8 +285,7 @@ def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
 
 def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
                              h3: BoundaryTrace, h4: BoundaryTrace,
-                             times: np.ndarray, N: int,
-                             basis: Optional[ClampedBasis] = None, K: int = 48):
+                             times: np.ndarray, N: int, K: int = 48):
     """Mixed-basis history of the clamped solution driven by boundary data.
 
     The solution is built on the cubic lifts plus the clamped eigenbasis
@@ -296,8 +295,7 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
 
     Returns (q, p, p0) histories shaped (len(times), N) / (len(times),).
     """
-    if basis is None:
-        basis = build_clamped_basis(K)
+    basis = build_clamped_basis(K)
     x, w, S, C = clamped_grid(N, basis.K)
     phi = basis.evaluate(x)
     a = (dirichlet_lifts(x) * w) @ phi.T

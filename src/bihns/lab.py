@@ -473,25 +473,30 @@ def _book_keeping(s) -> Dict:
 
 
 def check_trace_s_grid(s_grid: Sequence[float]) -> None:
-    """Raise ValueError unless every s of ``s_grid`` lies in (0, 2]."""
-    if not all(0.0 < s <= 2.0 for s in s_grid):
-        raise ValueError("s-grid must lie in (0, 2]")
+    """Raise ValueError unless ``s_grid`` is nonempty and lies in (0, 2]."""
+    if len(s_grid) == 0 or not all(0.0 < s <= 2.0 for s in s_grid):
+        raise ValueError("s-grid must be nonempty and lie in (0, 2]")
+
+
+#: margin eps of the extension-norm exponents in ``trace_regularity_r``
+TRACE_EPS = 0.01
 
 
 def trace_regularity_r(phis: Sequence[Callable], s_grid: Sequence[float],
-                       N: int = 256, eps: float = 0.01) -> List[Dict]:
+                       N: int = 256) -> List[Dict]:
     """Norm table for the four traces generated by an initial datum.
 
     For each datum the odd/even split produces trace series on the lattice
     n = k^4; we report their H^s sizes next to the controlling extension
-    norms (exponent (s+eps)/2 for s <= 1, 4(s+eps) - 7/2 for 1 < s <= 2) and
-    the fitted constant.  The exact rational bookkeeping inequalities are
-    attached per s.
+    norms (exponent (s+eps)/2 for s <= 1, 4(s+eps) - 7/2 for 1 < s <= 2,
+    eps = ``TRACE_EPS``) and the fitted constant.  The exact rational
+    bookkeeping inequalities are attached per s.
     """
     check_trace_s_grid(s_grid)
     rows: List[Dict] = []
     for s in s_grid:
-        rhs_exp = 0.5 * (s + eps) if s <= 1.0 else 4.0 * (s + eps) - 3.5
+        se = s + TRACE_EPS
+        rhs_exp = 0.5 * se if s <= 1.0 else 4.0 * se - 3.5
         for j, phi in enumerate(phis):
             phi_o, phi_e = odd_even_extend(phi, N)
             r1, r2, r3, r4 = bops.dirichlet_traces(phi_o, phi_e)

@@ -1,9 +1,10 @@
 """Free propagators and Duhamel convolution.
 
-Three flavors of the linear flow i u_t + u_xxxx = 0 live here:
+Two flavors of the linear flow i u_t + u_xxxx = 0 live here:
 
-* hinged/Navier flow on sine series: q_k -> exp(i (k pi)^4 t) q_k,
-* the periodic group acting on odd+even extensions (same phases, p0 fixed),
+* the periodic group on the two-periodic extension,
+  (q_k, p_k) -> exp(i (k pi)^4 t) (q_k, p_k) with p0 fixed; on a sine state
+  (p = 0, p0 = 0) it is the hinged/Navier flow and the cosine part stays 0,
 * the clamped flow W^D on the clamped-beam eigenbasis (eigenvalues mu_k^4
   with cos(mu) cosh(mu) = 1); only the basis lives here.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierState, SINE, _read_only, sine_state
+from .spectral import FourierState, _read_only
 
 SMALL_PHASE = 1e-3
 
@@ -39,19 +40,11 @@ def navier_eigenvalues(N: int) -> np.ndarray:
     return np.pi ** 4 * (k2 * k2)
 
 
-def propagate_navier(state: FourierState, t: float) -> FourierState:
-    """Free hinged flow: exact phase rotation of each sine mode."""
-    if state.basis != SINE:
-        raise ValueError("hinged flow acts on sine states")
-    phases = np.exp(1j * navier_eigenvalues(state.N) * t)
-    return sine_state(phases * state.q, t=state.t + t)
-
-
 def propagate_periodic(state: FourierState, t: float) -> FourierState:
     """Periodic group on the extension: rotates q_k and p_k, keeps p0."""
     phases = np.exp(1j * navier_eigenvalues(state.N) * t)
-    return FourierState(state.basis, phases * state.q, phases * state.p,
-                        state.p0, state.t + t)
+    return FourierState(phases * state.q, phases * state.p, state.p0,
+                        state.t + t)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-SINE = "sine"
-COSINE = "cosine"
-MIXED = "mixed"
-
 #: fundamental time frequency of boundary-trace series
 TRACE_FREQ = np.pi ** 4
 
@@ -54,19 +50,16 @@ class FourierState:
     """Immutable truncated series state at one time stamp.
 
     ``q`` holds sine coefficients q_1..q_N, ``p`` cosine coefficients
-    p_1..p_N and ``p0`` the constant mode.  ``basis`` restricts which parts
-    may be populated.
+    p_1..p_N and ``p0`` the constant mode.  A sine series (the hinged
+    family, or the odd part of a split) is the state with p = 0 and p0 = 0.
     """
 
-    basis: str
     q: np.ndarray
     p: np.ndarray
     p0: complex = 0.0
     t: float = 0.0
 
     def __post_init__(self):
-        if self.basis not in (SINE, COSINE, MIXED):
-            raise ValueError(f"unknown basis {self.basis!r}")
         q = _as_c128(self.q)
         p = _as_c128(self.p, len(q))
         object.__setattr__(self, "q", q)
@@ -78,10 +71,6 @@ class FourierState:
                 and np.all(np.isfinite(p.view(np.float64)))
                 and np.isfinite(self.p0)):
             raise ValueError("non-finite coefficients rejected")
-        if self.basis == SINE and (np.any(p != 0) or self.p0 != 0):
-            raise ValueError("sine state must have zero cosine part")
-        if self.basis == COSINE and np.any(q != 0):
-            raise ValueError("cosine state must have zero sine part")
         q.setflags(write=False)
         p.setflags(write=False)
 
@@ -92,17 +81,12 @@ class FourierState:
 
 def sine_state(q, t: float = 0.0) -> FourierState:
     q = _as_c128(q)
-    return FourierState(SINE, q, np.zeros_like(q), 0.0, t)
-
-
-def cosine_state(p, p0: complex = 0.0, t: float = 0.0) -> FourierState:
-    p = _as_c128(p)
-    return FourierState(COSINE, np.zeros_like(p), p, p0, t)
+    return FourierState(q, np.zeros_like(q), 0.0, t)
 
 
 def mixed_state(q, p, p0: complex = 0.0, t: float = 0.0) -> FourierState:
     q = _as_c128(q)
-    return FourierState(MIXED, q, _as_c128(p, len(q)), p0, t)
+    return FourierState(q, _as_c128(p, len(q)), p0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +163,11 @@ def sine_coefficients(f, N: int) -> FourierState:
 def odd_even_extend(f, N: int):
     """Split f on (0,1) into odd/even two-periodic parts f = f_o + f_e.
 
-    Returns ``(f_o, f_e)`` as (Sine, Cosine) states with the half-weight
-    coefficients q_k = int_0^1 f sin, p_k = int_0^1 f cos and the mean value
-    p0 = (1/2) int_0^1 f (the period-2 cell average of the extension), so
-    that reconstructing f_o + f_e reproduces f on the open interval.
+    Returns ``(f_o, f_e)``: a sine state and a state with zero sine part,
+    with the half-weight coefficients q_k = int_0^1 f sin, p_k = int_0^1 f cos
+    and the mean value p0 = (1/2) int_0^1 f (the period-2 cell average of the
+    extension), so that reconstructing f_o + f_e reproduces f on the open
+    interval.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -190,7 +175,7 @@ def odd_even_extend(f, N: int):
     _, w, S, C = uniform_grid(N, len(vals) - 1)
     vw = vals * w
     return (sine_state(matmul_real(vw, S)),
-            cosine_state(matmul_real(vw, C), 0.5 * vw.sum()))
+            mixed_state(np.zeros(N), matmul_real(vw, C), 0.5 * vw.sum()))
 
 
 def reconstruct(state: FourierState, grid) -> np.ndarray:

@@ -150,6 +150,7 @@ BAD_LAB = [
     ("traces", {"s_grid": ["1.0"]}),
     ("traces", {"phi": [{"kind": "poly", "coefficients": [1], "x": 1}]}),
     ("lambda4", {"k": 20}),
+    ("traces", {"s_grid": []}),
 ]
 
 
@@ -163,7 +164,7 @@ BAD_LAB = [
     "optimality_alpah", "optimality_alpha_str", "optimality_n_empty",
     "identities_K_grdi", "identities_a_str", "identities_K_bool", "tail_alpah",
     "tail_list", "traces_n", "traces_N_bool", "traces_s_numeric_str",
-    "traces_phi_extra_key", "lambda4_k"])
+    "traces_phi_extra_key", "lambda4_k", "traces_s_empty"])
 def test_invalid_lab_config_exit2_no_artifacts(tmp_path, mode, payload):
     cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})
     out = tmp_path / "o"

@@ -391,8 +391,10 @@ def test_trace_regularity_zero_datum():
 
 
 def test_trace_regularity_range_check():
-    with pytest.raises(ValueError):
-        trace_regularity_r([lambda x: x], [2.5], N=32)
+    # an empty grid too: with no rows every check of the table holds vacuously
+    for s_grid in ([2.5], []):
+        with pytest.raises(ValueError):
+            trace_regularity_r([lambda x: x], s_grid, N=32)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from bihns.linear_flow import (ForcingHistory, _char_scaled,
                                build_clamped_basis, duhamel,
                                duhamel_history, navier_eigenvalues,
-                               propagate_navier, propagate_periodic)
+                               propagate_periodic)
 from bihns.spectral import mixed_state, sine_state, sobolev_norm
 
 rng = np.random.default_rng(777)
@@ -29,7 +29,7 @@ def test_navier_isometry():
         q = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         st = sine_state(q)
         t = float(rng.random())
-        out = propagate_navier(st, t)
+        out = propagate_periodic(st, t)
         for s in (0.0, 1.0, 2.0):
             a, b = sobolev_norm(st, s), sobolev_norm(out, s)
             assert abs(a - b) <= 1e-13 * a
@@ -41,14 +41,14 @@ def test_group_law():
     q = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     st = sine_state(q)
     t1, t2 = 0.013, 0.041
-    one = propagate_navier(st, t1 + t2)
-    two = propagate_navier(propagate_navier(st, t1), t2)
+    one = propagate_periodic(st, t1 + t2)
+    two = propagate_periodic(propagate_periodic(st, t1), t2)
     assert np.max(np.abs(one.q - two.q)) < 1e-12 * np.abs(q).max()
     # large-N variant with the phase-conditioning budget made explicit
     q = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     st = sine_state(q)
-    one = propagate_navier(st, t1 + t2)
-    two = propagate_navier(propagate_navier(st, t1), t2)
+    one = propagate_periodic(st, t1 + t2)
+    two = propagate_periodic(propagate_periodic(st, t1), t2)
     budget = (64 * np.pi) ** 4 * (t1 + t2) * 1e-15
     assert np.max(np.abs(one.q - two.q)) < budget * np.abs(q).max()
 
@@ -60,10 +60,13 @@ def test_periodic_flow_keeps_mean_mode():
     assert np.allclose(np.abs(out.q), np.abs(st.q))
 
 
-def test_navier_flow_requires_sine_basis():
-    st = mixed_state([1.0], [1.0], 0.0)
-    with pytest.raises(ValueError):
-        propagate_navier(st, 0.1)
+def test_periodic_flow_on_sine_state_is_hinged_flow():
+    # the phase rotation of each sine mode, bit for bit, with p and p0 left 0
+    N, t = 64, 0.37
+    q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    out = propagate_periodic(sine_state(q, t=0.5), t)
+    assert np.array_equal(out.q, np.exp(1j * navier_eigenvalues(N) * t) * q)
+    assert np.all(out.p == 0) and out.p0 == 0 and out.t == 0.5 + t
 
 
 # ---------------------------------------------------------------------------

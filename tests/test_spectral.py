@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihns.spectral import (BoundaryTrace, FourierState, TRACE_FREQ,
-                            cosine_state, matmul_real, mixed_state,
+from bihns.spectral import (BoundaryTrace, TRACE_FREQ,
+                            matmul_real, mixed_state,
                             odd_even_extend, reconstruct, sine_coefficients,
                             sine_state, sobolev_norm, trace_sobolev_norm,
                             uniform_grid)
@@ -22,11 +22,6 @@ def random_mixed(N, scale=1.0):
 # state basics
 
 
-def test_sine_state_rejects_cosine_part():
-    with pytest.raises(ValueError):
-        FourierState("sine", np.array([1.0]), np.array([1.0]))
-
-
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         sine_state(np.array([np.nan]))
@@ -42,7 +37,7 @@ def test_reconstruct_single_sine_mode():
 
 
 def test_reconstruct_constant_mode():
-    st_ = cosine_state(np.zeros(1), p0=1.0)
+    st_ = mixed_state(np.zeros(1), np.zeros(1), p0=1.0)
     x = rng.random(7)
     assert np.allclose(reconstruct(st_, x), 1.0, atol=1e-15)
 
