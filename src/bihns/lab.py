@@ -56,27 +56,48 @@ def count_lambda4(K: int) -> Dict:
     determines the bucket and |m| <= 4K^3.  The key d (8K^3 + 1) + m then
     tells the buckets apart, and |key| <= 16K^4 + 4K^3 + 2K stays below 2^63
     for K <= ``LAMBDA4_K_MAX`` = 27554; a larger K raises ValueError before
-    anything is allocated.  The count sorts all (2K+1)^2 keys, so memory
-    grows as a few times 8 (2K+1)^2 bytes: about 1.3 MB per array at
-    K = 200, 24 GB at the bound.
+    anything is allocated.
+
+    Half the keys suffice: (k, l) -> (-k, -l) flips the signs of d and m,
+    so it maps each bucket key to -key with the same size.  Since |m| <
+    8K^3 + 1, key 0 is exactly the diagonal d = 0, and the positive keys
+    are the pairs k > l.  Only those K (2K+1) keys are sorted
+    (``_size_histogram``), and the number of buckets of each size they give
+    is doubled.  The key matrix takes 8 (2K+1)^2 bytes (1.3 MB at K = 200,
+    24 GB at the bound), and the sorted positive keys half that again.
     """
     check_lambda4_K(K)
     k = np.arange(-K, K + 1, dtype=np.int64)
     kk, ll = k[:, None], k[None, :]
-    m = (kk + ll) * (kk * kk + ll * ll)
-    np.fill_diagonal(m, 0)
-    key = ((kk - ll) * (8 * K ** 3 + 1) + m).ravel()
-    key.sort()
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sizes = np.diff(np.r_[starts, key.size])
-    diagonal = key[starts] == 0
-    mult, buckets = np.unique(sizes[~diagonal], return_counts=True)
+    key = kk * kk + ll * ll
+    key *= kk + ll                                   # m
+    np.fill_diagonal(key, 0)
+    key += (kk - ll) * (8 * K ** 3 + 1)
+    half = _size_histogram(key[key > 0])
     return {
         "K": K,
-        "max_multiplicity": int(mult[-1]),
-        "histogram": {int(a): int(b) for a, b in zip(mult, buckets)},
-        "diagonal_bucket_size": int(sizes[diagonal][0]),
+        "max_multiplicity": max(half),
+        "histogram": {size: 2 * count for size, count in half.items()},
+        "diagonal_bucket_size": int(np.count_nonzero(key == 0)),
     }
+
+
+def _size_histogram(keys: np.ndarray) -> Dict[int, int]:
+    """{size: number of distinct values of ``keys`` that occur size times}.
+
+    Sorts ``keys`` in place.  On the sorted keys E_j = #{i : key_i =
+    key_{i+j}} sums max(0, size - j) over the distinct values, so
+    E_{j-1} - 2 E_j + E_{j+1} of them occur exactly j times: one comparison
+    per lag up to the largest size, and no array of run lengths.
+    """
+    keys.sort()
+    E = [keys.size]                                  # E_0, E_1, ..., E_max = 0
+    while E[-1]:
+        j = len(E)
+        E.append(int(np.count_nonzero(keys[j:] == keys[:-j])))
+    E.append(0)
+    hist = {j: E[j - 1] - 2 * E[j] + E[j + 1] for j in range(1, len(E) - 1)}
+    return {j: n for j, n in hist.items() if n}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +344,12 @@ def increment_energy(coeffs: np.ndarray, omega: np.ndarray,
     mult = -4.0 * np.sin(0.5 * wh) ** 2 * np.exp(1j * (wh + 0.5 * omega * T))
     sinc = np.sinc(np.subtract.outer(omega, omega) * (T / (2.0 * np.pi)))
     d = np.asarray(coeffs, dtype=np.complex128)[..., None, :] * mult
-    return np.real(np.sum((d @ sinc) * d.conj(), axis=-1))
+    # the sinc matrix is real: Re[(d @ sinc) . conj d] = sum over the parts
+    # x = re d, im d of (x @ sinc) . x, one real GEMM on the stacked parts
+    x = np.stack((d.real, d.imag))
+    q = (x.reshape(-1, len(omega)) @ sinc).reshape(x.shape)
+    q *= x
+    return q.sum(axis=-1).sum(axis=0)
 
 
 def increment_trace_exponent(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -414,6 +440,13 @@ def optimality_run(cfg: CounterexampleRun) -> List[Dict]:
     rows also carry the analytic lower bound pi^-2 sum 2 k^(6-2 beta) and a
     per-k check that the mode-m = k resonant-adjacent term alone already
     dominates it.
+
+    Per interior mode m the norm needs two sums over the channels k <= n
+    of R_{m,k} = A_k / D_{m,k}: sum R^2 (the incoherent part, one term per
+    boundary frequency) and (sum R)^2 (the coherent part, which the
+    flow-frequency response collects from every channel).  Both are running
+    sums over k: each n adds the block of channels since the previous n, so
+    every R is formed and summed once.
     """
     w_exp = 3 - cfg.order
     n_max = max(cfg.n_grid)
@@ -423,20 +456,23 @@ def optimality_run(cfg: CounterexampleRun) -> List[Dict]:
 
     m = np.arange(1, cfg.interior_modes + 1, dtype=np.float64)
     wm = (m * np.pi) ** w_exp
-    denom = (freqs[None, :] - (m ** 4)[:, None]) * np.pi ** 4   # (M, n_max)
-    if np.any(denom == 0):
-        raise ArithmeticError("resonant frequency collision (should be impossible)")
-
+    m4 = m ** 4
+    coh, inc = np.zeros(len(m)), np.zeros(len(m))   # sum R, sum R^2 over k <= n
+    start = 0
     rows: List[Dict] = []
     for n in cfg.n_grid:
+        R = (freqs[start:n, None] - m4) * np.pi ** 4       # D, channels start < k <= n
+        if np.any(R == 0):
+            raise ArithmeticError("resonant frequency collision (should be impossible)")
+        np.divide(amps[start:n, None], R, out=R)
+        coh += R.sum(axis=0)
+        R *= R
+        inc += R.sum(axis=0)
+        start = n
         A = amps[:n]
-        D = denom[:, :n]
-        # incoherent part: one term per surviving boundary frequency
-        term1 = (wm ** 2) * ((A[None, :] ** 2) / D ** 2).sum(axis=1)
-        # coherent part: the flow-frequency response collects every channel
-        term2 = (wm * (A[None, :] / D).sum(axis=1)) ** 2
-        norm_u_sq = float(np.sum(term1 + term2))    # counts +m and -m... see below
-        norm_u_sq *= 2.0                            # mirror modes m < 0
+        term1 = wm ** 2 * inc
+        term2 = (wm * coh) ** 2
+        norm_u_sq = 2.0 * float(np.sum(term1 + term2))   # mirror modes m < 0
 
         h = BoundaryTrace.from_series(freqs[:n], A.astype(np.complex128))
         norm_h = trace_sobolev_norm(h, cfg.alpha)
@@ -493,13 +529,15 @@ def trace_regularity_r(phis: Sequence[Callable], s_grid: Sequence[float],
     bookkeeping inequalities are attached per s.
     """
     check_trace_s_grid(s_grid)
+    data = []
+    for phi in phis:
+        phi_o, phi_e = odd_even_extend(phi, N)
+        data.append((phi_o, phi_e, bops.dirichlet_traces(phi_o, phi_e)))
     rows: List[Dict] = []
     for s in s_grid:
         se = s + TRACE_EPS
         rhs_exp = 0.5 * se if s <= 1.0 else 4.0 * se - 3.5
-        for j, phi in enumerate(phis):
-            phi_o, phi_e = odd_even_extend(phi, N)
-            r1, r2, r3, r4 = bops.dirichlet_traces(phi_o, phi_e)
+        for j, (phi_o, phi_e, (r1, r2, r3, r4)) in enumerate(data):
             lhs12 = math.hypot(trace_sobolev_norm(r1, s), trace_sobolev_norm(r2, s))
             lhs34 = math.hypot(trace_sobolev_norm(r3, s), trace_sobolev_norm(r4, s))
             rhs_e = sobolev_norm(phi_e, rhs_exp)
@@ -526,26 +564,29 @@ def _series_partials(a_grid: Sequence[float], x: np.ndarray,
                      K_grid: Sequence[int]) -> Dict[int, np.ndarray]:
     """Per K of ``K_grid``: sum_{k<=K} (k^3 + i k a^2) / (k^4 + a^4) sin(k x).
 
-    Each value has shape (len(x), len(a_grid)).  The table sin(k x) is built
-    once per chunk of at most 2^16 values of k and shared by every a and K:
-    each (a, K) takes the product of the table's first columns, up to K,
-    with its coefficients.  A single product against all cut-off coefficient
-    columns at once would sum in another order and move the residuals of
-    ``identity_checks`` by up to 4e-11 relative; the per-column products
-    repeat the per-K sums term for term.
+    Each value has shape (len(x), len(a_grid)).  The k axis is cut at each
+    K of ``K_grid`` and into blocks of at most 2^12 terms, which keeps each
+    block's arrays below 0.5 MB.  A block takes one real product of its
+    table sin(k x) with the real and imaginary coefficient columns of every
+    a and adds it to the running prefix, which at each K is that K's partial
+    sum.  The coefficients are products with the reciprocal 1/(k^4 + a^4),
+    as in numpy's complex-by-real division, so they have the bits of the
+    complex formula.  The order of summation differs from the direct per-K
+    sums: on the defaults of ``identity_checks`` the residuals move by at
+    most 2.1e-11 relative.
     """
-    Ks = sorted({int(K) for K in K_grid})
-    total = {K: np.zeros((len(x), len(a_grid)), dtype=np.complex128) for K in Ks}
-    chunk = 1 << 16
-    for start in range(1, Ks[-1] + 1, chunk):
-        k = np.arange(start, min(start + chunk, Ks[-1] + 1), dtype=np.float64)
-        table = np.sin(np.outer(x, k)).astype(np.complex128)
-        for j, a in enumerate(a_grid):
-            coef = (k ** 3 + 1j * k * a ** 2) / (k ** 4 + a ** 4)
-            for K in Ks:
-                m = min(K + 1 - start, len(k))
-                if m > 0:
-                    total[K][:, j] += table[:, :m] @ coef[:m]
+    a = np.asarray(a_grid, dtype=np.float64)
+    total: Dict[int, np.ndarray] = {}
+    prefix = np.zeros((len(x), 2 * len(a)))        # re | im, one column per a
+    start, chunk = 1, 1 << 12
+    for K in sorted({int(K) for K in K_grid}):
+        for lo in range(start, K + 1, chunk):
+            k = np.arange(lo, min(lo + chunk, K + 1), dtype=np.float64)[:, None]
+            scale = 1.0 / (k ** 4 + a ** 4)
+            coef = np.concatenate((k ** 3 * scale, k * a ** 2 * scale), axis=1)
+            prefix += np.sin(np.outer(x, k)) @ coef
+        total[K] = prefix[:, :len(a)] + 1j * prefix[:, len(a):]
+        start = K + 1
     return total
 
 
@@ -563,7 +604,7 @@ def identity_checks(a_grid: Sequence[float] = (0.5, 1.0, 2.0, 3.5, 5.0),
     truncation level, the sawtooth limit a -> 0 (at the last K of
     ``K_grid``), and the exponential form of sin(e^{i pi/4} a) to machine
     precision.  The partial sums of every a, of the sawtooth's a and of
-    every K come from one shared sine table (``_series_partials``).
+    every K come from one pass over k (``_series_partials``).
     """
     if x_grid is None:
         x_grid = np.linspace(0.3, math.pi - 0.3, 9)

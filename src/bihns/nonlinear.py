@@ -349,10 +349,13 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
 def _hs_sq(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(T,) sums sum_k w_k |d_k|^2 over the rows of a complex (T, K) history,
     with |z|^2 = re^2 + im^2 squared in place on the float view of ``d``;
-    the Picard distance is the sup over t of their square roots."""
+    the Picard distance is the sup over t of their square roots.  A
+    diverging iterate gives +inf without a warning; its forcing raises
+    ``OverflowError``."""
     f = d.view(np.float64)                         # re, im interleaved
-    f *= f
-    return f @ np.repeat(w, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f *= f
+        return f @ np.repeat(w, 2)
 
 
 #: a step may run in float32 only while the last distance exceeds this

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -325,16 +326,39 @@ def test_seeded_runs_byte_identical(tmp_path):
     rc1, b1 = _run_kato(tmp_path, "o1", 42)
     rc2, b2 = _run_kato(tmp_path, "o2", 42)
     assert b1 == b2
-    # every artifact of a hinged and a clamped solve, run twice
-    for payload in (p for m, p in STRICT_RUNS if m == "solve"):
-        cfg = write_cfg(tmp_path, "s.json", {"mode": "solve", "solve": payload})
+    # every artifact of a hinged and a clamped solve and of each lab mode
+    # but the kato sweep, run twice
+    sizes = {}
+    for mode, payload in STRICT_RUNS:
+        if mode == "kato_sweep":
+            continue
+        name = payload.get("family", mode)
+        cfg = write_cfg(tmp_path, f"{name}.json", {"mode": mode, mode: payload})
         runs = []
-        for name in ("s1", "s2"):
-            out = tmp_path / payload["family"] / name
-            assert main(["solve", "--config", cfg, "--out", str(out),
+        for run in ("r1", "r2"):
+            out = tmp_path / name / run
+            assert main([mode, "--config", cfg, "--out", str(out),
                          "--seed", "42"]) == 0
             runs.append(_artifacts(out))
-        assert len(runs[0]) == 4 and runs[0] == runs[1]
+        assert runs[0] == runs[1]
+        sizes[name] = len(runs[0])
+    assert sizes == {"navier": 4, "dirichlet": 4, "lambda4": 3,
+                     "optimality": 3, "identities": 3, "traces": 3}
+
+
+def test_diverging_picard_exits_1_without_warning(tmp_path):
+    # the iterate blows up: its Picard distance reads +inf with no
+    # RuntimeWarning, and the next step's forcing raises the blow-up error
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        "family": "navier", "N": 32, "s": 1.0, "p": 5.0, "lam": 1.0,
+        "T": 0.5, "dt": 2e-4, "max_iter": 12,
+        "phi": {"kind": "sine", "coefficients": [[8.0, 0.0]]}}})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "nonlinearity overflow: blow-up candidate"
 
 
 def test_different_seeds_differ(tmp_path):

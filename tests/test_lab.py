@@ -74,6 +74,41 @@ def test_lambda4_key_bound_rejected_before_allocation(monkeypatch):
         count_lambda4(K + 1)
 
 
+def _lambda4_full_sort(K):
+    """count_lambda4 by sorting all (2K+1)^2 keys, with np.unique of the run lengths."""
+    k = np.arange(-K, K + 1, dtype=np.int64)
+    kk, ll = k[:, None], k[None, :]
+    m = (kk + ll) * (kk * kk + ll * ll)
+    np.fill_diagonal(m, 0)
+    key = ((kk - ll) * (8 * K ** 3 + 1) + m).ravel()
+    key.sort()
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[starts, key.size])
+    diagonal = key[starts] == 0
+    mult, buckets = np.unique(sizes[~diagonal], return_counts=True)
+    return {
+        "K": K,
+        "max_multiplicity": int(mult[-1]),
+        "histogram": {int(a): int(b) for a, b in zip(mult, buckets)},
+        "diagonal_bucket_size": int(sizes[diagonal][0]),
+    }
+
+
+@pytest.mark.parametrize("K", [2, 3, 17, 200])
+def test_lambda4_equals_full_sort(K):
+    assert count_lambda4(K) == _lambda4_full_sort(K)
+
+
+def test_size_histogram_counts_repeated_values():
+    # the lambda4 keys are all distinct off the diagonal; these are not
+    rng = np.random.default_rng(3)
+    cases = [np.zeros(7, dtype=np.int64), np.arange(5)]
+    cases += [rng.integers(-hi, hi, n) for n, hi in ((50, 3), (400, 40), (1000, 1000))]
+    for keys in cases:
+        want = dict(Counter(Counter(keys.tolist()).values()))
+        assert lab._size_histogram(keys.copy()) == want
+
+
 # ---------------------------------------------------------------------------
 # exponent estimator
 
@@ -279,6 +314,21 @@ def test_increment_energy_matches_quadrature():
         assert S == pytest.approx(np.trapezoid(inc, t) / T, rel=1e-6)
 
 
+def test_increment_energy_equals_complex_gram_form():
+    # the real split of the Gram form against the complex product it replaced
+    rng = np.random.default_rng(11)
+    k = np.arange(1, 33)
+    omega = (k * np.pi) ** 4
+    c = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+    h, T = np.geomspace(1e-8, 1e-3, 5), 0.05
+    wh = np.outer(h, omega)
+    mult = -4.0 * np.sin(0.5 * wh) ** 2 * np.exp(1j * (wh + 0.5 * omega * T))
+    sinc = np.sinc(np.subtract.outer(omega, omega) * (T / (2.0 * np.pi)))
+    d = c[:, None, :] * mult
+    want = np.real(np.sum((d @ sinc) * d.conj(), axis=-1))
+    np.testing.assert_allclose(increment_energy(c, omega, h, T), want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.6, 1.2])
 def test_increment_exponent_power_law(alpha):
     # |c_k|^2 = k^(-1-8 alpha) on n = k^4: sum (1+n^2)^a |c_k|^2 < inf iff a < alpha
@@ -370,6 +420,36 @@ def test_optimality_norm_oracle_brute_force():
     assert row["norm_u_sq"] == pytest.approx(2.0 * np.pi ** 3 * brute, rel=1e-3)
 
 
+def _optimality_per_n(cfg):
+    """norm_u_sq of optimality_run per n, from (M, n) sums rebuilt for each n."""
+    kk = np.arange(1, max(cfg.n_grid) + 1, dtype=np.float64)
+    freqs, amps = kk ** 4 + 1.0, 2.0 * kk ** (-cfg.beta)
+    m = np.arange(1, cfg.interior_modes + 1, dtype=np.float64)
+    wm = (m * np.pi) ** (3 - cfg.order)
+    denom = (freqs[None, :] - (m ** 4)[:, None]) * np.pi ** 4
+    out = []
+    for n in cfg.n_grid:
+        A, D = amps[:n], denom[:, :n]
+        term1 = (wm ** 2) * ((A[None, :] ** 2) / D ** 2).sum(axis=1)
+        term2 = (wm * (A[None, :] / D).sum(axis=1)) ** 2
+        out.append(2.0 * float(np.sum(term1 + term2)))
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    CounterexampleRun(),
+    CounterexampleRun(alpha=0.3, beta=2.2, order=1, n_grid=(1, 3, 4, 50)),
+    CounterexampleRun(alpha=0.2, beta=1.4, order=2, n_grid=(2, 7, 64, 65)),
+    CounterexampleRun(alpha=0.75, beta=3.6, n_grid=(1, 32, 64)),
+], ids=["order0", "order1", "order2", "bounded"])
+def test_optimality_equals_per_n_sums(cfg):
+    rows = optimality_run(cfg)
+    assert [r["n"] for r in rows] == list(cfg.n_grid)
+    for r, want in zip(rows, _optimality_per_n(cfg)):
+        assert r["norm_u_sq"] == pytest.approx(want, rel=1e-13)
+        assert r["ratio"] == pytest.approx(math.sqrt(want) / r["norm_h"], rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # trace regularity bookkeeping
 
@@ -382,6 +462,24 @@ def test_trace_regularity_thresholds_exact():
         assert r["(s+10)/8<s"] == (r["s"] > 10.0 / 7.0)
         assert math.isfinite(r["norm_r12"]) and math.isfinite(r["norm_r34"])
         assert r["fitted_C_even"] >= 0.0
+
+
+def test_trace_regularity_splits_each_datum_once(monkeypatch):
+    # rows go s by s, datum by datum, each as in a run on that datum alone
+    phis = [lambda x: x ** 2 * (1 - x) ** 2 + 0j, lambda x: np.sin(np.pi * x) + 0j]
+    s_grid = [0.5, 1.5]
+    alone = [trace_regularity_r([phi], [s], N=32)[0] for s in s_grid for phi in phis]
+    calls, split = [], lab.odd_even_extend
+
+    def counted(phi, N):
+        calls.append(N)
+        return split(phi, N)
+
+    monkeypatch.setattr(lab, "odd_even_extend", counted)
+    rows = trace_regularity_r(phis, s_grid, N=32)
+    assert calls == [32, 32]
+    assert [(r["s"], r["datum"]) for r in rows] == [(s, j) for s in s_grid for j in (0, 1)]
+    assert [{**r, "datum": 0} for r in rows] == alone
 
 
 def test_trace_regularity_zero_datum():
@@ -438,6 +536,20 @@ def test_identity_checks_unsorted_repeated_K():
         assert got == pytest.approx(want, rel=1e-13)
     saw = float(np.abs(direct(1e-4, 4096) - 0.5 * (math.pi - x)).max())
     assert rep["sawtooth_limit_residual"] == pytest.approx(saw, rel=1e-13)
+
+
+def test_series_partials_equal_direct_sums():
+    # cut-offs on both sides of a 2^12 block edge, unsorted and repeated
+    a_grid = (0.5, 2.0, 1e-4)
+    x = np.linspace(0.3, math.pi - 0.3, 5)
+    got = lab._series_partials(a_grid, x, (9000, 1, 4096, 4097, 9000, 300))
+    assert sorted(got) == [1, 300, 4096, 4097, 9000]
+    for K, partial in got.items():
+        k = np.arange(1, K + 1, dtype=np.float64)
+        table = np.sin(np.outer(x, k))
+        for j, a in enumerate(a_grid):
+            want = table @ ((k ** 3 + 1j * k * a ** 2) / (k ** 4 + a ** 4))
+            np.testing.assert_allclose(partial[:, j], want, rtol=1e-10)
 
 
 def test_rotated_sine_at_sqrt2():
