@@ -138,7 +138,9 @@ def _crossing_exponents(w: np.ndarray, a_sq: np.ndarray,
     times the head mass, +inf where it is not at alpha = 6, and otherwise the
     root of f(alpha) = log(tail / (10 head)), tail and head being the
     (1+n^2)^alpha-weighted masses.  Dividing by 10 before the log avoids the
-    cancellation of log(tail / head) - log 10 at the root.
+    cancellation of log(tail / head) - log 10 at the root.  A zero head
+    mass gives 0 when the tail mass is positive and +inf when the row is all
+    zero (trivial data, as in ``measured_trace_exponent``).
 
     With L = log(1+n^2) each mass is sum exp(alpha L) a and its derivative
     sum L exp(alpha L) a, so one exp per step gives f and f'.  f' is the
@@ -149,28 +151,43 @@ def _crossing_exponents(w: np.ndarray, a_sq: np.ndarray,
     midpoint, and a row stops once its step is at most 1e-15 max(1, alpha)
     (at most 100 steps).  The roots agree with a 60-step bisection on the
     pow form (1+n^2)^alpha to a few ulp.
+
+    No masked copy of ``a_sq`` is made.  Each step forms one weighted row
+    array y = a_sq[b] exp(alpha L), shape (rows, N), and per head one
+    (rows_h, N) @ (N, 4) product with the columns [head, head L, tail,
+    tail L] of that head's 0/1 mask gives both masses and their
+    derivatives.  The stacked rows r = h B + b are head-major, so each head's
+    active rows are one contiguous slice.  Each term is the product a E L
+    (or a E) that a masked (H B, 2, N) copy summed, so the roots are the
+    masked form's bit for bit wherever the BLAS sums a row's terms in the
+    same order (tests/test_lab.py keeps the masked form as the reference).
     """
-    (H, B), N = (len(heads), len(a_sq)), len(w)
+    H, B = len(heads), len(a_sq)
     L = np.log(1.0 + w ** 2)
-    LV = np.stack([np.ones_like(L), L], axis=1)
-    # stacked row r = h B + b; masses[r] holds row b of a_sq on head h, then on its tail
-    masks = np.stack([heads, ~heads], axis=1)
-    masses = (masks[:, None] * a_sq[None, :, None, :]).reshape(H * B, 2, N)
-    ratio0 = np.concatenate([a_sq[:, ~h].sum(axis=1) / a_sq[:, h].sum(axis=1)
-                             for h in heads])
-    s_max = (masses.reshape(-1, N) @ np.exp(_ALPHA_MAX * L)).reshape(-1, 2)
-    at_lo, at_hi = ratio0 >= 10.0, s_max[:, 1] / s_max[:, 0] < 10.0
+    # cols[h] = (N, 4): head mass, its alpha-derivative, tail mass, its derivative
+    cols = np.stack([heads, heads * L, ~heads, ~heads * L], axis=2)
+    head0 = np.concatenate([a_sq[:, h].sum(axis=1) for h in heads])
+    tail0 = np.concatenate([a_sq[:, ~h].sum(axis=1) for h in heads])
+    y = a_sq * np.exp(_ALPHA_MAX * L)
+    s_max = np.concatenate([y @ c for c in cols])
+    # a zero head mass makes a ratio +inf (positive tail: exponent 0) or nan
+    # (all-zero row: trivial data, exponent +inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_lo = tail0 / head0 >= 10.0
+        at_hi = ~(s_max[:, 2] / s_max[:, 0] >= 10.0)
     est = np.where(at_lo, 0.0, np.inf)
 
     rows = np.flatnonzero(~(at_lo | at_hi))
     lo, hi = np.zeros(len(rows)), np.full(len(rows), _ALPHA_MAX)
     alpha = np.zeros(len(rows))
-    # sd[r] = (head, tail) x (mass, d/dalpha); one 2D product runs faster than
-    # a stack of (2, N) @ (N, 2) products
-    sd = (masses[rows].reshape(-1, N) @ LV).reshape(-1, 2, 2)
+    y = a_sq[rows % B]
     for _ in range(100):
-        f = np.log(sd[:, 1, 0] / (10.0 * sd[:, 0, 0]))
-        fp = sd[:, 1, 1] / sd[:, 1, 0] - sd[:, 0, 1] / sd[:, 0, 0]
+        # sd[r] = (head mass, d/dalpha, tail mass, d/dalpha), one product per head
+        cuts = np.searchsorted(rows, B * np.arange(H + 1))
+        sd = np.concatenate([y[i:j] @ cols[h] for h, (i, j)
+                             in enumerate(zip(cuts[:-1], cuts[1:]))])
+        f = np.log(sd[:, 2] / (10.0 * sd[:, 0]))
+        fp = sd[:, 3] / sd[:, 2] - sd[:, 1] / sd[:, 0]
         below = f < 0.0
         lo, hi = np.where(below, alpha, lo), np.where(below, hi, alpha)
         new = alpha - f / fp
@@ -181,8 +198,8 @@ def _crossing_exponents(w: np.ndarray, a_sq: np.ndarray,
         if not keep.any():
             break
         rows, lo, hi, alpha = rows[keep], lo[keep], hi[keep], new[keep]
-        E = np.exp(alpha[:, None] * L)
-        sd = ((masses[rows] * E[:, None, :]).reshape(-1, N) @ LV).reshape(-1, 2, 2)
+        y = np.exp(alpha[:, None] * L)
+        y *= a_sq[rows % B]
     else:
         est[rows] = alpha
     return est.reshape(H, B)
@@ -197,7 +214,8 @@ def measured_trace_exponent(n_idx: np.ndarray, a_sq: np.ndarray,
     bracketed Newton solve in alpha, ``_crossing_exponents``); return the
     median over the n0 windows.  Crude, but monotone in the coefficient
     decay and fully reproducible.  Returns +inf when the series is too short
-    for any window (finite/trivial data — every exponent is finite).
+    for any window or is all zero (finite/trivial data — every exponent is
+    finite); a window with zero head mass and a positive tail gives 0.
 
     ``n_idx`` has shape (N,).  ``a_sq`` of shape (B, N) gives estimates of
     shape (B,); ``a_sq`` of shape (N,) gives a Python float.  Windows with
@@ -423,6 +441,11 @@ class CounterexampleRun:
                 f"beta={self.beta} outside the admissible window ({lo}, {hi})")
         if min(self.n_grid, default=0) < 1 or list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be increasing positive integers")
+        # order 0 checks each n against its own interior mode m = n
+        need = max(self.n_grid) if self.order == 0 else 1
+        if self.interior_modes < need:
+            raise ValueError(f"need interior_modes >= {need} at order {self.order} "
+                             f"(got {self.interior_modes})")
 
     @property
     def is_boundedness_check(self) -> bool:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -116,6 +117,11 @@ def test_size_histogram_counts_repeated_values():
 def test_measured_exponent_trivial_series():
     assert math.isinf(measured_trace_exponent(np.array([1.0, 16.0]),
                                               np.array([1.0, 0.5])))
+    # an all-zero row is trivial data too, without a warning (warnings are
+    # errors here)
+    n = np.arange(1, 257, dtype=np.float64) ** 4
+    assert math.isinf(measured_trace_exponent(n, np.zeros(256)))
+    assert math.isinf(measured_trace_exponent(n[:4], np.zeros(4)))
 
 
 def _scalar_exponent(w, a_sq, n0_values=(16, 32, 64, 128, 256, 512, 1024)):
@@ -184,6 +190,107 @@ def _assert_matches_bisection(got, want):
     assert solved.any()
     np.testing.assert_array_max_ulp(got[solved], want[solved], maxulp=4)
     assert list(got[~solved]) == list(want[~solved])
+
+
+def _masked_crossing_exponents(w, a_sq, heads):
+    """The solver before the weighted-row form: a masked (H B, 2, N) copy per step."""
+    (H, B), N = (len(heads), len(a_sq)), len(w)
+    L = np.log(1.0 + w ** 2)
+    LV = np.stack([np.ones_like(L), L], axis=1)
+    masks = np.stack([heads, ~heads], axis=1)
+    masses = (masks[:, None] * a_sq[None, :, None, :]).reshape(H * B, 2, N)
+    ratio0 = np.concatenate([a_sq[:, ~h].sum(axis=1) / a_sq[:, h].sum(axis=1)
+                             for h in heads])
+    s_max = (masses.reshape(-1, N) @ np.exp(6.0 * L)).reshape(-1, 2)
+    at_lo, at_hi = ratio0 >= 10.0, s_max[:, 1] / s_max[:, 0] < 10.0
+    est = np.where(at_lo, 0.0, np.inf)
+    rows = np.flatnonzero(~(at_lo | at_hi))
+    lo, hi = np.zeros(len(rows)), np.full(len(rows), 6.0)
+    alpha = np.zeros(len(rows))
+    sd = (masses[rows].reshape(-1, N) @ LV).reshape(-1, 2, 2)
+    for _ in range(100):
+        f = np.log(sd[:, 1, 0] / (10.0 * sd[:, 0, 0]))
+        fp = sd[:, 1, 1] / sd[:, 1, 0] - sd[:, 0, 1] / sd[:, 0, 0]
+        below = f < 0.0
+        lo, hi = np.where(below, alpha, lo), np.where(below, hi, alpha)
+        new = alpha - f / fp
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - alpha) <= 1e-15 * np.maximum(1.0, new)
+        est[rows[done]] = new[done]
+        keep = ~done
+        if not keep.any():
+            break
+        rows, lo, hi, alpha = rows[keep], lo[keep], hi[keep], new[keep]
+        E = np.exp(alpha[:, None] * L)
+        sd = ((masses[rows] * E[:, None, :]).reshape(-1, N) @ LV).reshape(-1, 2, 2)
+    else:
+        est[rows] = alpha
+    return est.reshape(H, B)
+
+
+def _window_heads(w):
+    """The distinct head masks of the default windows, as measured_trace_exponent forms them."""
+    heads = []
+    for n0 in (16, 32, 64, 128, 256, 512, 1024):
+        head = w <= n0
+        if head.any() and not head.all() and not any((head == h).all() for h in heads):
+            heads.append(head)
+    return np.stack(heads)
+
+
+def test_crossing_exponents_equal_masked_reference():
+    # same products a E L summed over n, so the same bits; the batches are
+    # the criterion-10 calls of kato_sweep at its defaults
+    k = np.arange(1, 257)
+    n = k.astype(np.float64) ** 4
+    heads, short = _window_heads(n), _window_heads(n[:4])
+    assert (len(heads), len(short)) == (4, 2)
+    for seed in range(10):
+        for a_sq in _sweep_rows(RegularitySweep(seed=seed)):
+            assert a_sq.shape == (48, 256)
+            assert np.array_equal(lab._crossing_exponents(n, a_sq, heads),
+                                  _masked_crossing_exponents(n, a_sq, heads))
+            assert np.array_equal(lab._crossing_exponents(n[:4], a_sq[:, :4], short),
+                                  _masked_crossing_exponents(n[:4], a_sq[:, :4], short))
+    rules = np.vstack([np.ones(256), np.where(k <= 2, 1.0, 0.0)])    # 0, inf
+    got = lab._crossing_exponents(n, rules, heads)
+    assert np.array_equal(got, _masked_crossing_exponents(n, rules, heads))
+    assert np.all(got[:, 0] == 0.0) and np.all(np.isinf(got[:, 1]))
+
+
+def test_measured_exponent_zero_head_mass():
+    # a zero head with a positive tail crosses at once: 0, without a warning
+    k = np.arange(1, 257)
+    n = k.astype(np.float64) ** 4
+    a_sq = np.where(k <= 2, 0.0, k ** -3.0)
+    for n0 in (16, 32, 64):
+        assert measured_trace_exponent(n, a_sq, n0_values=(n0,)) == 0.0
+    per_window = [measured_trace_exponent(n, a_sq, n0_values=(n0,))
+                  for n0 in (16, 32, 64, 128, 256, 512, 1024)]
+    assert 0.0 < per_window[3] < math.inf
+    # the windows with a positive head solve as before
+    _assert_matches_bisection(np.array(per_window[3:]), np.array(
+        [_scalar_exponent(n, a_sq, (n0,)) for n0 in (128, 256, 512, 1024)]))
+    assert measured_trace_exponent(n, a_sq) == np.median(per_window)
+    both = measured_trace_exponent(n, np.vstack([a_sq, np.zeros(256)]))
+    assert both[0] == np.median(per_window) and math.isinf(both[1])
+
+
+def test_exponent_call_peak_memory():
+    # one criterion-10 call (48 x 256, 4 heads) holds at most four
+    # (H B, N) float arrays at once; the masked (H B, 2, N) copy and its
+    # per-step gather took 2.8 MB
+    k = np.arange(1, 257)
+    n = k.astype(np.float64) ** 4
+    bound = 4 * 4 * 48 * 256 * 8
+    for a_sq in _sweep_rows(RegularitySweep(seed=0)):
+        tracemalloc.start()
+        try:
+            measured_trace_exponent(n, a_sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_exponent_brackets_the_pow_form_crossing():
@@ -370,6 +477,20 @@ def test_counterexample_beta_window():
     assert CounterexampleRun(alpha=0.75, beta=3.6).is_boundedness_check
     with pytest.raises(ValueError):
         CounterexampleRun(alpha=0.75, beta=3.4)  # trace norm would diverge
+
+
+def test_counterexample_needs_interior_modes():
+    # order 0 checks every n against its interior mode m = n
+    for modes in (5, 0):
+        with pytest.raises(ValueError, match="interior_modes"):
+            CounterexampleRun(n_grid=(4, 8), interior_modes=modes)
+    rows = optimality_run(CounterexampleRun(n_grid=(4, 8), interior_modes=8))
+    assert all(r["termwise_ok"] for r in rows)
+    # the other orders need only one interior mode
+    with pytest.raises(ValueError, match="interior_modes"):
+        CounterexampleRun(alpha=0.2, beta=2.0, order=1, interior_modes=0)
+    assert len(optimality_run(CounterexampleRun(alpha=0.2, beta=2.0, order=1,
+                                                n_grid=(4, 8), interior_modes=1))) == 2
 
 
 def test_optimality_single_term_lower_bound():
