@@ -296,11 +296,11 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     Returns (q, p, p0) histories shaped (len(times), N) / (len(times),).
     """
     basis = build_clamped_basis(K)
-    x, w, S, C = clamped_grid(N, basis.K)
+    x, w, S, C = clamped_grid(N, K)
     phi = basis.evaluate(x)
     a = (dirichlet_lifts(x) * w) @ phi.T
     vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues,
-                            np.zeros(basis.K, dtype=np.complex128))
+                            np.zeros(K, dtype=np.complex128))
     return clamped_mixed_history(vals, c, phi, w, S, C)
 
 

@@ -258,7 +258,7 @@ def _run_solve(spec, outdir, seed):
     ``converged``: the residual, the last Picard distance (0 for lam = 0; a
     bound on |Phi(c) - c|, see ``nonlinear._picard``), is within 10 tol.
     ``tstar_reached``: the solve covers the requested T, i.e. T* = T; it fails
-    when T* was halved and also when T > 1, which the solver caps at 1.
+    when T* was halved.
     """
     rec = picard_navier(spec) if spec.family == NAVIER else picard_dirichlet(spec)
     t, hs = rec.times, rec.norms(spec.s)
@@ -478,6 +478,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="ensemble seed (u64)")
     args = ap.parse_args(argv)
     try:
+        if not 0 <= args.seed < 2 ** 64:
+            raise ConfigError(f"--seed must be in [0, 2^64) (got {args.seed})")
         cfg = load_config(args.config)
         if cfg["mode"] != args.mode:
             raise ConfigError(

@@ -43,8 +43,7 @@ def navier_eigenvalues(N: int) -> np.ndarray:
 def propagate_periodic(state: FourierState, t: float) -> FourierState:
     """Periodic group on the extension: rotates q_k and p_k, keeps p0."""
     phases = np.exp(1j * navier_eigenvalues(state.N) * t)
-    return FourierState(phases * state.q, phases * state.p, state.p0,
-                        state.t + t)
+    return FourierState(phases * state.q, phases * state.p, state.p0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,6 @@ class ClampedBasis:
     norm exactly, so no normalization constants are carried.
     """
 
-    K: int
     mu: np.ndarray         # characteristic values, eigenvalues are mu**4
     sigma: np.ndarray      # shape ratio (cosh-cos)/(sinh-sin), scaled form
     delta_hat: np.ndarray  # (1-sigma)*exp(mu), cancellation-free
@@ -136,7 +134,7 @@ def build_clamped_basis(K: int) -> ClampedBasis:
     d = 0.5 * (1.0 - em ** 2) - np.sin(mu) * em          # (sinh-sin) e^{-mu}
     sigma = (0.5 * (1.0 + em ** 2) - np.cos(mu) * em) / d  # (cosh-cos)/(sinh-sin)
     delta_hat = (np.cos(mu) - np.sin(mu) - em) / d         # (1-sigma) e^{mu}
-    return ClampedBasis(K, *_read_only(mu, sigma, delta_hat))
+    return ClampedBasis(*_read_only(mu, sigma, delta_hat))
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ NAVIER_S_MIN = 0.5
 NAVIER_S_MAX = 4.5
 
 
-def _is_half_integer(s: float, tol: float = 1e-12) -> bool:
-    return abs(s - (math.floor(s) + 0.5)) < tol
+def _is_half_integer(s: float) -> bool:
+    return abs(s - (math.floor(s) + 0.5)) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class ProblemSpec:
             # the lift route reads h and h' from the interpolant of the
             # samples, which past the last one would hold h constant
             if h.sample_t is not None and not (
-                    h.sample_t[0] == 0 and h.sample_t[-1] >= min(self.T, 1.0)):
-                raise ValueError("sampled traces must cover [0, min(T, 1)]")
+                    h.sample_t[0] == 0 and h.sample_t[-1] >= self.T):
+                raise ValueError("sampled traces must cover [0, T]")
 
     @property
     def hs(self) -> tuple:
@@ -225,7 +225,7 @@ class SolutionRecord:
 def _sine_states(rec: SolutionRecord) -> List[FourierState]:
     """Hinged ``states``: sine states of c + (h(t) - h(0)) @ a."""
     q = rec.c + (rec.vals - rec.vals[0]) @ rec.basis.a
-    return [sine_state(row, t=t) for row, t in zip(q, rec.times)]
+    return [sine_state(row) for row in q]
 
 
 def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
@@ -233,7 +233,7 @@ def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
     S, C = bops.clamped_grid(N, len(rec.basis.xi))[2:]
     q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.B,
                                           rec.basis.w, S, C)
-    return [mixed_state(*row, t=t) for *row, t in zip(q, p, p0, rec.times)]
+    return [mixed_state(*row) for row in zip(q, p, p0)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ def _picard(spec: ProblemSpec, basis: Basis,
     |u| ~ 1.8e19, the power sooner for p > 3) runs again in float64; an
     overflow in float64 raises ``OverflowError`` (a blow-up candidate).
 
-    T* starts at min(T, 1) and halves until the iteration converges; below dt
+    T* starts at T and halves until the iteration converges; below dt
     it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
     takes zero iterations.  The record holds the data h_i(t_j), the last
     iterate c_n and the dtype name of each step.  Its residual is the last
@@ -433,7 +433,7 @@ def _picard(spec: ProblemSpec, basis: Basis,
     extra map application.
     """
     wgt = basis.weights(spec.s)
-    T_star = min(spec.T, 1.0)
+    T_star = spec.T
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
         vals, lin = bops.lift_response(spec.hs, times, basis.a, basis.omegas,

@@ -47,7 +47,7 @@ def _as_c128(a, n=None):
 
 @dataclass(frozen=True)
 class FourierState:
-    """Immutable truncated series state at one time stamp.
+    """Immutable truncated series state: its coefficients alone.
 
     ``q`` holds sine coefficients q_1..q_N, ``p`` cosine coefficients
     p_1..p_N and ``p0`` the constant mode.  A sine series (the hinged
@@ -57,7 +57,6 @@ class FourierState:
     q: np.ndarray
     p: np.ndarray
     p0: complex = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
         q = _as_c128(self.q)
@@ -79,14 +78,14 @@ class FourierState:
         return len(self.q)
 
 
-def sine_state(q, t: float = 0.0) -> FourierState:
+def sine_state(q) -> FourierState:
     q = _as_c128(q)
-    return FourierState(q, np.zeros_like(q), 0.0, t)
+    return FourierState(q, np.zeros_like(q))
 
 
-def mixed_state(q, p, p0: complex = 0.0, t: float = 0.0) -> FourierState:
+def mixed_state(q, p, p0: complex = 0.0) -> FourierState:
     q = _as_c128(q)
-    return FourierState(q, _as_c128(p, len(q)), p0, t)
+    return FourierState(q, _as_c128(p, len(q)), p0)
 
 
 # ---------------------------------------------------------------------------

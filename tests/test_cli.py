@@ -68,6 +68,7 @@ def _samples(t, h=None):
     {**TRACE_BASE, "h1": _samples([0, 1e-4])},
     {**TRACE_BASE, "family": "dirichlet", "s": 1.8, "p": 4.0, "K_clamped": 4,
      "h1": _samples([0, 1e-4])},
+    {**TRACE_BASE, "T": 2.0, "dt": 0.05, "h1": _samples([0, 0.5, 1.0])},
     {**TRACE_BASE, "h1": _samples([1e-4, 1e-3])},
     {**TRACE_BASE, "h1": _samples([1e-3, 0])},
     {**TRACE_BASE, "h1": _samples([0, 1e-3], h=[[0, 0], [float("nan"), 0]])},
@@ -90,6 +91,7 @@ def _samples(t, h=None):
 ], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
         "s_list", "trace_not_object", "phi_not_object", "series_n_fraction",
         "samples_empty", "samples_short_of_T", "clamped_samples_short_of_T",
+        "samples_short_of_T_past_one",
         "samples_late_start", "samples_decreasing", "samples_nan",
         "clamped_h5", "hinged_h3", "unknown_key", "N_fraction",
         "max_iter_fraction", "metric_key", "N_bool", "lam_bool", "s_str",
@@ -307,6 +309,20 @@ def _artifacts(out):
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
+@pytest.mark.parametrize("mode,payload,seed", [
+    ("kato_sweep", {"s_grid": [1.0], "ensemble": 4, "N": 16}, -1),
+    ("lambda4", {"K": 20}, -5),
+    ("lambda4", {"K": 20}, 2 ** 64),
+], ids=["kato_negative", "lambda4_negative", "lambda4_2_64"])
+def test_seed_outside_u64_exit2_no_artifacts(tmp_path, capsys, mode, payload, seed):
+    cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})
+    out = tmp_path / "o"
+    assert main([mode, "--config", cfg, "--out", str(out),
+                 "--seed", str(seed)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("bihns: invalid config: --seed")
+
+
 def test_kato_repeated_s_checks_each_sweep(tmp_path):
     # each s runs its own seeded sweep, so rows of a repeated s are checked
     # sweep by sweep, not pooled by s value
@@ -433,12 +449,9 @@ CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,
       "dt": 1e-4, "tol": 1e-10, "max_iter": 5,
       "phi": {"kind": "sine", "coefficients": [[3, 0], [0, 1.5], [0.5, 0]]}},
      0.0025),
-    # T > 1 is capped at 1
-    ({"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8, "p": 4.0,
-      "lam": 0.0, "T": 5.0, "dt": 0.05}, 1.0),
     # the clamped family halves through the same driver
     ({**CLAMPED_STIFF, "max_iter": 3}, 0.005),
-], ids=["halved", "capped", "clamped_halved"])
+], ids=["halved", "clamped_halved"])
 def test_solve_short_of_T_fails(tmp_path, solve, tstar):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"
@@ -460,6 +473,21 @@ def test_tstar_underflow_reports_data_norm(tmp_path, solve, norm):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     error = json.loads((out / "summary.json").read_text())["error"]
     assert error == f"no contraction: T* underflowed below dt (data norm r={norm})"
+
+
+@pytest.mark.parametrize("solve", [
+    {"family": "navier", "N": 8, "s": 1.0},
+    {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8, "p": 4.0},
+], ids=["navier", "dirichlet"])
+def test_solve_past_one_reaches_T(tmp_path, solve):
+    # T* starts at the requested T, however far past 1
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        **solve, "lam": 0.0, "T": 5.0, "dt": 0.05}})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    record = json.loads((out / "summary.json").read_text())
+    assert record["checks"] == {"converged": True, "tstar_reached": True}
+    assert record["summary"]["tstar"] == 5.0
 
 
 def test_sampled_trace_covering_T_solves(tmp_path):
