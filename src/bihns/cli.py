@@ -237,15 +237,21 @@ def _write_csv(path: Path, anchor: str, header: Sequence[str],
 
 
 def _write_floats(path: Path, anchor: str, header: Sequence[str],
-                  cols: Sequence[np.ndarray]) -> None:
-    """Anchor row, header row, then the equal-length float columns ``cols``
-    in one formatting pass.  A ``%.17g`` cell never needs quoting, so the
-    bytes are those of ``_write_csv`` on the same floats."""
-    table = np.column_stack(cols)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+                  cols: Sequence) -> List[List[str]]:
+    """Anchor row, header row, then the equal-length float columns ``cols``;
+    returns the columns' cells.  A column is formatted once, with
+    ``%.17g``, and a list of cells (a column this function returned) is
+    written as it is, so a table that repeats a column reuses its cells.  A
+    ``%.17g`` cell never needs quoting, so the bytes are those of
+    ``_write_csv`` on the same floats."""
+    cells = [col if isinstance(col, list) else
+             ("%.17g\n" * len(col) % tuple(col.tolist())).splitlines()
+             for col in cols]
+    rows = list(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="") as f:
         _write_head(f, anchor, header)
-        f.write(row * len(table) % tuple(table.ravel().tolist()))
+        f.write("\r\n".join(rows + [""]))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +267,11 @@ def _run_solve(spec, outdir, seed):
     when T* was halved.
     """
     rec = picard_navier(spec) if spec.family == NAVIER else picard_dirichlet(spec)
-    t, hs = rec.times, rec.norms(spec.s)
-    _write_floats(outdir / "solve_norms.csv",
-                  "(sum_k (1+xi_k^2)^s |c_k|^2)^(1/2) of the solver coefficients c "
-                  "with xi_k = k pi or mu_k; s = 0 for l2_norm",
-                  ["t", "hs_norm", "l2_norm"], (t, hs, rec.norms(0.0)))
+    t, hs = _write_floats(outdir / "solve_norms.csv",
+                          "(sum_k (1+xi_k^2)^s |c_k|^2)^(1/2) of the solver "
+                          "coefficients c with xi_k = k pi or mu_k; s = 0 for l2_norm",
+                          ["t", "hs_norm", "l2_norm"],
+                          (rec.times, rec.norms(spec.s), rec.norms(0.0)))[:2]
     u0, u1 = rec.traces["u0"], rec.traces["u1"]
     _write_floats(outdir / "solve_traces.csv",
                   "reconstructed endpoint values u(0,t), u(1,t)",

@@ -208,7 +208,9 @@ def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
     are not their operands, since ``fb * g0[s]`` would run in place on the
     large temporary ``g0[s]``, in a numpy loop that rounds differently.  So
     each step writes the phase product straight into V[j+1] and adds J[j]
-    there (an addition rounds alike in place).
+    there (an addition rounds alike in place).  The steps walk the row views
+    of V and J together, each row the next step's previous one, so no step
+    indexes V; a block's J is released before the next one is formed.
     """
     t, c, w = F.times, F.coeffs, F.omegas
     V = np.empty_like(c)
@@ -219,14 +221,17 @@ def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
     phases = list(np.exp(z))
     for a in range(0, len(t) - 1, _DUHAMEL_BLOCK):
         s = which[a:a + _DUHAMEL_BLOCK]
-        fa, fb = c[a:a + len(s)], c[a + 1:a + 1 + len(s)]
+        n = len(s)
+        fa, fb = c[a:a + n], c[a + 1:a + 1 + n]
         J = np.multiply(fb, g0[s])
         J += np.multiply(fa - fb, g1[s])
         J *= steps[s][:, None]
-        for i, si in enumerate(s.tolist()):
-            row = V[a + i + 1]
-            np.multiply(phases[si], V[a + i], out=row)
-            np.add(row, J[i], out=row)
+        prev = V[a]
+        for row, j, si in zip(V[a + 1:a + 1 + n], J, s.tolist()):
+            np.multiply(phases[si], prev, out=row)
+            np.add(row, j, out=row)
+            prev = row
+        del J, j                        # j views J's last row
     return V
 
 

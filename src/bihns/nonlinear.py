@@ -12,6 +12,11 @@ homogeneous boundary conditions:
   eigenvalues mu_j^4, lifts of (h1, h2, h3, h4) projected on one trapezoid
   grid of 4 max(N, K) + 1 points.
 
+Each family's ``Basis`` (modes, lifts and their projections on the grid)
+depends on the grid alone, so it is built once per grid, keyed by (N, M)
+hinged and (N, K) clamped, like ``sine_grid``; its arrays are read-only
+and every record on that grid shares it.  A solve projects only its datum.
+
 One driver, ``_picard``, builds each T* attempt from those pieces alike: the
 linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
 both terms from one Duhamel recurrence (``boundary_ops.lift_response``), and
@@ -47,6 +52,7 @@ traces are the data, the norms weigh c as the Picard distance does, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -55,8 +61,8 @@ import numpy as np
 
 from . import boundary_ops as bops
 from . import linear_flow as lf
-from .spectral import (BoundaryTrace, FourierState, _sample, mixed_state,
-                       sine_coefficients, sine_grid, sine_state)
+from .spectral import (BoundaryTrace, FourierState, _read_only, _sample,
+                       mixed_state, sine_coefficients, sine_grid, sine_state)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
 # and nonlinear.reconstruct
 from .spectral import odd_even_extend, reconstruct
@@ -154,7 +160,8 @@ class Basis:
     (4, K) the projections of the lifts onto the modes.  ``states`` maps a
     record to its older state layout: the hinged sine coefficients of
     u - gamma, gamma the lift at h(0), or the clamped u on the half-weight
-    mixed basis.
+    mixed basis.  Its arrays are read-only: ``_hinged_basis`` and
+    ``_clamped_basis`` build one per grid for every record on it.
     """
 
     xi: np.ndarray
@@ -484,18 +491,38 @@ def _picard(spec: ProblemSpec, basis: Basis,
                           step_precision=precisions)
 
 
+@functools.lru_cache(maxsize=8)
+def _hinged_basis(N: int, M: int) -> Basis:
+    """The read-only hinged ``Basis``: N sine modes on the sine grid of M
+    intervals, shared by every record on that grid."""
+    x, w, S = sine_grid(N, M)
+    xi, omegas, w, L, a = _read_only(
+        np.arange(1, N + 1, dtype=np.float64) * np.pi, lf.navier_eigenvalues(N),
+        2.0 * w, bops.navier_lifts(x), bops.navier_lift_coeffs(N))
+    return Basis(xi=xi, omegas=omegas, modes=lambda y: np.sin(np.outer(xi, y)),
+                 lifts=bops.navier_lifts, B=S.T, w=w, L=L, a=a,
+                 states=_sine_states)
+
+
+@functools.lru_cache(maxsize=8)
+def _clamped_basis(N: int, K: int) -> Basis:
+    """The read-only clamped ``Basis``: K modes on the grid of
+    ``bops.clamped_grid``, shared by every record on that grid."""
+    cb = lf.build_clamped_basis(K)
+    x, w = bops.clamped_grid(N, K)[:2]
+    B, L = cb.evaluate(x), bops.dirichlet_lifts(x)
+    omegas, B, L, a = _read_only(cb.eigenvalues, B, L, (L * w) @ B.T)
+    return Basis(xi=cb.mu, omegas=omegas, modes=cb.evaluate,
+                 lifts=bops.dirichlet_lifts, B=B, w=w, L=L, a=a,
+                 states=functools.partial(_mixed_states, N=N))
+
+
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     """The hinged solve on its ``Basis`` (module docstring)."""
     if spec.family != NAVIER:
         raise ValueError("spec is not a hinged-family problem")
     N = spec.N
-    x, w, S = sine_grid(N, _dealias_points(N, spec.p))
-    xi = np.arange(1, N + 1, dtype=np.float64) * np.pi
-    basis = Basis(xi=xi, omegas=lf.navier_eigenvalues(N),
-                  modes=lambda y: np.sin(np.outer(xi, y)),
-                  lifts=bops.navier_lifts, B=S.T, w=2.0 * w,
-                  L=bops.navier_lifts(x), a=bops.navier_lift_coeffs(N),
-                  states=_sine_states)
+    basis = _hinged_basis(N, _dealias_points(N, spec.p))
     c_phi = (sine_coefficients(spec.phi, N).q if spec.phi is not None
              else np.zeros(N, dtype=np.complex128))
     return _picard(spec, basis, c_phi)
@@ -505,13 +532,8 @@ def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     """The clamped solve on its ``Basis`` (module docstring)."""
     if spec.family != DIRICHLET:
         raise ValueError("spec is not a clamped-family problem")
-    N, K = spec.N, spec.K_clamped
-    cb = lf.build_clamped_basis(K)
-    x, w = bops.clamped_grid(N, K)[:2]
-    B, L = cb.evaluate(x), bops.dirichlet_lifts(x)
-    basis = Basis(xi=cb.mu, omegas=cb.eigenvalues, modes=cb.evaluate,
-                  lifts=bops.dirichlet_lifts, B=B, w=w, L=L, a=(L * w) @ B.T,
-                  states=lambda rec: _mixed_states(rec, N))
-    c_phi = (B @ (w * _sample(spec.phi, len(x) - 1))
-             if spec.phi is not None else np.zeros(K, dtype=np.complex128))
+    basis = _clamped_basis(spec.N, spec.K_clamped)
+    c_phi = (basis.B @ (basis.w * _sample(spec.phi, len(basis.w) - 1))
+             if spec.phi is not None
+             else np.zeros(spec.K_clamped, dtype=np.complex128))
     return _picard(spec, basis, c_phi)

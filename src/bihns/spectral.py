@@ -11,9 +11,12 @@ Every projection and synthesis on a uniform grid runs on one cached grid per
 (N, M): ``sine_grid`` holds the M+1 nodes of [0,1], their trapezoid weights w
 and the read-only (M+1, N) matrix S = sin(k pi x); ``uniform_grid`` adds the
 cosine matrix C = cos(k pi x), so the sine-only (hinged) pipeline never
-builds C.  Complex values meet S and C through ``matmul_real`` (the
-solvers' forcing folds S in ``nonlinear._grid_forcing`` instead).  Two
-coefficient conventions share that grid and differ only by a factor 2:
+builds C.  The solvers' bases sit on those grids and are cached the same
+way: each family's read-only ``nonlinear.Basis`` is built once per grid,
+(N, M) hinged and (N, K) clamped, and shared by every record on it.
+Complex values meet S and C through ``matmul_real`` (the solvers' forcing
+folds S in ``nonlinear._grid_forcing`` instead).  Two coefficient
+conventions share that grid and differ only by a factor 2:
 
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
   transform; used by the hinged/Navier pipeline).

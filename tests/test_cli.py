@@ -205,6 +205,30 @@ def test_lambda4_run(tmp_path):
     assert lines[1].split(",")[:2] == ["multiplicity", "bucket_count"]
 
 
+@pytest.mark.parametrize("family", ["navier", "dirichlet"])
+def test_solve_tables_share_their_t_and_hs_norm_cells(family, tmp_path):
+    # solve_plot.csv and the t column of solve_traces.csv reuse the cells
+    # of solve_norms.csv: equal byte for byte on a real solve
+    series = {"kind": "series", "n": [0, 1], "a": [[-0.1, 0.05], [0.1, -0.05]]}
+    solve = {"family": family, "N": 16, "s": 2.0, "p": 5.0, "lam": 1.0,
+             "T": 1e-3, "dt": 3e-5, "h1": series,
+             "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [1, 1],
+                                                      [-2, -2], [1, 1]]}}
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+
+    def body(name):
+        return (out / name).read_bytes().split(b"\r\n")[2:]
+
+    norms, traces, plot = (body(name) for name in
+                           ("solve_norms.csv", "solve_traces.csv", "solve_plot.csv"))
+    assert len(norms) == len(traces) == len(plot) > 30 and norms[-1] == b""
+    assert plot == [b",".join(row.split(b",")[:2]) for row in norms]
+    assert ([row.split(b",")[0] for row in traces]
+            == [row.split(b",")[0] for row in norms])
+
+
 def test_zero_data_solve(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "mode": "solve",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bihns.linear_flow import (ForcingHistory, _char_scaled,
+from bihns.linear_flow import (_DUHAMEL_BLOCK, ForcingHistory, _char_scaled,
                                build_clamped_basis, duhamel,
                                duhamel_history, navier_eigenvalues,
                                propagate_periodic)
@@ -263,6 +263,24 @@ def test_duhamel_history_exact_on_full_blocks():
     c = g.standard_normal((1001, 256)) + 1j * g.standard_normal((1001, 256))
     F = ForcingHistory(t, c, w)
     assert np.array_equal(duhamel_history(F), _duhamel_per_step(F))
+
+
+@pytest.mark.parametrize("start", [False, True], ids=["no_v0", "v0"])
+@pytest.mark.parametrize("steps", [1, _DUHAMEL_BLOCK, _DUHAMEL_BLOCK + 1])
+def test_duhamel_history_block_edges_match_per_step(steps, start):
+    # one step, one full block and a block plus one step: the row stepping
+    # must start each block from the last row of the one before, bit for bit
+    g = np.random.default_rng(steps)
+    t = np.cumsum(np.concatenate(([0.0], g.uniform(1e-5, 1e-4, steps))))
+    w = np.concatenate(([0.0, 1.0, 20.0], navier_eigenvalues(12)))
+    shape = (len(t), len(w))
+    c = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    v0 = (g.standard_normal(len(w)) + 1j * g.standard_normal(len(w))
+          if start else None)
+    F = ForcingHistory(t, c, w)
+    V = duhamel_history(F, v0)
+    assert V.shape == shape
+    assert np.array_equal(V, _duhamel_per_step(F, v0))
 
 
 def test_duhamel_out_of_range():

@@ -12,7 +12,7 @@ import bihns.nonlinear as nl
 from bihns.boundary_ops import (clamped_grid, dirichlet_lifts,
                                 navier_boundary_history, navier_lift_coeffs,
                                 navier_lifts)
-from bihns.cli import ConfigError, _build
+from bihns.cli import ConfigError, _build, run
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
                              _grid_forcing, _power, picard_dirichlet,
@@ -320,8 +320,12 @@ def test_clamped_solve_evaluates_the_basis_once(monkeypatch):
         return evaluate(self, *args, **kwargs)
 
     monkeypatch.setattr(ClampedBasis, "evaluate", counted)
+    nl._clamped_basis.cache_clear()
     spec, rec = _clamped_record()
     assert len(calls) == 1 and rec.iterations > 0
+    # the basis is built once per (N, K): a warm solve evaluates nothing
+    _clamped_record()
+    assert len(calls) == 1
 
 
 def test_power_in_place_zero_and_overflow():
@@ -814,6 +818,64 @@ def test_hinged_solve_builds_no_cosine_matrix():
     _hinged_record()
     assert sine_grid.cache_info().misses > 0
     assert uniform_grid.cache_info().misses == 0
+
+
+#: (basis builder, a grid key, the keys that differ from it in N, M or K)
+BASIS_GRIDS = {"hinged": (nl._hinged_basis, (16, 33), [(32, 33), (16, 65)]),
+               "clamped": (nl._clamped_basis, (16, 8), [(32, 8), (16, 12)])}
+
+
+def _clear_basis_caches():
+    for cached in (nl._hinged_basis, nl._clamped_basis, sine_grid,
+                   uniform_grid, build_clamped_basis):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("family", ["hinged", "clamped"])
+def test_basis_is_built_once_per_grid_and_read_only(family):
+    build, key, others = BASIS_GRIDS[family]
+    basis = build(*key)
+    assert build(*key) is basis
+    for other in others:
+        assert build(*other) is not basis
+    for name in ("xi", "omegas", "B", "w", "L", "a"):
+        arr = getattr(basis, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    # every record on one grid shares its basis
+    make = _hinged_record if family == "hinged" else _clamped_record
+    assert make()[1].basis is make()[1].basis
+
+
+@pytest.mark.parametrize("family", ["hinged", "clamped"])
+def test_cold_and_warm_basis_solves_agree_bit_for_bit(family):
+    make = _hinged_record if family == "hinged" else _clamped_record
+    _clear_basis_caches()
+    _, cold = make()
+    _, warm = make()
+    assert warm.basis is cold.basis
+    assert np.array_equal(cold.c, warm.c) and np.array_equal(cold.vals, warm.vals)
+
+
+@pytest.mark.parametrize("family", ["navier", "dirichlet"])
+def test_cold_and_warm_basis_cli_artifacts_are_byte_identical(family, tmp_path):
+    series = {"kind": "series", "n": [0, 1], "a": [[-0.1, 0.05], [0.1, -0.05]]}
+    solve = {"family": family, "N": 16, "s": 2.0, "p": 5.0, "lam": 1.0,
+             "T": 1e-3, "dt": 1e-5, "h1": series, "h2": series,
+             "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [2, 1],
+                                                      [-4, -2], [2, 1]]}}
+    if family == "dirichlet":
+        solve["K_clamped"] = 8
+    cfg = {"mode": "solve", "solve": solve}
+    _clear_basis_caches()
+    assert run(cfg, tmp_path / "cold", seed=3) == 0
+    assert run(cfg, tmp_path / "warm", seed=3) == 0
+    files = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    assert "solve_norms.csv" in files
+    for name in files:
+        assert ((tmp_path / "cold" / name).read_bytes()
+                == (tmp_path / "warm" / name).read_bytes()), name
 
 
 # ---------------------------------------------------------------------------
