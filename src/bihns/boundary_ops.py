@@ -11,8 +11,9 @@ its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``dirichlet_lifts`` for (h1, h2, h3, h4), projected on the clamped grid.
 ``lift_response`` gives the linear history of c_k for either, and
-``clamped_grid`` (the shared ``spectral.uniform_grid`` on 4 max(N, K)
-intervals) is the one trapezoid rule behind every clamped projection.
+``clamped_nodes`` (the trapezoid rule on 4 max(N, K) intervals) is the
+one quadrature behind every clamped projection; ``clamped_grid`` adds the
+sine/cosine matrices of the shared ``spectral.uniform_grid`` on it.
 The solvers record c itself.  ``clamped_mixed_history`` projects a clamped
 history onto the half-weight mixed basis; it serves only the clamped
 record's ``states`` view and ``dirichlet_linear_history``.
@@ -51,7 +52,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, uniform_grid
+from .spectral import (BoundaryTrace, FourierState, TRACE_FREQ, trapezoid_grid,
+                       uniform_grid)
 from .linear_flow import (ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -219,15 +221,22 @@ def _lift_mixed_coeffs(N: int):
     return (q1, p1, 0.25), (q3, p3, 1.0 / 24.0)
 
 
-def clamped_grid(N: int, K: int):
-    """The shared uniform grid (x, w, S, C) on 4 max(N, K) intervals of [0, 1].
+def clamped_nodes(N: int, K: int):
+    """Read-only (x, w) of the uniform grid on 4 max(N, K) intervals of [0, 1].
 
     The one quadrature of the clamped family: every integrand it meets
     (initial datum, lift or nonlinearity times phi_j; phi_j times sin/cos)
     has a vanishing first derivative at both ends, so the trapezoid rule is
-    O(h^4).  S and C carry the N sine/cosine modes of the mixed basis.
+    O(h^4).  The clamped solve reads these alone.
     """
-    return uniform_grid(N, 4 * max(N, K))
+    return trapezoid_grid(4 * max(N, K))
+
+
+def clamped_grid(N: int, K: int):
+    """(x, w, S, C): ``clamped_nodes`` and the N sine/cosine modes S, C of
+    the mixed basis on them, from the shared ``spectral.uniform_grid``."""
+    x = clamped_nodes(N, K)[0]
+    return uniform_grid(N, len(x) - 1)
 
 
 def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,

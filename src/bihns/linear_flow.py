@@ -228,8 +228,8 @@ def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
         J *= steps[s][:, None]
         prev = V[a]
         for row, j, si in zip(V[a + 1:a + 1 + n], J, s.tolist()):
-            np.multiply(phases[si], prev, out=row)
-            np.add(row, j, out=row)
+            np.multiply(phases[si], prev, row)  # a positional out parses
+            np.add(row, j, row)                 # faster than out=
             prev = row
         del J, j                        # j views J's last row
     return V

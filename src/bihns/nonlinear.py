@@ -27,7 +27,12 @@ of time rows, on stacked real (re; im) rows folded onto half the grid by the
 bases' parity under x -> 1-x: real GEMMs synthesize the parts of u
 symmetric and antisymmetric under that map, the lift rows riding along as
 extra synthesis rows, and the power acts on u(x) and u(1-x) made from
-them.  T* halves whenever
+them.  Each block is laid out as contiguous (re|im, x|1-x, rows, nodes
+x <= 1/2) planes, so the fold, the power and the unfold run on whole
+planes; a middle node x = 1/2 sits on both sides with a zero antisymmetric
+part, and its doubled fold meets a halved projection column.  The power
+takes |u|^(p-2) from s = |u|^2 by multiplication for an integer p,
+s^m sqrt(s)^b with p - 2 = 2m + b, and by ``**`` otherwise.  T* halves whenever
 ``max_iter`` iterations leave the Picard distance above ``tol``.  Both
 families report the last Picard distance |c_n - c_{n-1}| as the residual:
 by the contraction it bounds the fixed-point residual |Phi(c_n) - c_n| up
@@ -254,14 +259,28 @@ def _dealias_points(N: int, p: float) -> int:
 def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
     """lam |u|^(p-2) u in place on stacked real rows ``u``: its first half of
     rows are the real parts and its second half the imaginary parts of the
-    same values, so |u|^2 = re^2 + im^2 on contiguous rows (p >= 3 keeps
-    0 ** (p-2) = 0).  A non-finite value raises ``OverflowError``."""
+    same values, so s = |u|^2 = re^2 + im^2 on contiguous rows (p >= 3 keeps
+    0 ** (p-2) = 0).  An integer p takes no ``pow``: with p - 2 = 2m + b,
+    |u|^(p-2) = s^m sqrt(s)^b by multiplication, the paths numpy's ``**``
+    already takes for p = 3, 4 and 6, and within an ulp or two of it at
+    p = 5; a fractional p takes s ** ((p-2)/2).  A non-finite value raises
+    ``OverflowError``."""
     r = len(u) // 2
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.square(u)               # one temporary: re^2 over im^2
-        fac = sq[:r]
-        fac += sq[r:]
-        fac **= 0.5 * (p - 2.0)
+        fac, base = sq[:r], sq[r:]
+        fac += base                     # s; base is free from here on
+        if float(p).is_integer():       # p - 2 = 2m + b
+            m, b = divmod(int(p) - 2, 2)
+            products = m - 1 + b        # multiplications by s
+            if products:
+                np.copyto(base, fac)
+            if b:
+                np.sqrt(fac, out=fac)
+            for _ in range(products):
+                fac *= base
+        else:
+            fac **= 0.5 * (p - 2.0)
         fac *= lam
         u[:r] *= fac
         u[r:] *= fac
@@ -288,15 +307,21 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
     ``B`` is a real (K, M+1) basis on a uniform grid with the parity
     B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x) and the clamped phi_j
     both have it), and ``w`` are weights symmetric under x -> 1-x.  So the
-    work folds onto the nodes x < 1/2: the even rows of B and the lifts'
+    work folds onto the W nodes x <= 1/2: the even rows of B and the lifts'
     symmetric parts synthesize the part S of u symmetric under x -> 1-x,
     the odd rows and the lifts' antisymmetric parts its part A, and
     u(x) = S + A, u(1-x) = S - A.  ``_power`` turns those values into
     g = lam |u|^(p-2) u, which folds back as S' = g(x) + g(1-x) onto the
-    even rows and A' = g(x) - g(1-x) onto the odd ones; a middle node
-    x = 1/2 (M even) belongs to S and S' alone.  Time rows go in blocks of
-    ``_BLOCK_BYTES``, each as stacked real (re; im) rows, so every GEMM is
-    real and no complex grid block is formed.
+    even rows and A' = g(x) - g(1-x) onto the odd ones.
+
+    Time rows go in blocks of ``_BLOCK_BYTES``, each laid out as one
+    (re|im, x|1-x, rows, W) prefix of a flat buffer, so the fold, the power
+    and the unfold run on whole contiguous planes, and every GEMM is real
+    on stacked (re; im) rows: no complex grid block is formed.  A middle
+    node x = 1/2 (M even) sits on both sides: A has a zero column there,
+    the node is powered twice, folds back as S' = 2 g(1/2) and meets a
+    projection column scaled by 0.5, so each product and sum is the one of
+    the unfolded node.
 
     ``dtype`` is the working precision of the folded matrices, the stacked
     rows and the grid block (float64 or float32); the output is complex128
@@ -305,18 +330,19 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
     """
     T, K = c.shape
     M1 = B.shape[1]
-    H, mid = M1 // 2, M1 % 2                       # nodes x < 1/2; x = 1/2
+    H, W = M1 // 2, (M1 + 1) // 2                  # nodes x < 1/2; x <= 1/2
     if vals is None:
         vals, lift = np.zeros((T, 0)), np.zeros((0, M1))
     work = {"dtype": dtype, "casting": "same_kind"}
     flip = lift[:, ::-1]                           # lift rows at 1 - x
-    Bs = np.concatenate((B[0::2, :H + mid], 0.5 * (lift + flip)[:, :H + mid]),
-                        **work)
-    Ba = np.concatenate((B[1::2, :H], 0.5 * (lift - flip)[:, :H]), **work)
-    Ps = (B[0::2, :H + mid] * w[:H + mid]).astype(dtype, copy=False)
+    Bs = np.concatenate((B[0::2, :W], 0.5 * (lift + flip)[:, :W]), **work)
+    Ba = np.concatenate((B[1::2, :W], 0.5 * (lift - flip)[:, :W]), **work)
+    Ba[:, H:] = 0.0                                # A(1/2) = 0
+    Ps = (B[0::2, :W] * w[:W]).astype(dtype, copy=False)
+    Ps[:, H:] *= 0.5                               # meets S'(1/2) = 2 g(1/2)
     Pa = (B[1::2, :H] * w[:H]).astype(dtype, copy=False)
     R = max(1, _BLOCK_BYTES // (2 * np.dtype(dtype).itemsize * M1))
-    grid = np.empty((2 * R, 2 * H + mid), dtype=dtype)  # u(x) | u(1-x) | u(1/2)
+    grid = np.empty(4 * R * W, dtype=dtype)        # (re|im, x|1-x, rows, W)
     xs_buf = np.empty((2 * R, len(Bs)), dtype=dtype)    # (re; im) of c_even | vals
     xa_buf = np.empty((2 * R, len(Ba)), dtype=dtype)    # (re; im) of c_odd | vals
     out = np.empty((T, K), dtype=np.complex128)
@@ -331,15 +357,14 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
                 xb[:r, :k], xb[r:, :k] = part.real, part.imag
                 xb[:r, k:], xb[r:, k:] = vals[rows].real, vals[rows].imag
             S, A = xs @ Bs, xa @ Ba
-            u = grid[:2 * r]
-            np.add(S[:, :H], A, out=u[:, :H])
-            np.subtract(S[:, :H], A, out=u[:, H:2 * H])
-            u[:, 2 * H:] = S[:, H:]
+            S3, A3 = S.reshape(2, r, W), A.reshape(2, r, W)
+            u = grid[:4 * r * W].reshape(2, 2, r, W)
+            np.add(S3, A3, out=u[:, 0])
+            np.subtract(S3, A3, out=u[:, 1])
             _power(u, p, lam)
-            np.add(u[:, :H], u[:, H:2 * H], out=S[:, :H])
-            np.subtract(u[:, :H], u[:, H:2 * H], out=A)
-            S[:, H:] = u[:, 2 * H:]
-            fs, fa = S @ Ps.T, A @ Pa.T
+            np.add(u[:, 0], u[:, 1], out=S3)
+            np.subtract(u[:, 0], u[:, 1], out=A3)
+            fs, fa = S @ Ps.T, A[:, :H] @ Pa.T
             if not (np.isfinite(fs).all() and np.isfinite(fa).all()):
                 raise OverflowError("forcing overflow: blow-up candidate")
             # re, im interleaved: even modes at columns 0, 1 mod 4, odd at 2, 3
@@ -506,10 +531,11 @@ def _hinged_basis(N: int, M: int) -> Basis:
 
 @functools.lru_cache(maxsize=8)
 def _clamped_basis(N: int, K: int) -> Basis:
-    """The read-only clamped ``Basis``: K modes on the grid of
-    ``bops.clamped_grid``, shared by every record on that grid."""
+    """The read-only clamped ``Basis``: K modes on the nodes of
+    ``bops.clamped_nodes``, shared by every record on that grid; the
+    sine/cosine matrices of ``bops.clamped_grid`` wait for ``states``."""
     cb = lf.build_clamped_basis(K)
-    x, w = bops.clamped_grid(N, K)[:2]
+    x, w = bops.clamped_nodes(N, K)
     B, L = cb.evaluate(x), bops.dirichlet_lifts(x)
     omegas, B, L, a = _read_only(cb.eigenvalues, B, L, (L * w) @ B.T)
     return Basis(xi=cb.mu, omegas=omegas, modes=cb.evaluate,

@@ -8,15 +8,16 @@ which is simultaneously a function on the two-periodic extension cell [-1,1]
 (sine part = odd reflection, cosine part = even reflection).
 
 Every projection and synthesis on a uniform grid runs on one cached grid per
-(N, M): ``sine_grid`` holds the M+1 nodes of [0,1], their trapezoid weights w
-and the read-only (M+1, N) matrix S = sin(k pi x); ``uniform_grid`` adds the
-cosine matrix C = cos(k pi x), so the sine-only (hinged) pipeline never
-builds C.  The solvers' bases sit on those grids and are cached the same
-way: each family's read-only ``nonlinear.Basis`` is built once per grid,
-(N, M) hinged and (N, K) clamped, and shared by every record on it.
-Complex values meet S and C through ``matmul_real`` (the solvers' forcing
-folds S in ``nonlinear._grid_forcing`` instead).  Two coefficient
-conventions share that grid and differ only by a factor 2:
+(N, M): ``sine_grid`` holds the M+1 nodes of [0,1] and their trapezoid
+weights w (``trapezoid_grid``) and the read-only (M+1, N) matrix
+S = sin(k pi x); ``uniform_grid`` adds the cosine matrix C = cos(k pi x), so
+the sine-only (hinged) pipeline never builds C, and the clamped solve, which
+reads x and w alone, builds neither.  The solvers' bases sit on those grids
+and are cached the same way: each family's read-only ``nonlinear.Basis`` is
+built once per grid, (N, M) hinged and (N, K) clamped, and shared by every
+record on it.  Complex values meet S and C through ``matmul_real`` (the
+solvers' forcing folds S in ``nonlinear._grid_forcing`` instead).  Two
+coefficient conventions share that grid and differ only by a factor 2:
 
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
   transform; used by the hinged/Navier pipeline).
@@ -117,17 +118,21 @@ def _read_only(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=8)
-def sine_grid(N: int, M: int):
-    """Read-only (x, w, S) of the uniform grid with M intervals on [0, 1].
-
-    x: the M+1 nodes; w: their trapezoid weights; S: the (M+1, N) matrix
-    sin(k pi x), k = 1..N.
-    """
+def trapezoid_grid(M: int):
+    """Read-only (x, w): the M+1 nodes of the uniform grid with M intervals
+    on [0, 1] and their trapezoid weights."""
     x = np.linspace(0.0, 1.0, M + 1)
     w = np.full(M + 1, 1.0 / M)
     w[0] = w[-1] = 0.5 / M
-    return _read_only(x, w, np.sin(np.pi * np.outer(x, np.arange(1, N + 1))))
+    return _read_only(x, w)
+
+
+@functools.lru_cache(maxsize=8)
+def sine_grid(N: int, M: int):
+    """Read-only (x, w, S): ``trapezoid_grid(M)`` and the (M+1, N) matrix
+    S = sin(k pi x), k = 1..N."""
+    x, w = trapezoid_grid(M)
+    return (x, w) + _read_only(np.sin(np.pi * np.outer(x, np.arange(1, N + 1))))
 
 
 @functools.lru_cache(maxsize=8)

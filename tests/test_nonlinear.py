@@ -18,7 +18,8 @@ from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
                              _grid_forcing, _power, picard_dirichlet,
                              picard_navier)
 from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
-                            sine_grid, sine_state, sobolev_norm, uniform_grid)
+                            sine_grid, sine_state, sobolev_norm, trapezoid_grid,
+                            uniform_grid)
 
 rng = np.random.default_rng(2024)
 
@@ -231,6 +232,26 @@ def test_grid_forcing_clamped_matches_dense(p, with_base, M, monkeypatch):
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_grid_forcing_reads_no_odd_row_at_the_middle_node(dtype, monkeypatch):
+    # the odd rows B_k(1-x) = -B_k(x) vanish at a middle node x = 1/2; the
+    # kernel takes that zero exactly, so u(x) = u(1-x) there is one value,
+    # and what an odd row holds at x = 1/2 is never read
+    K, M, T = 12, 48, 7
+    x, w = trapezoid_grid(M)
+    clean = build_clamped_basis(K).evaluate(x)
+    clean[1::2, M // 2] = 0.0
+    dirty = clean.copy()
+    dirty[1::2, M // 2] = 1.0
+    _small_blocks(monkeypatch, M + 1, rows=3)
+    g = np.random.default_rng(12)
+    c = g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))
+    vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
+    args = (w, 5.0, 1.3, vals, dirichlet_lifts(x), dtype)
+    assert np.array_equal(_grid_forcing(c, dirty, *args),
+                          _grid_forcing(c, clean, *args))
+
+
 @pytest.mark.parametrize("family", ["hinged", "clamped"])
 def test_grid_forcing_solver_sized_blocks(family):
     # the solvers' grids at the bench sizes and the default block size:
@@ -329,11 +350,56 @@ def test_clamped_solve_evaluates_the_basis_once(monkeypatch):
 
 
 def test_power_in_place_zero_and_overflow():
-    # stacked real rows: the real parts over the imaginary parts
-    u = np.zeros((2, 5))
-    assert _power(u, 3.0, 1.0) is u and not np.any(u)
-    with pytest.raises(OverflowError, match="blow-up"):
-        _power(np.array([[1e200, 1.0], [1e200, 0.0]]), 5.0, 1.0)
+    # stacked real rows: the real parts over the imaginary parts; both
+    # rules, integer and fractional p, in both working dtypes
+    for p in (3.0, 3.5, 4.0, 5.0, 6.0, 7.0):
+        for dtype, big in ((np.float64, 1e200), (np.float32, 1e30)):
+            u = np.zeros((2, 5), dtype=dtype)
+            assert _power(u, p, 1.0) is u and not np.any(u)
+            with pytest.raises(OverflowError, match="blow-up"):
+                _power(np.array([[big, 1.0], [big, 0.0]], dtype=dtype), p, 1.0)
+
+
+def _power_rows(dtype, rows=6, cols=50):
+    """Stacked (re; im) rows with moduli spread over six decades."""
+    g = np.random.default_rng(15)
+    scale = 10.0 ** g.uniform(-3, 3, (1, cols))
+    return (g.standard_normal((2 * rows, cols)) * scale).astype(dtype)
+
+
+@pytest.mark.parametrize("p", [3.0, 3.5, 4.0, 6.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_power_matches_the_pow_rule_bit_for_bit(p, dtype):
+    # p = 3, 4, 6: s^m sqrt(s)^b are the paths numpy's ** takes for the
+    # exponents 0.5, 1 and 2; p = 3.5 still takes **
+    u = _power_rows(dtype)
+    r = len(u) // 2
+    fac = u[:r] ** 2 + u[r:] ** 2
+    fac = fac ** (0.5 * (p - 2.0)) * -0.75
+    want = np.concatenate((u[:r] * fac, u[r:] * fac))
+    assert want.dtype == dtype
+    assert np.array_equal(_power(u, p, -0.75), want)
+
+
+@pytest.mark.parametrize("p", [5.0, 7.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_power_integer_rule_within_4_ulp(p, dtype):
+    # s sqrt(s) and s^2 sqrt(s) against lam s^((p-2)/2) u in 40 digits, on
+    # the rounded s = re^2 + im^2 that the pow rule reads as well
+    u = _power_rows(dtype)
+    r = len(u) // 2
+    s = u[:r] ** 2 + u[r:] ** 2
+    got = _power(u.copy(), p, -0.75)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i, j in np.ndindex(r, u.shape[1]):
+            fac = -0.75 * mpmath.mpf(float(s[i, j])) ** ((p - 2) / 2)
+            for row in (i, r + i):
+                exact = fac * mpmath.mpf(float(u[row, j]))
+                ulp = np.spacing(dtype(abs(float(exact))))
+                err = abs(mpmath.mpf(float(got[row, j])) - exact) / ulp
+                worst = max(worst, float(err))
+    assert worst <= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +878,6 @@ def test_record_rejects_non_finite(clamped):
             SolutionRecord(times=rec.times, basis=rec.basis, **rows)
 
 
-def test_hinged_solve_builds_no_cosine_matrix():
-    sine_grid.cache_clear()
-    uniform_grid.cache_clear()
-    _hinged_record()
-    assert sine_grid.cache_info().misses > 0
-    assert uniform_grid.cache_info().misses == 0
-
-
 #: (basis builder, a grid key, the keys that differ from it in N, M or K)
 BASIS_GRIDS = {"hinged": (nl._hinged_basis, (16, 33), [(32, 33), (16, 65)]),
                "clamped": (nl._clamped_basis, (16, 8), [(32, 8), (16, 12)])}
@@ -829,6 +887,25 @@ def _clear_basis_caches():
     for cached in (nl._hinged_basis, nl._clamped_basis, sine_grid,
                    uniform_grid, build_clamped_basis):
         cached.cache_clear()
+
+
+def test_hinged_solve_builds_no_cosine_matrix():
+    # a cold hinged basis is built on its sine grid alone: B is that grid's S
+    _clear_basis_caches()
+    spec, rec = _hinged_record()
+    misses = sine_grid.cache_info().misses
+    S = sine_grid(spec.N, _dealias_points(spec.N, spec.p))[2]
+    assert sine_grid.cache_info().misses == misses and rec.basis.B.base is S
+    assert uniform_grid.cache_info().misses == 0
+
+
+def test_clamped_solve_builds_no_sine_or_cosine_matrix():
+    # a cold clamped solve reads the nodes and weights of its grid alone
+    _clear_basis_caches()
+    _, rec = _clamped_record()
+    assert nl._clamped_basis.cache_info().misses == 1 and rec.iterations > 0
+    assert uniform_grid.cache_info().misses == 0
+    assert sine_grid.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("family", ["hinged", "clamped"])
