@@ -15,7 +15,8 @@ homogeneous boundary conditions:
 Each family's ``Basis`` (modes, lifts and their projections on the grid)
 depends on the grid alone, so it is built once per grid, keyed by (N, M)
 hinged and (N, K) clamped, like ``sine_grid``; its arrays are read-only
-and every record on that grid shares it.  A solve projects only its datum.
+and every record on that grid shares it.  A solve projects only its datum,
+on that grid and by one rule for both families (``_picard``).
 
 One driver, ``_picard``, builds each T* attempt from those pieces alike: the
 linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
@@ -67,10 +68,10 @@ import numpy as np
 from . import boundary_ops as bops
 from . import linear_flow as lf
 from .spectral import (BoundaryTrace, FourierState, _read_only, _sample,
-                       mixed_state, sine_coefficients, sine_grid, sine_state)
-# unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend
-# and nonlinear.reconstruct
-from .spectral import odd_even_extend, reconstruct
+                       mixed_state, sine_grid, sine_state)
+# unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend,
+# nonlinear.reconstruct and nonlinear.sine_coefficients
+from .spectral import odd_even_extend, reconstruct, sine_coefficients
 
 NAVIER = "navier"
 DIRICHLET = "dirichlet"
@@ -135,6 +136,8 @@ class ProblemSpec:
             raise ValueError("N, T, dt, tol must be positive")
         if self.max_iter < 1 or self.K_clamped < 1:
             raise ValueError("max_iter and K_clamped must be >= 1")
+        if self.phi is not None and not callable(self.phi):
+            raise ValueError("phi must be a callable on [0, 1] or None")
         unread = [name for name in ("h1", "h2", "h3", "h4", "h5", "h6")
                   if name not in TRACES[self.family] and getattr(self, name).active]
         if unread:
@@ -432,13 +435,16 @@ def _step_dtype(dists: List[float], tol: float, max_iter: int,
     return np.float32 if cannot_stop else np.float64
 
 
-def _picard(spec: ProblemSpec, basis: Basis,
-            c_phi: np.ndarray) -> SolutionRecord:
+def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     """Iterate c -> lin + i Duhamel(forcing(c)) on the lift route.
 
     u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x) (module docstring):
-    ``spec.hs`` are the family's four traces, ``basis`` its modes, lifts and
-    grid, and ``c_phi`` the projection of the initial datum onto the modes.
+    ``spec.hs`` are the family's four traces and ``basis`` its modes, lifts
+    and grid.  The datum phi, sampled once on the grid as v with end values
+    e = (v[0], v[-1]), projects as c_phi = B (w (v - e @ L[:2])) + e @ a[:2]:
+    v - e @ L[:2] vanishes at both ends, so the trapezoid rule has no O(h^2)
+    end term on the sine modes (a in closed form), and for the clamped
+    modes, whose a is that same grid projection, the end terms cancel.
     Each T* attempt builds lin = e^{i omega t} (c_phi - h(0) @ a)
     - Duhamel(sum_i h_i' a_i) in one recurrence (``bops.lift_response``) and
     forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u.
@@ -458,12 +464,13 @@ def _picard(spec: ProblemSpec, basis: Basis,
     it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
     takes zero iterations.  The record holds the data h_i(t_j), the last
     iterate c_n and the dtype name of each step.  Its residual is the last
-    Picard distance |c_n - c_{n-1}|, below ``tol``, and 0 for lam = 0.
-    Since c_n = Phi(c_{n-1}) was computed in float64, the residual is the
-    map's own: with its contraction factor kappa < 1 it bounds the
-    fixed-point residual, |Phi(c_n) - c_n| <= kappa |c_n - c_{n-1}|, at no
-    extra map application.
+    Picard distance |c_n - c_{n-1}|, below ``tol``, and 0 for lam = 0; as
+    c_n = Phi(c_{n-1}) in float64, it bounds |Phi(c_n) - c_n| by the map's
+    contraction factor kappa < 1 at no extra map application.
     """
+    v = _sample(np.zeros_like if spec.phi is None else spec.phi, len(basis.w) - 1)
+    e = v[[0, -1]]                      # the datum's end values
+    c_phi = basis.B @ (basis.w * (v - e @ basis.L[:2])) + e @ basis.a[:2]
     wgt = basis.weights(spec.s)
     T_star = spec.T
     while True:
@@ -547,19 +554,11 @@ def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     """The hinged solve on its ``Basis`` (module docstring)."""
     if spec.family != NAVIER:
         raise ValueError("spec is not a hinged-family problem")
-    N = spec.N
-    basis = _hinged_basis(N, _dealias_points(N, spec.p))
-    c_phi = (sine_coefficients(spec.phi, N).q if spec.phi is not None
-             else np.zeros(N, dtype=np.complex128))
-    return _picard(spec, basis, c_phi)
+    return _picard(spec, _hinged_basis(spec.N, _dealias_points(spec.N, spec.p)))
 
 
 def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     """The clamped solve on its ``Basis`` (module docstring)."""
     if spec.family != DIRICHLET:
         raise ValueError("spec is not a clamped-family problem")
-    basis = _clamped_basis(spec.N, spec.K_clamped)
-    c_phi = (basis.B @ (basis.w * _sample(spec.phi, len(basis.w) - 1))
-             if spec.phi is not None
-             else np.zeros(spec.K_clamped, dtype=np.complex128))
-    return _picard(spec, basis, c_phi)
+    return _picard(spec, _clamped_basis(spec.N, spec.K_clamped))

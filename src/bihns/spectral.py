@@ -15,12 +15,13 @@ the sine-only (hinged) pipeline never builds C, and the clamped solve, which
 reads x and w alone, builds neither.  The solvers' bases sit on those grids
 and are cached the same way: each family's read-only ``nonlinear.Basis`` is
 built once per grid, (N, M) hinged and (N, K) clamped, and shared by every
-record on it.  Complex values meet S and C through ``matmul_real`` (the
-solvers' forcing folds S in ``nonlinear._grid_forcing`` instead).  Two
-coefficient conventions share that grid and differ only by a factor 2:
+record on it, and a solve projects its datum there with the basis' own
+matrix.  Complex values meet S and C through ``matmul_real`` (the solvers'
+forcing folds S in ``nonlinear._grid_forcing`` instead).  Two coefficient
+conventions share that grid and differ only by a factor 2:
 
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
-  transform; used by the hinged/Navier pipeline).
+  transform, the convention of the hinged coefficients c_k).
 * ``odd_even_extend``    -- q_k = int_0^1 f sin, p_k = int_0^1 f cos,
   p0 = (1/2) int_0^1 f  (half-weight coefficients of the odd/even *split*
   f = f_o + f_e; the clamped trace study splits data this way, and the
