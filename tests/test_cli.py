@@ -514,6 +514,22 @@ def test_solve_past_one_reaches_T(tmp_path, solve):
     assert record["summary"]["tstar"] == 5.0
 
 
+def test_clamped_solve_past_cosh_overflow_writes_finite_artifacts(tmp_path):
+    # mu_k > 710 from k = 226 on, where cosh(mu) overflows a double
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        "family": "dirichlet", "s": 2.0, "p": 5.0, "N": 16, "K_clamped": 256,
+        "lam": 0.0, "T": 1e-4, "dt": 1e-5,
+        "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [1, 0],
+                                                 [-2, 0], [1, 0]]}}})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    for name in ("solve_norms.csv", "solve_traces.csv", "solve_plot.csv"):
+        rows = list(csv.reader((out / name).read_text().splitlines()))[2:]
+        cells = np.array([float(v) for row in rows for v in row])
+        assert len(rows) == 11 and np.all(np.isfinite(cells))
+
+
 def test_sampled_trace_covering_T_solves(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
         **TRACE_BASE, "h1": _samples([0, 5e-4, 1e-3], h=[[0, 0], [0.1, 0], [0, 0.1]])}})

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 
 import mpmath
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bihns.linear_flow import (_DUHAMEL_BLOCK, ForcingHistory, _char_scaled,
+from bihns.linear_flow import (_DUHAMEL_BLOCK, ForcingHistory,
                                build_clamped_basis, duhamel,
                                duhamel_history, navier_eigenvalues,
                                propagate_periodic)
@@ -73,11 +75,28 @@ def test_periodic_flow_on_sine_state_is_hinged_flow():
 # clamped basis
 
 
-def _mpmath_mu(k):
-    """High-precision root of cos(mu)cosh(mu)=1 near (k+1/2)pi."""
-    mpmath.mp.dps = 40
-    f = lambda m: mpmath.cos(m) * mpmath.cosh(m) - 1
-    return float(mpmath.findroot(f, (k + 0.5) * mpmath.pi))
+@functools.lru_cache(maxsize=None)
+def _bisected_mu(k):
+    """Criterion 9's oracle: 200 bisection steps on cos(mu)cosh(mu) - 1 at
+    50 digits over (k + 1/2) pi +- 0.7."""
+    with mpmath.workdps(50):
+        f = lambda m: mpmath.cos(m) * mpmath.cosh(m) - 1
+        lo = (k + 0.5) * mpmath.pi - mpmath.mpf("0.7")
+        hi = (k + 0.5) * mpmath.pi + mpmath.mpf("0.7")
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if f(lo) * f(mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
+
+
+def _scaled_residual(mu):
+    """|cos(mu) - sech(mu)| at 30 digits, the float mu read exactly."""
+    with mpmath.workdps(30):
+        m = mpmath.mpf(float(mu))
+        return float(abs(mpmath.cos(m) - mpmath.sech(m)))
 
 
 def test_clamped_basis_is_cached_read_only():
@@ -91,22 +110,44 @@ def test_clamped_basis_is_cached_read_only():
 def test_clamped_roots_vs_oracle():
     basis = build_clamped_basis(4)
     for k in (1, 2, 3, 4):
-        assert abs(basis.mu[k - 1] - _mpmath_mu(k)) < 1e-9
+        assert abs(basis.mu[k - 1] - _bisected_mu(k)) < 1e-9
 
 
 def test_clamped_characteristic_residual():
     basis = build_clamped_basis(32)
     # scaled (overflow-free) residual for every mode
     for mu in basis.mu:
-        assert abs(_char_scaled(mu)) < 1e-12
+        assert _scaled_residual(mu) < 1e-12
     # the literal product form is representable only for the first root
     mu1 = basis.mu[0]
     assert abs(math.cos(mu1) * math.cosh(mu1) - 1.0) < 1e-12
 
 
+# sha256 of build_clamped_basis(225).mu.tobytes() from the per-mode bisection
+# and Newton polish that the vectorized Newton iteration replaced
+MU_225_SHA256 = "05e726e1fe9dd9fbd341580027fcf6be2cca8c6a2bbff500d07f4a09b2239cfc"
+
+
+def test_clamped_roots_up_to_225_are_pinned_bit_for_bit():
+    assert hashlib.sha256(build_clamped_basis(225).mu.tobytes()).hexdigest() \
+        == MU_225_SHA256
+
+
+@pytest.mark.parametrize("K", [226, 300, 1024])
+def test_clamped_roots_past_cosh_overflow(K):
+    # mu_226 > 710, where cosh(mu) overflows a double; each residual is the
+    # rounding of the float mu (measured at most 0.47 mu eps up to K = 1024)
+    mu = build_clamped_basis(K).mu
+    for k in sorted({1, 2, 225, 226, K}):
+        assert abs(mu[k - 1] - _bisected_mu(k)) <= 1e-14 * _bisected_mu(k)
+    eps = np.finfo(np.float64).eps
+    assert all(_scaled_residual(m) <= 2.0 * eps * m for m in mu)
+
+
 def test_clamped_gram_identity():
+    # 2048 nodes resolve K = 300 too: the largest deviation is 1.6e-13
     x, w = _gauss_nodes(2048)
-    for K in (32, 64):
+    for K in (32, 64, 300):
         phi = build_clamped_basis(K).evaluate(x)
         G = (phi * w[None, :]) @ phi.T
         assert np.max(np.abs(G - np.eye(K))) < 1e-8

@@ -763,31 +763,58 @@ def _ls_order(dts, errs):
     return float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
 
 
-@pytest.mark.parametrize("lam", [0.0, 20.0])
-def test_picard_dirichlet_plane_wave_second_order(lam):
-    # u = e^{i(kappa x + nu t)} with nu = pi^4 (lattice index 1) and
-    # kappa^4 = nu - lam solves the equation exactly, and each clamped trace
-    # is a one-term series.  Measured max errors over the nodes and 201 x:
-    # 1.37e-5 ... 2.15e-7 at lam = 0, 9.38e-6 ... 1.49e-7 at lam = 20
+def _plane_wave(family, A, lam, p):
+    """Traces, datum and solution of u = A e^{i(kappa x + nu t)}: with
+    nu = pi^4 (lattice index 1) and kappa^4 = nu - lam |A|^(p-2) it solves the
+    equation exactly, and every trace is a one-term series.  The derivative
+    traces are u_xx = -kappa^2 u (hinged) or u_x = i kappa u (clamped)."""
     nu = np.pi ** 4
-    kappa = (nu - lam) ** 0.25
-    h1 = np.array([1.0 + 0j])
+    kappa = (nu - lam * abs(A) ** (p - 2)) ** 0.25
+    h1 = np.array([A + 0j])
     h2 = np.exp(1j * kappa) * h1
+    d = -kappa ** 2 if family == "navier" else 1j * kappa
     hs = {key: BoundaryTrace.from_series([1], a) for key, a in
-          zip(("h1", "h2", "h3", "h4"), (h1, h2, 1j * kappa * h1, 1j * kappa * h2))}
+          zip(nl.TRACES[family], (h1, h2, d * h1, d * h2))}
+    return dict(phi=lambda y: A * np.exp(1j * kappa * y), **hs), \
+        lambda t, x: A * np.exp(1j * (kappa * x + nu * t))
+
+
+def _plane_wave_error(family, A, lam, p, **kw):
+    """Max over the time nodes and 201 x of |u_rec - u| / |A|."""
+    data, exact = _plane_wave(family, A, lam, p)
+    solve = picard_navier if family == "navier" else picard_dirichlet
+    rec = solve(ProblemSpec(family=family, p=p, lam=lam, T=0.01, N=64,
+                            tol=1e-12, max_iter=40, **data, **kw))
     x = np.linspace(0.0, 1.0, 201)
+    return max(np.abs(rec.evaluate(j, x) - exact(t, x)).max()
+               for j, t in enumerate(rec.times)) / abs(A)
+
+
+@pytest.mark.parametrize("lam,A,p,s,bound", [
+    (0.0, 1.0, 5.0, 2.0, 3e-7), (20.0, 1.0, 5.0, 2.0, 3e-7),
+    (5.0, 2.0, 3.5, 1.8, 3.5e-7), (5.0, 2.0, 5.0, 2.0, 2e-7),
+], ids=["0.0", "20.0", "A2-p3.5", "A2-p5"])
+def test_picard_dirichlet_plane_wave_second_order(lam, A, p, s, bound):
+    # at |A| = 1 the potential lam |u|^(p-2) is lam whatever p; at |A| = 2
+    # it sees p (p = 3 is not admissible: clamped s > 10/7 needs
+    # floor(s) < p - 2).  Measured relative max errors over dt = 2e-4 ...
+    # 2.5e-5: 1.37e-5 ... 2.15e-7 at lam = 0, 9.38e-6 ... 1.49e-7 at
+    # lam = 20, 1.09e-5 ... 1.73e-7 (p = 3.5) and 6.14e-6 ... 9.93e-8 (p = 5)
+    # at A = 2, lam = 5
     dts = [2e-4, 1e-4, 5e-5, 2.5e-5]
-    errs = []
-    for dt in dts:
-        spec = ProblemSpec(family="dirichlet", s=2.0, p=5.0, lam=lam, T=0.01,
-                           dt=dt, N=64, K_clamped=32, tol=1e-12, max_iter=40,
-                           phi=lambda y: np.exp(1j * kappa * y), **hs)
-        rec = picard_dirichlet(spec)
-        errs.append(max(np.abs(rec.evaluate(j, x)
-                               - np.exp(1j * (kappa * x + nu * t))).max()
-                        for j, t in enumerate(rec.times)))
+    errs = [_plane_wave_error("dirichlet", A, lam, p, s=s, dt=dt,
+                              K_clamped=32) for dt in dts]
     assert 1.9 <= _ls_order(dts, errs) <= 2.1
-    assert errs[-1] <= 3e-7
+    assert errs[-1] <= bound
+
+
+@pytest.mark.parametrize("p,measured", [(3.0, 2.1e-6), (5.0, 3.78e-6)])
+def test_picard_navier_plane_wave_sees_p(p, measured):
+    # the hinged twin at A = 2, so the potential 5 * 2^(p-2) sees p.  No
+    # order gate: the hinged datum projection leaves a space floor of
+    # 1.93e-6 at N = 64 even at lam = 0, A = 1, already at t = 0
+    err = _plane_wave_error("navier", 2.0, 5.0, p, s=1.0, dt=5e-5)
+    assert err <= 2 * measured
 
 
 def _mass_drift(rec, weight):
