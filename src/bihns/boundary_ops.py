@@ -9,14 +9,13 @@ with e_k the sine modes (hinged) or the clamped eigenfunctions (clamped), so
 the data are attained identically.  The families differ only in the basis,
 its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
-``dirichlet_lifts`` for (h1, h2, h3, h4), projected on the clamped grid.
-``lift_response`` gives the linear history of c_k for either, and
-``clamped_nodes`` (the trapezoid rule on 4 max(N, K) intervals) is the
-one quadrature behind every clamped projection; ``clamped_grid`` adds the
-sine/cosine matrices of the shared ``spectral.uniform_grid`` on it.
+``dirichlet_lifts`` for (h1, h2, h3, h4), projected by quadrature.
+``lift_response`` gives the linear history of c_k for either.  The clamped
+solve projects on Gauss-Legendre nodes (``nonlinear._clamped_basis``).
 The solvers record c itself.  ``clamped_mixed_history`` projects a clamped
-history onto the half-weight mixed basis; it serves only the clamped
-record's ``states`` view and ``dirichlet_linear_history``.
+history onto the half-weight mixed basis on the uniform grid of
+``clamped_grid``; it serves only the clamped record's ``states`` view and
+``dirichlet_linear_history``.
 
 The closed-form convolution weights of the boundary data stay as the
 reference of that route, exact in time for lattice-series data:
@@ -52,8 +51,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import (BoundaryTrace, FourierState, TRACE_FREQ, trapezoid_grid,
-                       uniform_grid)
+from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, uniform_grid
 from .linear_flow import (ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -221,22 +219,15 @@ def _lift_mixed_coeffs(N: int):
     return (q1, p1, 0.25), (q3, p3, 1.0 / 24.0)
 
 
-def clamped_nodes(N: int, K: int):
-    """Read-only (x, w) of the uniform grid on 4 max(N, K) intervals of [0, 1].
-
-    The one quadrature of the clamped family: every integrand it meets
-    (initial datum, lift or nonlinearity times phi_j; phi_j times sin/cos)
-    has a vanishing first derivative at both ends, so the trapezoid rule is
-    O(h^4).  The clamped solve reads these alone.
-    """
-    return trapezoid_grid(4 * max(N, K))
-
-
 def clamped_grid(N: int, K: int):
-    """(x, w, S, C): ``clamped_nodes`` and the N sine/cosine modes S, C of
-    the mixed basis on them, from the shared ``spectral.uniform_grid``."""
-    x = clamped_nodes(N, K)[0]
-    return uniform_grid(N, len(x) - 1)
+    """(x, w, S, C) of the half-weight mixed view of a clamped solution:
+    the shared ``spectral.uniform_grid`` of N sine/cosine modes on
+    4 max(N, K) intervals of [0, 1], with their trapezoid weights.
+
+    Every integrand it meets, phi_j times sin/cos, has a vanishing first
+    derivative at both ends, so the trapezoid rule is O(h^4).
+    """
+    return uniform_grid(N, 4 * max(N, K))
 
 
 def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,

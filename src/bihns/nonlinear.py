@@ -7,16 +7,19 @@ homogeneous boundary conditions:
 
 * hinged family ("navier"): the sine modes sin(k pi x), eigenvalues
   (k pi)^4, lifts of (h1, h2, h5, h6) with closed-form sine coefficients;
-  the grid is the sine grid of ``_dealias_points`` intervals;
+  the nodes are the sine grid of ``_dealias_points`` intervals, and its
+  trapezoid projection is corrected at the ends by the projected
+  function's own end values;
 * clamped family ("dirichlet"): the clamped eigenfunctions phi_j,
-  eigenvalues mu_j^4, lifts of (h1, h2, h3, h4) projected on one trapezoid
-  grid of 4 max(N, K) + 1 points.
+  eigenvalues mu_j^4, lifts of (h1, h2, h3, h4); every projection is Gauss-
+  Legendre quadrature on ``_gauss_points`` nodes, which has no end term.
 
-Each family's ``Basis`` (modes, lifts and their projections on the grid)
-depends on the grid alone, so it is built once per grid, keyed by (N, M)
-hinged and (N, K) clamped, like ``sine_grid``; its arrays are read-only
-and every record on that grid shares it.  A solve projects only its datum,
-on that grid and by one rule for both families (``_picard``).
+Each family's ``Basis`` (modes, lifts, their nodes and the projection P of
+node values onto the modes) depends on its nodes alone, so it is built once
+per grid, keyed by (N, M) hinged and (N, K, n) clamped, like
+``sine_grid``; its arrays are read-only and every record on that grid
+shares it.  A solve projects only its datum, with the same P as the forcing
+(``_picard``).
 
 One driver, ``_picard``, builds each T* attempt from those pieces alike: the
 linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
@@ -90,7 +93,13 @@ def _is_half_integer(s: float) -> bool:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem description; validation happens at construction."""
+    """Full problem description; validation happens at construction.
+
+    ``N`` is the number of hinged sine modes; a clamped solve has
+    ``K_clamped`` modes and reads N only for its record's ``states`` view.
+    A datum ``phi`` is sampled on the solver's nodes here, so a wrong shape
+    or a non-finite value raises ``ValueError`` before any solve.
+    """
 
     family: str
     s: float = 1.0
@@ -150,6 +159,10 @@ class ProblemSpec:
             if h.sample_t is not None and not (
                     h.sample_t[0] == 0 and h.sample_t[-1] >= self.T):
                 raise ValueError("sampled traces must cover [0, T]")
+        if self.phi is not None:
+            # the solve reads the datum on its basis' nodes alone, so a
+            # wrong shape or a non-finite value shows there (``_sample``)
+            _sample(self.phi, _basis(self).x)
 
     @property
     def hs(self) -> tuple:
@@ -159,13 +172,19 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Basis:
-    """One family's basis B_k and lifts, and the uniform grid of its forcing.
+    """One family's basis B_k and lifts, and the quadrature of its projections.
 
     ``xi`` are the frequencies of the modes (k pi hinged, mu_k clamped) and
     ``omegas`` their eigenvalues xi^4; ``modes`` and ``lifts`` evaluate the
-    (K, len(x)) modes and the (4, len(x)) lift rows at any x.  On the grid:
-    ``B`` and ``L`` hold those values, ``w`` the quadrature weights, and ``a``
-    (4, K) the projections of the lifts onto the modes.  ``states`` maps a
+    (K, len(x)) modes and the (4, len(x)) lift rows at any x.  On the nodes
+    ``x``, symmetric under x -> 1-x: ``B`` and ``L`` hold those values, ``P``
+    (K, len(x)) projects node values f onto the modes as P @ f, for the datum
+    and the forcing alike, and ``a`` (4, K) holds the projections of the
+    lifts.  Hinged (``_hinged_basis``): x is the uniform sine grid and P is B
+    times twice the trapezoid weights, but for its end columns, which correct
+    the rule by f's own end values; a is in closed form.  Clamped
+    (``_clamped_basis``): x are Gauss-Legendre nodes, P is B times the Gauss
+    weights, with no end term to correct, and a = L @ P^T.  ``states`` maps a
     record to its older state layout: the hinged sine coefficients of
     u - gamma, gamma the lift at h(0), or the clamped u on the half-weight
     mixed basis.  Its arrays are read-only: ``_hinged_basis`` and
@@ -176,8 +195,9 @@ class Basis:
     omegas: np.ndarray
     modes: Callable
     lifts: Callable
+    x: np.ndarray
     B: np.ndarray
-    w: np.ndarray
+    P: np.ndarray
     L: np.ndarray
     a: np.ndarray
     states: Callable
@@ -244,10 +264,11 @@ def _sine_states(rec: SolutionRecord) -> List[FourierState]:
 
 
 def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
-    """Clamped ``states``: u projected onto N half-weight mixed modes."""
-    S, C = bops.clamped_grid(N, len(rec.basis.xi))[2:]
-    q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.B,
-                                          rec.basis.w, S, C)
+    """Clamped ``states``: u projected onto N half-weight mixed modes by the
+    trapezoid rule on the uniform grid of ``bops.clamped_grid``."""
+    x, w, S, C = bops.clamped_grid(N, len(rec.basis.xi))
+    q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.modes(x),
+                                          w, S, C)
     return [mixed_state(*row) for row in zip(q, p, p0)]
 
 
@@ -298,24 +319,27 @@ def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
-def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
+def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
                   lam: float, vals: Optional[np.ndarray] = None,
                   lift: Optional[np.ndarray] = None,
                   dtype=np.float64) -> np.ndarray:
-    """(T, K) projections sum_x w(x) lam |u|^(p-2) u(x) B_k(x) of the grid
-    values u = c @ B + vals @ lift for the complex coefficient history ``c``
-    and, if given, the complex data ``vals`` (T, L) of the real lift rows
+    """(T, K) projections P @ g of the node values g = lam |u|^(p-2) u of
+    u = c @ B + vals @ lift for the complex coefficient history ``c`` and,
+    if given, the complex data ``vals`` (T, L) of the real lift rows
     ``lift`` (L, M+1).
 
-    ``B`` is a real (K, M+1) basis on a uniform grid with the parity
+    ``B`` is a real (K, M+1) basis on M+1 nodes symmetric under x -> 1-x
+    (a uniform grid or Gauss-Legendre nodes) with the parity
     B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x) and the clamped phi_j
-    both have it), and ``w`` are weights symmetric under x -> 1-x.  So the
-    work folds onto the W nodes x <= 1/2: the even rows of B and the lifts'
-    symmetric parts synthesize the part S of u symmetric under x -> 1-x,
-    the odd rows and the lifts' antisymmetric parts its part A, and
-    u(x) = S + A, u(1-x) = S - A.  ``_power`` turns those values into
-    g = lam |u|^(p-2) u, which folds back as S' = g(x) + g(1-x) onto the
-    even rows and A' = g(x) - g(1-x) onto the odd ones.
+    both have it), and the projection ``P`` (K, M+1), ``Basis.P``, has that
+    parity too.  So the work folds onto the W nodes x <= 1/2: the even rows
+    of B and the lifts' symmetric parts synthesize the part S of u symmetric
+    under x -> 1-x, the odd rows and the lifts' antisymmetric parts its part
+    A, and u(x) = S + A, u(1-x) = S - A.  ``_power`` turns those values into
+    g, which folds back as S' = g(x) + g(1-x) onto the even rows of P and
+    A' = g(x) - g(1-x) onto the odd ones.  At an end node x = 0 that pairs
+    g(0) with g(1), so the hinged end correction in P's first column costs
+    no extra pass.
 
     Time rows go in blocks of ``_BLOCK_BYTES``, each laid out as one
     (re|im, x|1-x, rows, W) prefix of a flat buffer, so the fold, the power
@@ -341,9 +365,9 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, w: np.ndarray, p: float,
     Bs = np.concatenate((B[0::2, :W], 0.5 * (lift + flip)[:, :W]), **work)
     Ba = np.concatenate((B[1::2, :W], 0.5 * (lift - flip)[:, :W]), **work)
     Ba[:, H:] = 0.0                                # A(1/2) = 0
-    Ps = (B[0::2, :W] * w[:W]).astype(dtype, copy=False)
+    Ps = P[0::2, :W].astype(dtype)
     Ps[:, H:] *= 0.5                               # meets S'(1/2) = 2 g(1/2)
-    Pa = (B[1::2, :H] * w[:H]).astype(dtype, copy=False)
+    Pa = P[1::2, :H].astype(dtype)
     R = max(1, _BLOCK_BYTES // (2 * np.dtype(dtype).itemsize * M1))
     grid = np.empty(4 * R * W, dtype=dtype)        # (re|im, x|1-x, rows, W)
     xs_buf = np.empty((2 * R, len(Bs)), dtype=dtype)    # (re; im) of c_even | vals
@@ -440,11 +464,12 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
 
     u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) B_k(x) (module docstring):
     ``spec.hs`` are the family's four traces and ``basis`` its modes, lifts
-    and grid.  The datum phi, sampled once on the grid as v with end values
-    e = (v[0], v[-1]), projects as c_phi = B (w (v - e @ L[:2])) + e @ a[:2]:
-    v - e @ L[:2] vanishes at both ends, so the trapezoid rule has no O(h^2)
-    end term on the sine modes (a in closed form), and for the clamped
-    modes, whose a is that same grid projection, the end terms cancel.
+    and nodes.  The datum phi, sampled once on the nodes by ``_sample``
+    (which checks its shape and finiteness), projects as c_phi = P @ phi(x)
+    with the forcing's projection ``basis.P``: hinged, P's end columns
+    project phi - e @ (1 - x, x), e phi's end values, which vanishes at both
+    ends, so the trapezoid rule has no O(h^2) end term, and add e @ a[:2] in
+    closed form; clamped, Gauss quadrature has no end term.
     Each T* attempt builds lin = e^{i omega t} (c_phi - h(0) @ a)
     - Duhamel(sum_i h_i' a_i) in one recurrence (``bops.lift_response``) and
     forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u.
@@ -468,9 +493,8 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     c_n = Phi(c_{n-1}) in float64, it bounds |Phi(c_n) - c_n| by the map's
     contraction factor kappa < 1 at no extra map application.
     """
-    v = _sample(np.zeros_like if spec.phi is None else spec.phi, len(basis.w) - 1)
-    e = v[[0, -1]]                      # the datum's end values
-    c_phi = basis.B @ (basis.w * (v - e @ basis.L[:2])) + e @ basis.a[:2]
+    c_phi = basis.P @ _sample(np.zeros_like if spec.phi is None else spec.phi,
+                              basis.x)
     wgt = basis.weights(spec.s)
     T_star = spec.T
     while True:
@@ -479,7 +503,7 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
                                        c_phi)
 
         def step(c, dtype):     # returning frees the (T, K) forcing
-            args = (c, basis.B, basis.w, spec.p, spec.lam, vals, basis.L)
+            args = (c, basis.B, basis.P, spec.p, spec.lam, vals, basis.L)
             try:
                 f = _grid_forcing(*args, dtype)
             except OverflowError:
@@ -526,39 +550,78 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
 @functools.lru_cache(maxsize=8)
 def _hinged_basis(N: int, M: int) -> Basis:
     """The read-only hinged ``Basis``: N sine modes on the sine grid of M
-    intervals, shared by every record on that grid."""
+    intervals, shared by every record on that grid.
+
+    P is B times twice the trapezoid weights, the full sine coefficients,
+    but its end columns are a[:2] minus that rule's projections of the value
+    lifts 1 - x and x: so P @ f is the rule on f - f(0) (1 - x) - f(1) x,
+    which vanishes at both ends and leaves no O(k pi f(0) / M^2) end term,
+    plus the closed form f(0) a[0] + f(1) a[1].  B vanishes at both ends up
+    to rounding, so those columns held nothing else.
+    """
     x, w, S = sine_grid(N, M)
-    xi, omegas, w, L, a = _read_only(
+    B, L, a = S.T, bops.navier_lifts(x), bops.navier_lift_coeffs(N)
+    P = B * (2.0 * w)
+    P[:, [0, -1]] = a[:2].T - P @ L[:2].T
+    xi, omegas, P, L, a = _read_only(
         np.arange(1, N + 1, dtype=np.float64) * np.pi, lf.navier_eigenvalues(N),
-        2.0 * w, bops.navier_lifts(x), bops.navier_lift_coeffs(N))
+        P, L, a)
     return Basis(xi=xi, omegas=omegas, modes=lambda y: np.sin(np.outer(xi, y)),
-                 lifts=bops.navier_lifts, B=S.T, w=w, L=L, a=a,
+                 lifts=bops.navier_lifts, x=x, B=B, P=P, L=L, a=a,
                  states=_sine_states)
 
 
+def _gauss_points(K: int, p: float) -> int:
+    """The number of Gauss-Legendre nodes of the clamped quadrature,
+    ceil((p + 1) K / 2) + 16.
+
+    It grows with the K modes and the degree p - 1 of the nonlinearity, like
+    ``_dealias_points``.  Gauss quadrature has no end term, so the clamped
+    projections reach rounding: the Gram matrix B P^T is the identity within
+    1e-13 on fewer nodes than this at every K for p >= 3, and the clamped
+    bench solves (K = 48, p = 5: 160 nodes) sit within 2e-12 of a solve on
+    1024 nodes.
+    """
+    return math.ceil((p + 1.0) * K / 2.0) + 16
+
+
 @functools.lru_cache(maxsize=8)
-def _clamped_basis(N: int, K: int) -> Basis:
-    """The read-only clamped ``Basis``: K modes on the nodes of
-    ``bops.clamped_nodes``, shared by every record on that grid; the
-    sine/cosine matrices of ``bops.clamped_grid`` wait for ``states``."""
+def _clamped_basis(N: int, K: int, n: int) -> Basis:
+    """The read-only clamped ``Basis``: K modes on n Gauss-Legendre nodes of
+    [0, 1], shared by every record on them; N sizes only ``states``, whose
+    uniform grid (``bops.clamped_grid``) is built when it is read."""
     cb = lf.build_clamped_basis(K)
-    x, w = bops.clamped_nodes(N, K)
+    # an attribute lookup at call time: numpy loads numpy.polynomial on first
+    # use (about 5 ms), so hinged and lab runs never load it
+    y, w = np.polynomial.legendre.leggauss(n)
+    x = 0.5 * (y + 1.0)
     B, L = cb.evaluate(x), bops.dirichlet_lifts(x)
-    omegas, B, L, a = _read_only(cb.eigenvalues, B, L, (L * w) @ B.T)
+    P = B * (0.5 * w)
+    x, omegas, B, P, L, a = _read_only(x, cb.eigenvalues, B, P, L, L @ P.T)
     return Basis(xi=cb.mu, omegas=omegas, modes=cb.evaluate,
-                 lifts=bops.dirichlet_lifts, B=B, w=w, L=L, a=a,
+                 lifts=bops.dirichlet_lifts, x=x, B=B, P=P, L=L, a=a,
                  states=functools.partial(_mixed_states, N=N))
+
+
+def _basis(spec: ProblemSpec) -> Basis:
+    """The cached ``Basis`` of ``spec``'s family: N sine modes on
+    ``_dealias_points`` intervals, or K_clamped clamped modes on
+    ``_gauss_points`` nodes."""
+    if spec.family == NAVIER:
+        return _hinged_basis(spec.N, _dealias_points(spec.N, spec.p))
+    K = spec.K_clamped
+    return _clamped_basis(spec.N, K, _gauss_points(K, spec.p))
 
 
 def picard_navier(spec: ProblemSpec) -> SolutionRecord:
     """The hinged solve on its ``Basis`` (module docstring)."""
     if spec.family != NAVIER:
         raise ValueError("spec is not a hinged-family problem")
-    return _picard(spec, _hinged_basis(spec.N, _dealias_points(spec.N, spec.p)))
+    return _picard(spec, _basis(spec))
 
 
 def picard_dirichlet(spec: ProblemSpec) -> SolutionRecord:
     """The clamped solve on its ``Basis`` (module docstring)."""
     if spec.family != DIRICHLET:
         raise ValueError("spec is not a clamped-family problem")
-    return _picard(spec, _clamped_basis(spec.N, spec.K_clamped))
+    return _picard(spec, _basis(spec))

@@ -12,13 +12,14 @@ Every projection and synthesis on a uniform grid runs on one cached grid per
 weights w (``trapezoid_grid``) and the read-only (M+1, N) matrix
 S = sin(k pi x); ``uniform_grid`` adds the cosine matrix C = cos(k pi x), so
 the sine-only (hinged) pipeline never builds C, and the clamped solve, which
-reads x and w alone, builds neither.  The solvers' bases sit on those grids
-and are cached the same way: each family's read-only ``nonlinear.Basis`` is
-built once per grid, (N, M) hinged and (N, K) clamped, and shared by every
-record on it, and a solve projects its datum there with the basis' own
-matrix.  Complex values meet S and C through ``matmul_real`` (the solvers'
-forcing folds S in ``nonlinear._grid_forcing`` instead).  Two coefficient
-conventions share that grid and differ only by a factor 2:
+projects on Gauss-Legendre nodes, builds neither.  The hinged basis sits on
+those grids, and both solvers' bases are cached the same way: each family's
+read-only ``nonlinear.Basis`` is built once per grid, (N, M) hinged and
+(N, K, n) clamped, and shared by every record on it, and a solve projects
+its datum there with the basis' own matrix.  Complex values meet S and C
+through ``matmul_real`` (the solvers' forcing folds S in
+``nonlinear._grid_forcing`` instead).  Two coefficient conventions share
+that grid and differ only by a factor 2:
 
 * ``sine_coefficients``  -- q_k = 2 * int_0^1 f sin(k pi x) dx  (full sine
   transform, the convention of the hinged coefficients c_k).
@@ -97,14 +98,14 @@ def mixed_state(q, p, p0: complex = 0.0) -> FourierState:
 # transforms
 
 
-def _sample(f, M: int) -> np.ndarray:
-    """Values of ``f`` on the closed uniform grid of [0, 1]: a callable is
-    evaluated once on M+1 nodes and must give one value per node; a sample
-    array including both endpoints is its own grid (M = len - 1)."""
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    """Values of ``f`` on the nodes ``x`` of [0, 1]: a callable is evaluated
+    once on them and must give one value per node; a sample array is its own
+    uniform grid, both endpoints included, and ``x`` is not read."""
     if callable(f):
-        vals = np.asarray(f(np.linspace(0.0, 1.0, M + 1)), dtype=np.complex128)
-        if vals.shape != (M + 1,):
-            raise ValueError(f"a callable must map the {M + 1} grid nodes to as "
+        vals = np.asarray(f(x), dtype=np.complex128)
+        if vals.shape != x.shape:
+            raise ValueError(f"a callable must map the {len(x)} grid nodes to as "
                              f"many values (got shape {vals.shape})")
     else:
         vals = np.asarray(f, dtype=np.complex128)
@@ -163,7 +164,7 @@ def sine_coefficients(f, N: int) -> FourierState:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    vals = _sample(f, max(4 * N, 8))
+    vals = _sample(f, np.linspace(0.0, 1.0, max(4 * N, 8) + 1))
     _, w, S = sine_grid(N, len(vals) - 1)
     return sine_state(2.0 * matmul_real(vals * w, S))
 
@@ -179,7 +180,7 @@ def odd_even_extend(f, N: int):
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    vals = _sample(f, max(4 * N, 8))
+    vals = _sample(f, np.linspace(0.0, 1.0, max(4 * N, 8) + 1))
     _, w, S, C = uniform_grid(N, len(vals) - 1)
     vw = vals * w
     return (sine_state(matmul_real(vw, S)),

@@ -461,6 +461,18 @@ def test_float_table_bytes_match_csv_writer_on_edge_floats(tmp_path):
     assert b"1.0000000000000001e-05" in new and b",3," in new
 
 
+def test_clamped_datum_non_finite_on_its_nodes_exits_2(tmp_path):
+    # 1e308 (1 + x) overflows past x = 0.8, among the Gauss nodes; numpy's
+    # warning for that overflow is the datum's own, so it is silenced here
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        "family": "dirichlet", "N": 8, "K_clamped": 4, "s": 2.0, "p": 5.0,
+        "phi": {"kind": "poly", "coefficients": [[1e308, 0], [1e308, 0]]}}})
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,
                  "p": 4.0, "lam": 1.0, "T": 0.01, "dt": 1e-4, "tol": 1e-10,
                  "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [5, 0],
@@ -473,8 +485,13 @@ CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,
       "dt": 1e-4, "tol": 1e-10, "max_iter": 5,
       "phi": {"kind": "sine", "coefficients": [[3, 0], [0, 1.5], [0.5, 0]]}},
      0.0025),
-    # the clamped family halves through the same driver
-    ({**CLAMPED_STIFF, "max_iter": 3}, 0.005),
+    # the clamped family halves through the same driver.  At T = 0.01 the
+    # tenth distance is 13 to 51 tol and at T* = 0.005 it is 0.023 to 0.029
+    # tol, on trapezoid grids of 32 to 4096 intervals and on 11 to 256
+    # Gauss-Legendre nodes alike, so T* does not hang on the quadrature
+    ({**CLAMPED_STIFF, "max_iter": 10,
+      "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [95, 0],
+                                               [-190, 0], [95, 0]]}}, 0.005),
 ], ids=["halved", "clamped_halved"])
 def test_solve_short_of_T_fails(tmp_path, solve, tstar):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})

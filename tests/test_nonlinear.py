@@ -9,9 +9,8 @@ from scipy.optimize import brentq
 
 import bihns.linear_flow as lf
 import bihns.nonlinear as nl
-from bihns.boundary_ops import (clamped_grid, clamped_nodes, dirichlet_lifts,
-                                navier_boundary_history, navier_lift_coeffs,
-                                navier_lifts)
+from bihns.boundary_ops import (dirichlet_lifts, navier_boundary_history,
+                                navier_lift_coeffs, navier_lifts)
 from bihns.cli import ConfigError, _build, run
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
@@ -122,10 +121,11 @@ def _trapezoid_projection(q, p, lam, M=8192, base=None):
 
 def _sine_forcing(v, p, lam, vals=None, lift=None):
     """The hinged forcing of a (T, N) history: ``_grid_forcing`` with the
-    sine basis and twice the trapezoid weights of the solver's sine grid."""
+    sine basis and the trapezoid projection (twice the weights) of the
+    solver's sine grid, without the solver's end correction."""
     N = v.shape[1]
     _, w, S = sine_grid(N, nl._dealias_points(N, p))
-    return _grid_forcing(v, S.T, 2.0 * w, p, lam, vals, lift)
+    return _grid_forcing(v, S.T, S.T * (2.0 * w), p, lam, vals, lift)
 
 
 def _nonlin_row(q, p, lam):
@@ -211,30 +211,46 @@ def test_grid_forcing_sine_matches_trapezoid(p, with_base, T, monkeypatch):
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
-def _dense_forcing(c, B, w, p, lam, base=None):
-    """sum_x w lam |u|^(p-2) u B_k on the whole grid, u = c @ B (+ base)."""
+def _dense_forcing(c, B, P, p, lam, base=None):
+    """P @ lam |u|^(p-2) u on all nodes, u = c @ B (+ base)."""
     u = c @ B if base is None else c @ B + base
-    return (lam * np.abs(u) ** (p - 2.0) * u * w) @ B.T
+    return (lam * np.abs(u) ** (p - 2.0) * u) @ P.T
 
 
-@pytest.mark.parametrize("M", [4 * 24, 4 * 24 + 1])
+def _bench_basis(family):
+    """(N, p, basis) of the solvers at the bench sizes."""
+    if family == "hinged":
+        N, p = 256, 3.0
+        return N, p, nl._hinged_basis(N, _dealias_points(N, p))
+    N, K, p = 128, 48, 5.0
+    return N, p, nl._clamped_basis(N, K, nl._gauss_points(K, p))
+
+
+@pytest.mark.parametrize("grid", [4 * 24, 4 * 24 + 1, "gauss"])
 @pytest.mark.parametrize("with_base", [False, True])
 @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
-def test_grid_forcing_clamped_matches_dense(p, with_base, M, monkeypatch):
-    # the clamped eigenbasis on an even (middle node) and an odd grid
+def test_grid_forcing_clamped_matches_dense(p, with_base, grid, monkeypatch):
+    # the clamped eigenbasis on a uniform grid of M intervals, even (a middle
+    # node) and odd, and on an odd number of Gauss-Legendre nodes, the
+    # solver's nodes, where x = 1/2 is a node too
     K, T = 24, 7
-    x = np.linspace(0.0, 1.0, M + 1)
-    w = np.full(M + 1, 1.0 / M)
-    w[[0, -1]] *= 0.5
+    if grid == "gauss":
+        y, w = np.polynomial.legendre.leggauss(4 * 24 + 1)
+        x, w = 0.5 * (y + 1.0), 0.5 * w
+        assert x[len(x) // 2] == 0.5
+    else:
+        x, w = trapezoid_grid(grid)
     phi = build_clamped_basis(K).evaluate(x)
-    _small_blocks(monkeypatch, M + 1, rows=3)
+    _small_blocks(monkeypatch, len(x), rows=3)
     g = np.random.default_rng(11)
     c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
         / np.arange(1, K + 1) ** 2
     vals = g.standard_normal((T, 2)) + 1j * g.standard_normal((T, 2))
     lift = np.stack((1.0 - x, x ** 2 * (3.0 - 2.0 * x)))
-    got = _grid_forcing(c, phi, w, p, 1.3, *((vals, lift) if with_base else ()))
-    expect = _dense_forcing(c, phi, w, p, 1.3, vals @ lift if with_base else None)
+    got = _grid_forcing(c, phi, phi * w, p, 1.3,
+                        *((vals, lift) if with_base else ()))
+    expect = _dense_forcing(c, phi, phi * w, p, 1.3,
+                            vals @ lift if with_base else None)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -253,31 +269,27 @@ def test_grid_forcing_reads_no_odd_row_at_the_middle_node(dtype, monkeypatch):
     g = np.random.default_rng(12)
     c = g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
-    args = (w, 5.0, 1.3, vals, dirichlet_lifts(x), dtype)
-    assert np.array_equal(_grid_forcing(c, dirty, *args),
-                          _grid_forcing(c, clean, *args))
+    args = (5.0, 1.3, vals, dirichlet_lifts(x), dtype)
+    assert np.array_equal(_grid_forcing(c, dirty, dirty * w, *args),
+                          _grid_forcing(c, clean, clean * w, *args))
 
 
 @pytest.mark.parametrize("family", ["hinged", "clamped"])
 def test_grid_forcing_solver_sized_blocks(family):
-    # the solvers' grids at the bench sizes and the default block size:
-    # 150 rows walk blocks of 63, 63 and 24 with all four lift rows
-    if family == "hinged":
-        N, p = 256, 3.0
-        x, w, S = sine_grid(N, _dealias_points(N, p))
-        B, w, lift = S.T, 2.0 * w, navier_lifts(x)
-    else:
-        N, K, p = 128, 48, 5.0
-        x, w = clamped_grid(N, K)[:2]
-        B, lift = build_clamped_basis(K).evaluate(x), dirichlet_lifts(x)
-    K, T = B.shape[0], 150
+    # the solvers' bases at the bench sizes, the hinged end correction
+    # included, and the default block size: 450 rows walk blocks of 63 rows
+    # on the 514 hinged nodes and of 204, 204 and 42 on the 160 clamped
+    # ones, with all four lift rows
+    N, p, basis = _bench_basis(family)
+    B, P, lift = basis.B, basis.P, basis.L
+    K, T = B.shape[0], 450
     assert T > 2 * (nl._BLOCK_BYTES // (16 * B.shape[1]))
     g = np.random.default_rng(13)
     c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
         / np.arange(1, K + 1)
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
-    got = _grid_forcing(c, B, w, p, 1.3, vals, lift)
-    expect = _dense_forcing(c, B, w, p, 1.3, vals @ lift)
+    got = _grid_forcing(c, B, P, p, 1.3, vals, lift)
+    expect = _dense_forcing(c, B, P, p, 1.3, vals @ lift)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -285,21 +297,15 @@ def test_grid_forcing_solver_sized_blocks(family):
 def test_grid_forcing_float32_within_its_rounding(family):
     # float32 blocks hold twice the rows; 300 rows walk three of them on the
     # hinged grid.  The error is float32 rounding: 3e-7 measured
-    if family == "hinged":
-        N, p = 256, 3.0
-        x, w, S = sine_grid(N, _dealias_points(N, p))
-        B, w, lift = S.T, 2.0 * w, navier_lifts(x)
-    else:
-        N, K, p = 128, 48, 5.0
-        x, w = clamped_grid(N, K)[:2]
-        B, lift = build_clamped_basis(K).evaluate(x), dirichlet_lifts(x)
+    N, p, basis = _bench_basis(family)
+    B, P, lift = basis.B, basis.P, basis.L
     K, T = B.shape[0], 300
     g = np.random.default_rng(14)
     c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
         / np.arange(1, K + 1)
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
-    got = _grid_forcing(c, B, w, p, 1.3, vals, lift, np.float32)
-    expect = _dense_forcing(c, B, w, p, 1.3, vals @ lift)
+    got = _grid_forcing(c, B, P, p, 1.3, vals, lift, np.float32)
+    expect = _dense_forcing(c, B, P, p, 1.3, vals @ lift)
     assert got.dtype == np.complex128
     assert np.max(np.abs(got - expect)) <= 5e-6 * np.max(np.abs(expect))
 
@@ -313,9 +319,10 @@ def test_grid_forcing_float32_overflow_raises(p, lam, big):
     x, w, S = sine_grid(N, _dealias_points(N, p))
     v = np.full((3, N), 0.1 + 0.1j)
     v[1, 0] = big
-    assert np.all(np.isfinite(_grid_forcing(v, S.T, 2.0 * w, p, lam)))
+    P = S.T * (2.0 * w)
+    assert np.all(np.isfinite(_grid_forcing(v, S.T, P, p, lam)))
     with pytest.raises(OverflowError, match="blow-up"):
-        _grid_forcing(v, S.T, 2.0 * w, p, lam, dtype=np.float32)
+        _grid_forcing(v, S.T, P, p, lam, dtype=np.float32)
 
 
 def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
@@ -330,12 +337,14 @@ def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
 
 
 def test_clamped_basis_parity_on_the_solver_grid():
-    # the fold of _grid_forcing relies on phi_j(1 - x) = (-1)^(j+1) phi_j(x)
-    x = clamped_grid(128, 48)[0]
-    phi = build_clamped_basis(48).evaluate(x)
+    # the fold of _grid_forcing relies on phi_j(1 - x) = (-1)^(j+1) phi_j(x),
+    # on the bench's 160 Gauss nodes, and on a projection with that parity
+    basis = nl._clamped_basis(128, 48, nl._gauss_points(48, 5.0))
+    x, phi, P = basis.x, basis.B, basis.P
     sign = np.where(np.arange(48) % 2 == 0, 1.0, -1.0)[:, None]
-    assert np.array_equal(x[::-1], 1.0 - x)
+    assert len(x) == 160 and np.max(np.abs(x[::-1] - (1.0 - x))) <= 2 ** -53
     assert np.max(np.abs(phi[:, ::-1] - sign * phi)) < 1e-13
+    assert np.max(np.abs(P[:, ::-1] - sign * P)) < 1e-15
 
 
 def test_clamped_solve_evaluates_the_basis_once(monkeypatch):
@@ -494,13 +503,13 @@ def test_picard_navier_nonlinear_galerkin_oracle():
     N, p, lam, T = 8, 3.0, 5.0, 0.01
     q0 = np.zeros(N, dtype=complex)
     q0[:3] = [1.0, 0.5j, 0.25]
-    x, w, S = sine_grid(N, _dealias_points(N, p))
+    basis = nl._hinged_basis(N, _dealias_points(N, p))
     omegas = lf.navier_eigenvalues(N)
 
     def rhs(t, y):
         rot = np.exp(1j * omegas * t)
-        f = 1j * _grid_forcing((rot * (y[:N] + 1j * y[N:]))[None], S.T,
-                               2.0 * w, p, lam)[0] / rot
+        f = 1j * _grid_forcing((rot * (y[:N] + 1j * y[N:]))[None], basis.B,
+                               basis.P, p, lam)[0] / rot
         return np.concatenate((f.real, f.imag))
 
     ref = solve_ivp(rhs, (0.0, T), np.concatenate((q0.real, q0.imag)),
@@ -613,13 +622,13 @@ def _hinged_norms_over_N(lam, compatible):
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_hinged_norm_of_compatible_data_is_flat_in_N(lam):
-    # ptp / min measured 3.2e-13 at lam = 0 and 3.1e-9 at lam = 1: the datum
-    # rule corrects the ends of gamma, and what is left at lam = 1 is the
-    # trapezoid end term of the forcing, F(u) != 0 at the ends, which the
-    # forcing projection does not correct; the v-norm grows like N^(1/2),
+    # ptp / min measured 3.2e-13 at lam = 0 and 2.0e-12 at lam = 1: the
+    # projection P corrects the trapezoid end term of the datum (gamma) and
+    # of the forcing, F(u) != 0 at the ends, alike (3.1e-9 at lam = 1
+    # without the forcing's correction); the v-norm grows like N^(1/2),
     # 1.9x here
     c_norm, v_norm = _hinged_norms_over_N(lam, compatible=True)
-    assert np.ptp(c_norm) <= {0.0: 1e-11, 1.0: 1e-8}[lam] * c_norm.min()
+    assert np.ptp(c_norm) <= 1e-11 * c_norm.min()
     assert v_norm[-1] >= 1.5 * v_norm[0]
 
 
@@ -656,20 +665,96 @@ def test_hinged_datum_with_end_values_meets_its_closed_form(N, bound):
     assert err <= bound
 
 
+def _relative_distance(rec, ref, s):
+    """max_t |c - c_ref|_s / max_t |c_ref|_s in the Picard weights of ``rec``."""
+    w = rec.basis.weights(s)
+    return float(np.sqrt(nl._hs_sq(rec.c - ref.c, w).max()
+                         / nl._hs_sq(ref.c.copy(), w).max()))
+
+
+@pytest.mark.parametrize("p,measured", [(3.0, 2.70e-10), (5.0, 3.50e-11)])
+def test_hinged_solve_meets_its_fine_grid_solve(p, measured):
+    # the incompatible data of _hinged_norms_over_N, F(u) != 0 at the ends,
+    # at N = 64 against the same solve on 8N intervals.  The forcing's end
+    # correction leaves the O(h^4) term; without it the trapezoid rule's
+    # O(k pi F(end) h^2) term gave 4.3e-8 (p = 3) and 6.8e-9 (p = 5)
+    n = [-2, -1, 0, 1, 2]
+    h1 = BoundaryTrace.from_series(n, [-0.009 + 0.05j, -0.005 + 0.173j,
+                                       0.474 - 0.195j, -0.12 - 0.003j,
+                                       -0.09 - 0.031j])
+    h5 = BoundaryTrace.from_series(n, [-0.128 - 0.11j, 0.138 + 0.039j,
+                                       0.193 + 0.044j, -0.082 - 0.008j,
+                                       -0.072 + 0.016j])
+    st0 = sine_state([0.126 + 0.803j, -0.147 + 0.451j, 0.156 - 0.158j])
+    spec = ProblemSpec(family="navier", s=1.0, p=p, lam=1.0, T=0.01, dt=1e-4,
+                       N=64, tol=1e-12, max_iter=40, h1=h1, h5=h5,
+                       phi=lambda x: reconstruct(st0, x))
+    rec = picard_navier(spec)
+    ref = nl._picard(spec, nl._hinged_basis(spec.N, 8 * spec.N))
+    assert _relative_distance(rec, ref, spec.s) <= 2 * measured
+
+
 def test_clamped_datum_zero_at_the_ends_is_its_grid_projection():
-    # phi(0) = phi(1) = 0 exactly, so the end rule adds nothing: bit-equal
-    # to the plain trapezoid projection on the basis grid
+    # the clamped datum projects by plain Gauss quadrature on the basis' own
+    # nodes, ceil((p + 1) K / 2) + 16 of them, with no end rule: bit-equal
+    # to (B w) @ phi(x) built here from leggauss
     N, K = 16, 8
     phi = lambda x: x ** 2 * (1.0 - x) ** 2 * ((2.0 + 1j) - 0.7j * x)
     rec, _ = _datum_coefficients(ProblemSpec(family="dirichlet", s=2.0, p=5.0,
                                              lam=0.0, T=1e-4, dt=1e-4, N=N,
                                              K_clamped=K, phi=phi))
-    x = clamped_nodes(N, K)[0]
-    assert np.array_equal(rec.c[0], rec.basis.B @ (rec.basis.w * phi(x)))
+    y, w = np.polynomial.legendre.leggauss(40)
+    x, w = 0.5 * (y + 1.0), 0.5 * w
+    assert np.array_equal(rec.basis.x, x)
+    B = build_clamped_basis(K).evaluate(x)
+    assert np.array_equal(rec.c[0], (B * w) @ phi(x))
 
 
 # ---------------------------------------------------------------------------
 # clamped pipeline
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0, 7.0])
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 16, 32, 48, 128, 256])
+def test_clamped_gauss_gram_is_the_identity(K, p):
+    # B P^T on the solver's ceil((p + 1) K / 2) + 16 Gauss nodes: 6.5e-14 at
+    # most measured; the trapezoid rule on 4 max(N, K) intervals left
+    # 2.4e-8 at K = 48
+    basis = nl._clamped_basis(K, K, nl._gauss_points(K, p))
+    assert np.abs(basis.B @ basis.P.T - np.eye(K)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p,s", [(3.5, 1.8), (5.0, 2.0), (7.0, 2.0)])
+def test_clamped_rough_solve_meets_its_1024_node_solve(p, s):
+    # 48 modes with |c_j| ~ j^-2 and four boundary series up to n = 3: the
+    # solve on its own nodes sits 3.1e-12 (p = 3.5, where |u|^(p-2) is not
+    # smooth at zeros of u), 2.4e-13 and 2.3e-13 from the same solve on 1024
+    # Gauss nodes; on the trapezoid grid of 513 nodes it sat 3.2e-6 to 3.6e-6
+    K = 48
+    g = np.random.default_rng(29)
+    c = (g.standard_normal(K) + 1j * g.standard_normal(K)) / np.arange(1, K + 1) ** 2
+    modes = build_clamped_basis(K).evaluate
+    hs = {key: BoundaryTrace.from_series([0, 1, 2, 3], 0.1 * (
+        g.standard_normal(4) + 1j * g.standard_normal(4)))
+        for key in ("h1", "h2", "h3", "h4")}
+    spec = ProblemSpec(family="dirichlet", s=s, p=p, lam=1.0, T=1e-3, dt=1e-5,
+                       tol=1e-10, N=128, K_clamped=K,
+                       phi=lambda x: c @ modes(x), **hs)
+    rec = picard_dirichlet(spec)
+    ref = nl._picard(spec, nl._clamped_basis(spec.N, K, 1024))
+    assert rec.iterations == ref.iterations
+    assert _relative_distance(rec, ref, s) <= 1e-10
+
+
+@pytest.mark.parametrize("phi,match", [
+    (lambda x: np.zeros(len(x) + 1), "grid nodes"),
+    (lambda x: np.where(x > 0.5, np.nan, 0.0), "non-finite"),
+], ids=["wrong_shape", "non_finite"])
+def test_clamped_datum_is_checked_on_its_nodes(phi, match):
+    # the datum is read on the basis' Gauss nodes alone, and checked there
+    # when the problem is built, before any solve
+    with pytest.raises(ValueError, match=match):
+        ProblemSpec(family="dirichlet", s=2.0, p=5.0, N=16, K_clamped=8, phi=phi)
 
 
 def test_picard_dirichlet_zero_data():
@@ -952,9 +1037,11 @@ def test_record_rejects_non_finite(clamped):
             SolutionRecord(times=rec.times, basis=rec.basis, **rows)
 
 
-#: (basis builder, a grid key, the keys that differ from it in N, M or K)
+#: (basis builder, a grid key, the keys that differ from it in N, M, K or
+#: the number of Gauss nodes)
 BASIS_GRIDS = {"hinged": (nl._hinged_basis, (16, 33), [(32, 33), (16, 65)]),
-               "clamped": (nl._clamped_basis, (16, 8), [(32, 8), (16, 12)])}
+               "clamped": (nl._clamped_basis, (16, 8, 40),
+                           [(32, 8, 40), (16, 12, 40), (16, 8, 36)])}
 
 
 def _clear_basis_caches():
@@ -990,7 +1077,7 @@ def test_basis_is_built_once_per_grid_and_read_only(family):
     assert build(*key) is basis
     for other in others:
         assert build(*other) is not basis
-    for name in ("xi", "omegas", "B", "w", "L", "a"):
+    for name in ("xi", "omegas", "x", "B", "P", "L", "a"):
         arr = getattr(basis, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
