@@ -10,12 +10,11 @@ the data are attained identically.  The families differ only in the basis,
 its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``dirichlet_lifts`` for (h1, h2, h3, h4), projected by quadrature.
-``lift_response`` gives the linear history of c_k for either.  The clamped
-solve projects on Gauss-Legendre nodes (``nonlinear._clamped_basis``).
-The solvers record c itself.  ``clamped_mixed_history`` projects a clamped
-history onto the half-weight mixed basis on the uniform grid of
-``clamped_grid``; it serves only the clamped record's ``states`` view and
-``dirichlet_linear_history``.
+``lift_response`` gives the linear history of c_k for either.  The solvers
+record c itself; ``clamped_mixed_history`` projects a clamped history onto
+the half-weight mixed basis by Gauss-Legendre quadrature on the nodes of
+``clamped_grid``, for the clamped record's ``states`` view and
+``dirichlet_linear_history`` alone.
 
 The closed-form convolution weights of the boundary data stay as the
 reference of that route, exact in time for lattice-series data:
@@ -35,23 +34,20 @@ the mode ODE  i q_k' + (k pi)^4 q_k = 2(k pi)^3 (h1 - cos(k pi) h2)
 extra global minus relative to the raw navier0/navier2 table weights;
 ``navier_boundary_history`` applies it.
 
-Note on the clamped value-data cosine weight: expanding the clamped cubic
-lift in the half-weight sine/cosine convention gives the b01/b11/b12 closed
-forms of ``BetaTable`` exactly, but its cosine coefficient for value data is
-12(1 - cos k pi)/(k pi)^4, not the reference closed form 12(1 - k pi)/(k pi)^4
-recorded as b02 (and the lift's cell average is h1/4 + h3/24).
-``clamped_mixed_history`` uses the expansion-consistent values, and
-``BetaTable`` keeps the reference forms verbatim for the bit-exactness check.
+Note on b02: ``BetaTable`` keeps the reference closed form 12i(k pi - 1)
+verbatim for the bit-exactness check; the cosine coefficient of the clamped
+value lift is 12(1 - cos k pi)/(k pi)^4 instead.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, uniform_grid
+from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, _read_only
 from .linear_flow import (ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -203,31 +199,18 @@ def dirichlet_lifts(x):
                      dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
 
 
-def _lift_mixed_coeffs(N: int):
-    """Half-weight sine/cosine/mean coefficients of the two clamped lifts.
-
-    Columns: value lift 3u^2-2u^3 and slope lift u^2-u^3 (u = 1-x); these are
-    the expansion-consistent closed forms (see module docstring).
-    """
-    k = np.arange(1, N + 1)
-    kp = k * np.pi
-    c = np.where(k % 2 == 0, 1.0, -1.0)
-    q1 = (kp ** 2 + 6.0 * c + 6.0) / kp ** 3
-    p1 = 12.0 * (1.0 - c) / kp ** 4
-    q3 = 2.0 * (c + 2.0) / kp ** 3
-    p3 = (-(kp ** 2) - 6.0 * c + 6.0) / kp ** 4
-    return (q1, p1, 0.25), (q3, p3, 1.0 / 24.0)
-
-
+@functools.lru_cache(maxsize=8)
 def clamped_grid(N: int, K: int):
-    """(x, w, S, C) of the half-weight mixed view of a clamped solution:
-    the shared ``spectral.uniform_grid`` of N sine/cosine modes on
-    4 max(N, K) intervals of [0, 1], with their trapezoid weights.
-
-    Every integrand it meets, phi_j times sin/cos, has a vanishing first
-    derivative at both ends, so the trapezoid rule is O(h^4).
-    """
-    return uniform_grid(N, 4 * max(N, K))
+    """Read-only (x, w, S, C): N + K + 16 Gauss-Legendre nodes of [0, 1],
+    their weights and the (len(x), N) matrices sin(k pi x), cos(k pi x) of
+    the mixed view of a clamped solution with K modes.  The rule has no end
+    term and resolves phi_K cos(N pi x), near frequency (N + K) pi, with 16
+    nodes to spare."""
+    # an attribute lookup at call time, as in ``nonlinear._clamped_basis``
+    y, w = np.polynomial.legendre.leggauss(N + K + 16)
+    x = 0.5 * (y + 1.0)
+    kx = np.outer(x, np.pi * np.arange(1, N + 1))
+    return _read_only(x, 0.5 * w, np.sin(kx), np.cos(kx))
 
 
 def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
@@ -259,28 +242,15 @@ def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
                                  c0 - vals[0] @ a)
 
 
-def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, phi: np.ndarray,
-                          w: np.ndarray, S: np.ndarray, C: np.ndarray):
-    """Half-weight mixed (q, p, p0) histories of sum_i vals_i lift_i + sum_j c_j phi_j.
-
-    The lifts go through their closed-form coefficients; the eigen part
-    (``phi`` sampled on the grid of ``clamped_grid``) through its quadrature
-    weights w and sin/cos matrices S, C.
-    """
-    N = S.shape[1]
-    (q1, p1, c01), (q3, p3, c03) = _lift_mixed_coeffs(N)
-    k = np.arange(1, N + 1)
-    sgn = np.where(k % 2 == 0, -1.0, 1.0)       # (-1)^(k+1)
-    # rows in the order (h1, h2, h3, h4); h2 and h4 are the lifts mirrored
-    # through x -> 1-x, h4 with a minus so that d/dx at x=1 equals +h4
-    lq = np.stack((q1, sgn * q1, q3, -sgn * q3))
-    lp = np.stack((p1, -sgn * p1, p3, sgn * p3))
-    l0 = np.array([c01, c01, c03, -c03])
-    pw = phi * w
-    q = vals @ lq + c @ (pw @ S)
-    p = vals @ lp + c @ (pw @ C)
-    p0 = vals @ l0 + 0.5 * (c @ pw.sum(axis=1))
-    return q, p, p0
+def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, lifts: np.ndarray,
+                          phi: np.ndarray, w: np.ndarray, S: np.ndarray,
+                          C: np.ndarray):
+    """Half-weight mixed (q, p, p0) histories of u = vals @ lifts + c @ phi,
+    with ``lifts`` (4, n) and ``phi`` (K, n) on the nodes of ``clamped_grid``:
+    q = (u w) @ S, p = (u w) @ C and p0 = sum(u w) / 2."""
+    coef = np.concatenate((vals, c), axis=1)
+    rows = np.concatenate((lifts, phi)) * w
+    return coef @ (rows @ S), coef @ (rows @ C), 0.5 * (coef @ rows.sum(axis=1))
 
 
 def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
@@ -297,11 +267,11 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     """
     basis = build_clamped_basis(K)
     x, w, S, C = clamped_grid(N, K)
-    phi = basis.evaluate(x)
-    a = (dirichlet_lifts(x) * w) @ phi.T
+    lifts, phi = dirichlet_lifts(x), basis.evaluate(x)
+    a = (lifts * w) @ phi.T
     vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues,
                             np.zeros(K, dtype=np.complex128))
-    return clamped_mixed_history(vals, c, phi, w, S, C)
+    return clamped_mixed_history(vals, c, lifts, phi, w, S, C)
 
 
 # ---------------------------------------------------------------------------

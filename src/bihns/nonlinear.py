@@ -264,11 +264,11 @@ def _sine_states(rec: SolutionRecord) -> List[FourierState]:
 
 
 def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
-    """Clamped ``states``: u projected onto N half-weight mixed modes by the
-    trapezoid rule on the uniform grid of ``bops.clamped_grid``."""
+    """Clamped ``states``: u projected onto N half-weight mixed modes by
+    Gauss-Legendre quadrature on the nodes of ``bops.clamped_grid``."""
     x, w, S, C = bops.clamped_grid(N, len(rec.basis.xi))
-    q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.modes(x),
-                                          w, S, C)
+    q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.lifts(x),
+                                          rec.basis.modes(x), w, S, C)
     return [mixed_state(*row) for row in zip(q, p, p0)]
 
 
@@ -576,11 +576,16 @@ def _gauss_points(K: int, p: float) -> int:
     ceil((p + 1) K / 2) + 16.
 
     It grows with the K modes and the degree p - 1 of the nonlinearity, like
-    ``_dealias_points``.  Gauss quadrature has no end term, so the clamped
-    projections reach rounding: the Gram matrix B P^T is the identity within
-    1e-13 on fewer nodes than this at every K for p >= 3, and the clamped
-    bench solves (K = 48, p = 5: 160 nodes) sit within 2e-12 of a solve on
-    1024 nodes.
+    ``_dealias_points``.  Gauss quadrature has no end term, so on smooth
+    data the clamped projections reach rounding: the Gram matrix B P^T is
+    the identity within 1e-13 on fewer nodes than this at every K for
+    p >= 3, and the clamped bench solves (K = 48, p = 5: 160 nodes) sit
+    within 2e-12 of a solve on 1024 nodes.  Rough data lose digits: at
+    K = 48, the forcing of three random rows sits from the one on 16 K
+    nodes, relatively, over eight seeds, 1.4e-10 to 2.5e-9 (p = 4) and
+    2.1e-13 to 3.0e-11 (p = 5) for |c_k| ~ k^-2, about the roughest decay
+    s > 10/7 admits, and 8.8e-6 to 4.7e-5 (p = 4) and 6.9e-7 to 9.3e-6
+    (p = 5) for |c_k| ~ k^-1.
     """
     return math.ceil((p + 1.0) * K / 2.0) + 16
 
@@ -589,7 +594,7 @@ def _gauss_points(K: int, p: float) -> int:
 def _clamped_basis(N: int, K: int, n: int) -> Basis:
     """The read-only clamped ``Basis``: K modes on n Gauss-Legendre nodes of
     [0, 1], shared by every record on them; N sizes only ``states``, whose
-    uniform grid (``bops.clamped_grid``) is built when it is read."""
+    Gauss nodes (``bops.clamped_grid``) are built when it is read."""
     cb = lf.build_clamped_basis(K)
     # an attribute lookup at call time: numpy loads numpy.polynomial on first
     # use (about 5 ms), so hinged and lab runs never load it

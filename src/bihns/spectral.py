@@ -101,9 +101,11 @@ def mixed_state(q, p, p0: complex = 0.0) -> FourierState:
 def _sample(f, x: np.ndarray) -> np.ndarray:
     """Values of ``f`` on the nodes ``x`` of [0, 1]: a callable is evaluated
     once on them and must give one value per node; a sample array is its own
-    uniform grid, both endpoints included, and ``x`` is not read."""
+    uniform grid, both endpoints included, and ``x`` is not read.  A callable
+    that overflows gives inf or nan without a warning, and is rejected."""
     if callable(f):
-        vals = np.asarray(f(x), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(f(x), dtype=np.complex128)
         if vals.shape != x.shape:
             raise ValueError(f"a callable must map the {len(x)} grid nodes to as "
                              f"many values (got shape {vals.shape})")

@@ -185,19 +185,6 @@ def test_dirichlet_lift_symbolic():
     assert sp.diff(lift, x, 4) == 0
 
 
-def test_lift_mixed_coeffs_match_quadrature():
-    """Closed-form lift expansions vs the shared transform (dual route)."""
-    N = 24
-    (q1, p1, c01), (q3, p3, c03) = bops._lift_mixed_coeffs(N)
-    x = np.linspace(0, 1, 4096 * 4 + 1)
-    for coeffs, poly in (((q1, p1, c01), lambda x: bops.dirichlet_lift(1, 0, 1 - x)),
-                         ((q3, p3, c03), lambda x: bops.dirichlet_lift(0, 1, 1 - x))):
-        fo, fe = odd_even_extend(poly(x).astype(complex), N)
-        assert np.max(np.abs(fo.q - coeffs[0])) < 1e-7
-        assert np.max(np.abs(fe.p - coeffs[1])) < 1e-7
-        assert abs(fe.p0 - coeffs[2]) < 1e-9
-
-
 def test_navier_lift_coeffs_match_gauss_legendre():
     """Closed-form sine coefficients of the hinged lift rows (h1, h2, h5, h6)
     vs 2 int_0^1 lift_i sin(k pi x) dx by Gauss-Legendre on 8 panels."""

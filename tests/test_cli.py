@@ -1,12 +1,14 @@
 import csv
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bihns.cli import (ConfigError, _fmt, _strict, _write_floats,
-                       load_config, main)
+                       load_config, main, run)
 
 PERIOD = 2.0 / np.pi ** 3
 
@@ -462,15 +464,31 @@ def test_float_table_bytes_match_csv_writer_on_edge_floats(tmp_path):
 
 
 def test_clamped_datum_non_finite_on_its_nodes_exits_2(tmp_path):
-    # 1e308 (1 + x) overflows past x = 0.8, among the Gauss nodes; numpy's
-    # warning for that overflow is the datum's own, so it is silenced here
+    # 1e308 (1 + x) overflows past x = 0.8, among the Gauss nodes; the
+    # overflow warns nothing, so the suite's warnings-as-errors lets the
+    # datum reach the finiteness check
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
         "family": "dirichlet", "N": 8, "K_clamped": 4, "s": 2.0, "p": 5.0,
         "phi": {"kind": "poly", "coefficients": [[1e308, 0], [1e308, 0]]}}})
     out = tmp_path / "o"
-    with np.errstate(over="ignore"):
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family,kind", [("navier", "poly"), ("navier", "sine"),
+                                         ("dirichlet", "sine")])
+def test_overflowing_datum_exits_2(tmp_path, family, kind, capsys):
+    # a datum whose sum overflows is rejected as non-finite, with no warning
+    # for the suite's warnings-as-errors to raise
+    big = [[1e308, 0], [1e308, 0]] + ([[1e308, 1e308]] if kind == "sine" else [])
+    solve = {"family": family, "N": 8, "s": 1.0, "p": 5.0,
+             "phi": {"kind": kind, "coefficients": big}}
+    if family == "dirichlet":
+        solve.update(s=2.0, K_clamped=4)
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err and not out.exists()
 
 
 CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,
@@ -636,3 +654,24 @@ def test_strict_turns_nonfinite_into_none_with_a_note():
                    "nested": {"x": None, "x_note": "non-finite value nan"}}
     assert type(got["scalar"]) is float and type(got["count"]) is int
     json.dumps(got, allow_nan=False)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CONFIGS = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"),
+                            re.S)
+
+
+@pytest.mark.parametrize("text", README_CONFIGS,
+                         ids=[json.loads(t)["mode"] for t in README_CONFIGS])
+def test_readme_example_config_runs(tmp_path, text):
+    # each example config of README.md validates and runs clean
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(load_config(path), tmp_path / "o") == 0
+    record = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert record["pass"] is True
+
+
+def test_readme_has_example_configs():
+    assert {json.loads(t)["mode"] for t in README_CONFIGS} >= {"solve", "kato_sweep"}

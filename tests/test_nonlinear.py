@@ -9,8 +9,9 @@ from scipy.optimize import brentq
 
 import bihns.linear_flow as lf
 import bihns.nonlinear as nl
-from bihns.boundary_ops import (dirichlet_lifts, navier_boundary_history,
-                                navier_lift_coeffs, navier_lifts)
+from bihns.boundary_ops import (clamped_grid, dirichlet_lifts,
+                                navier_boundary_history, navier_lift_coeffs,
+                                navier_lifts)
 from bihns.cli import ConfigError, _build, run
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
@@ -724,6 +725,23 @@ def test_clamped_gauss_gram_is_the_identity(K, p):
     assert np.abs(basis.B @ basis.P.T - np.eye(K)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("p,bound", [(4.0, 1e-8), (5.0, 1e-10)])
+def test_clamped_gauss_forcing_on_rough_rows(p, bound):
+    # three rows with |c_k| ~ k^-2 at K = 48, about the roughest decay that
+    # s > 10/7 admits: the forcing on the solver's nodes sits 1.3e-10
+    # (p = 4) and 2.2e-12 (p = 5) from the one on 16 K nodes; on
+    # ceil(p K / 2) + 16 nodes it sat 5.0e-8 and 4.5e-10
+    K = 48
+    g = np.random.default_rng(30)
+    c = (g.standard_normal((3, K)) + 1j * g.standard_normal((3, K))) \
+        / np.arange(1, K + 1) ** 2
+    forcing = [_grid_forcing(c, b.B, b.P, p, 1.0) for b in (
+        nl._clamped_basis(K, K, nl._gauss_points(K, p)),
+        nl._clamped_basis(K, K, 16 * K))]
+    err = np.abs(forcing[0] - forcing[1]).max() / np.abs(forcing[1]).max()
+    assert err <= bound
+
+
 @pytest.mark.parametrize("p,s", [(3.5, 1.8), (5.0, 2.0), (7.0, 2.0)])
 def test_clamped_rough_solve_meets_its_1024_node_solve(p, s):
     # 48 modes with |c_j| ~ j^-2 and four boundary series up to n = 3: the
@@ -893,11 +911,13 @@ def test_picard_dirichlet_plane_wave_second_order(lam, A, p, s, bound):
     assert errs[-1] <= bound
 
 
-@pytest.mark.parametrize("p,measured", [(3.0, 2.1e-6), (5.0, 3.78e-6)])
+@pytest.mark.parametrize("p,measured", [(3.0, 1.82e-6), (5.0, 2.79e-7)])
 def test_picard_navier_plane_wave_sees_p(p, measured):
     # the hinged twin at A = 2, so the potential 5 * 2^(p-2) sees p.  No
     # order gate: the hinged datum projection leaves a space floor of
-    # 1.93e-6 at N = 64 even at lam = 0, A = 1, already at t = 0
+    # 1.93e-6 at N = 64 even at lam = 0, A = 1, already at t = 0.  Without
+    # the forcing's end correction in ``Basis.P`` the errors were 2.1e-6 and
+    # 3.78e-6, so the p = 5 bound sees the end term come back
     err = _plane_wave_error("navier", 2.0, 5.0, p, s=1.0, dt=5e-5)
     assert err <= 2 * measured
 
@@ -1027,6 +1047,29 @@ def test_record_states_are_read_only_rows(make):
     assert mid.shape == (1,) and abs(mid[0] - want[4]) <= 1e-13 * abs(want[4])
 
 
+@pytest.mark.parametrize("N,K", [(32, 16), (16, 64)])
+def test_clamped_states_are_the_gauss_projection_of_u(N, K):
+    # the half-weight mixed view projects lifts and modes by one Gauss rule:
+    # 1.8e-13 from 2048 nodes measured, where the trapezoid rule with
+    # closed-form lift coefficients left 6.2e-6 and 2.5e-6
+    hs = {key: BoundaryTrace.from_series([0, n], [b, 0.3 * b]) for key, n, b in
+          zip(("h1", "h2", "h3", "h4"), (1, 2, 1, 3),
+              (0.4 + 0.1j, -0.3 + 0.2j, 0.5 - 0.1j, 0.2 + 0.4j))}
+    spec = ProblemSpec(family="dirichlet", s=2.0, p=5.0, lam=1.0, T=2e-3,
+                       dt=5e-4, N=N, K_clamped=K,
+                       phi=lambda x: np.sin(np.pi * x) ** 2 * (1 + 0.5j * x), **hs)
+    rec = picard_dirichlet(spec)
+    y, w = np.polynomial.legendre.leggauss(2048)
+    x, w = 0.5 * (y + 1.0), 0.5 * w
+    uw = (rec.vals @ rec.basis.lifts(x) + rec.c @ rec.basis.modes(x)) * w
+    kx = np.pi * np.outer(x, np.arange(1, N + 1))
+    want = (uw @ np.sin(kx), uw @ np.cos(kx), 0.5 * uw.sum(axis=1))
+    got = [np.array([getattr(st, name) for st in rec.states])
+           for name in ("q", "p", "p0")]
+    scale = max(np.abs(a).max() for a in want)
+    assert max(np.abs(g - a).max() for g, a in zip(got, want)) <= 1e-11 * scale
+
+
 @pytest.mark.parametrize("clamped", [False, True])
 def test_record_rejects_non_finite(clamped):
     _, rec = (_clamped_record if clamped else _hinged_record)()
@@ -1046,7 +1089,7 @@ BASIS_GRIDS = {"hinged": (nl._hinged_basis, (16, 33), [(32, 33), (16, 65)]),
 
 def _clear_basis_caches():
     for cached in (nl._hinged_basis, nl._clamped_basis, sine_grid,
-                   uniform_grid, build_clamped_basis):
+                   uniform_grid, build_clamped_basis, clamped_grid):
         cached.cache_clear()
 
 
@@ -1068,6 +1111,7 @@ def test_clamped_solve_builds_no_sine_or_cosine_matrix():
     assert nl._clamped_basis.cache_info().misses == 1 and rec.iterations > 0
     assert uniform_grid.cache_info().misses == 0
     assert sine_grid.cache_info().misses == 0
+    assert clamped_grid.cache_info().misses == 0   # the states view's grid
 
 
 @pytest.mark.parametrize("family", ["hinged", "clamped"])
