@@ -214,7 +214,7 @@ def clamped_grid(N: int, K: int):
 
 
 def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
-                  c0: np.ndarray):
+                  c0: np.ndarray, weights=None):
     """Linear history of c_k in u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
 
     The basis e_k meets the family's four homogeneous conditions, with
@@ -226,7 +226,9 @@ def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
 
         lin = e^{i omega t} (c0 - h(0) @ a) - Duhamel(sum_i h_i' a_i),
 
-    both terms from one ``duhamel_history`` recurrence started at that row.
+    both terms from one ``duhamel_history`` recurrence started at that row,
+    run in place over its own slope forcing, on the ``StepWeights``
+    ``weights`` of ``times`` if given.
 
     Returns (vals, lin): the data h_i(t_j) (T, 4) and lin (T, K); inactive
     data contribute zeros.
@@ -238,8 +240,8 @@ def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
         if h.active:
             vals[:, i] = h(times)
             slopes[:, i] = h.derivative()(times)
-    return vals, duhamel_history(ForcingHistory(times, slopes @ -a, omegas),
-                                 c0 - vals[0] @ a)
+    F = ForcingHistory(times, slopes @ -a, omegas)
+    return vals, duhamel_history(F, c0 - vals[0] @ a, weights, F.coeffs)
 
 
 def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, lifts: np.ndarray,

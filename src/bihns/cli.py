@@ -27,7 +27,8 @@ import numpy as np
 
 from . import lab
 from .nonlinear import NAVIER, ProblemSpec, picard_dirichlet, picard_navier
-from .spectral import BoundaryTrace, reconstruct, sine_state
+from .spectral import (BoundaryTrace, _sample, reconstruct, sine_state,
+                       transform_nodes)
 # unused here; kept because bench/tracing.py wraps cli.sobolev_norm
 from .spectral import sobolev_norm
 
@@ -170,12 +171,16 @@ def _identity_args(tail=None, **checks):
     return checks, tail
 
 
-def _traces_args(s_grid=(0.5, 1.5), phi=(), **kw) -> Dict:
+def _traces_args(s_grid=(0.5, 1.5), phi=(), N=lab.TRACE_N) -> Dict:
     """``trace_regularity_r`` kwargs; zero data are dropped, and with none
-    left the datum is x^2 (1-x)^2."""
+    left the datum is x^2 (1-x)^2.  Each datum is sampled on the nodes that
+    ``odd_even_extend`` reads (``_sample``), so a wrong shape or a
+    non-finite value fails here, before anything is written."""
     lab.check_trace_s_grid(s_grid)
     phis = [p for p in phi if p is not None] or [lambda x: x ** 2 * (1.0 - x) ** 2]
-    return {"phis": phis, "s_grid": s_grid, **kw}
+    for f in phis:
+        _sample(f, transform_nodes(N))
+    return {"phis": phis, "s_grid": s_grid, "N": N}
 
 
 def _build(mode: str, payload):

@@ -541,8 +541,12 @@ def check_trace_s_grid(s_grid: Sequence[float]) -> None:
 TRACE_EPS = 0.01
 
 
+#: modes of the odd/even split of each ``trace_regularity_r`` datum
+TRACE_N = 256
+
+
 def trace_regularity_r(phis: Sequence[Callable], s_grid: Sequence[float],
-                       N: int = 256) -> List[Dict]:
+                       N: int = TRACE_N) -> List[Dict]:
     """Norm table for the four traces generated by an initial datum.
 
     For each datum the odd/even split produces trace series on the lattice

@@ -14,13 +14,17 @@ every node, exactly for forcing that is piecewise linear between the nodes
 (closed-form exponential-integrator weights, with a Taylor branch for small
 phases |w dt| < 1e-3 to dodge cancellation), plus the free flow of a start
 row: both solver families take their linear history from that one
-recurrence, and ``duhamel`` reads it at one time.
+recurrence, and ``duhamel`` reads it at one time.  Its weights depend on the
+grid's distinct steps alone (``step_weights``), so a caller that runs
+several histories on one grid builds them once, and a history may be
+written over its own forcing.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,49 +178,82 @@ def _interval_weights(z: np.ndarray):
     return g0, g1
 
 
+class StepWeights(NamedTuple):
+    """The Duhamel weights of one time grid and one set of eigenvalues:
+    the distinct step lengths ``steps``, the index ``which`` of each
+    interval's step in them, and per distinct step the (S, K) weights
+    ``g0``, ``g1`` of ``_interval_weights`` and the rows of the phases
+    e^{i w dt}."""
+
+    steps: np.ndarray
+    which: np.ndarray
+    g0: np.ndarray
+    g1: np.ndarray
+    phases: list
+
+
+def step_weights(times: np.ndarray, omegas: np.ndarray) -> StepWeights:
+    """The ``StepWeights`` of the grid ``times`` for the eigenvalues
+    ``omegas``, once per distinct step length (a ``linspace`` grid has a
+    handful)."""
+    steps, which = np.unique(np.diff(times), return_inverse=True)
+    z = 1j * omegas[None, :] * steps[:, None]
+    g0, g1 = _interval_weights(z)
+    return StepWeights(steps, which, g0, g1, list(np.exp(z)))
+
+
 #: time intervals whose terms J are formed together in ``duhamel_history``
 _DUHAMEL_BLOCK = 64
 
 
-def duhamel_history(F: ForcingHistory, v0=None) -> np.ndarray:
+def duhamel_history(F: ForcingHistory, v0=None, weights: StepWeights = None,
+                    out: np.ndarray = None) -> np.ndarray:
     """V[j, k] = e^{i w_k t_j} v0_k + int_0^{t_j} exp(i w_k (t_j - tau)) f_k(tau) dtau
     at every node of a grid that starts at t_0 = 0 (v0 = 0 if not given).
 
     One recurrence V[j+1] = e^{i w dt} V[j] + J[j] gives both terms, so the
     free flow of v0 rides on the step phases: a table exp(i w t_j) would
     round the product w t_j, which reaches ~1e9 rad on the top modes.  The
-    weights depend on the step only, so they are computed once per distinct
-    step length (a ``linspace`` grid has a handful) and the recurrence
-    indexes those rows.  The interval terms J are formed for
-    ``_DUHAMEL_BLOCK`` steps at a time, bit for bit the per-step products:
-    the complex products are explicit ``np.multiply`` calls into arrays that
-    are not their operands, since ``fb * g0[s]`` would run in place on the
-    large temporary ``g0[s]``, in a numpy loop that rounds differently.  So
-    each step writes the phase product straight into V[j+1] and adds J[j]
-    there (an addition rounds alike in place).  The steps walk the row views
-    of V and J together, each row the next step's previous one, so no step
-    indexes V; a block's J is released before the next one is formed.
+    weights depend on the step only: ``weights``, the ``step_weights`` of
+    F's grid, are built here if not given, and a caller that runs several
+    histories on one grid builds them once.  V is written into ``out`` if
+    given, a (T, K) complex128 array that is either ``F.coeffs`` itself or
+    does not overlap it: each block's J is formed before its rows are
+    written, and one carry row keeps the forcing at the block's first node.
+
+    The interval terms J are formed for ``_DUHAMEL_BLOCK`` steps at a time
+    in buffers made once per call, bit for bit the per-step products: every
+    complex product is an explicit ``np.multiply`` into an array that is not
+    its operand, since an in-place product such as ``fb * g0[s]`` on the
+    temporary ``g0[s]`` runs a numpy loop that rounds differently.  So each
+    step writes the phase product straight into V[j+1] and adds J[j] there
+    (an addition rounds alike in place).  The steps walk the row views of V
+    and J together, each row the next step's previous one, so no step
+    indexes V.
     """
     t, c, w = F.times, F.coeffs, F.omegas
-    V = np.empty_like(c)
+    steps, which, g0, g1, phases = (step_weights(t, w) if weights is None
+                                    else weights)
+    V = np.empty_like(c) if out is None else out
+    fa = c[0].copy()                    # the forcing at the block's first node
     V[0] = 0.0 if v0 is None else v0
-    steps, which = np.unique(np.diff(t), return_inverse=True)
-    z = 1j * w[None, :] * steps[:, None]
-    g0, g1 = _interval_weights(z)
-    phases = list(np.exp(z))
+    J, G, D, GD = np.empty((4, min(_DUHAMEL_BLOCK, len(t) - 1), len(w)),
+                           dtype=np.complex128)
     for a in range(0, len(t) - 1, _DUHAMEL_BLOCK):
         s = which[a:a + _DUHAMEL_BLOCK]
         n = len(s)
-        fa, fb = c[a:a + n], c[a + 1:a + 1 + n]
-        J = np.multiply(fb, g0[s])
-        J += np.multiply(fa - fb, g1[s])
-        J *= steps[s][:, None]
+        fb, Jb, Gb, Db, GDb = c[a + 1:a + 1 + n], J[:n], G[:n], D[:n], GD[:n]
+        np.multiply(fb, np.take(g0, s, axis=0, out=Gb), Jb)
+        np.subtract(fa, fb[0], Db[0])               # fa - fb, row by row
+        np.subtract(c[a + 1:a + n], fb[1:], Db[1:])
+        Jb += np.multiply(Db, np.take(g1, s, axis=0, out=Gb), GDb)
+        Jb *= steps[s][:, None]
+        np.copyto(fa, fb[-1])           # before V overwrites it in place
         prev = V[a]
-        for row, j, si in zip(V[a + 1:a + 1 + n], J, s.tolist()):
+        for row, j, si in zip(V[a + 1:a + 1 + n], Jb, s.tolist()):
             np.multiply(phases[si], prev, row)  # a positional out parses
             np.add(row, j, row)                 # faster than out=
             prev = row
-        del J, j                        # j views J's last row
     return V
 
 

@@ -26,17 +26,25 @@ linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
 both terms from one Duhamel recurrence (``boundary_ops.lift_response``), and
 the forcing, the projection of the nonlinearity of u onto B; it then
 iterates c -> lin + i Duhamel(forcing(c)) in the sup-in-time H^s-weighted
-coefficients.  One kernel, ``_grid_forcing``, gives both forcings in blocks
-of time rows, on stacked real (re; im) rows folded onto half the grid by the
-bases' parity under x -> 1-x: real GEMMs synthesize the parts of u
-symmetric and antisymmetric under that map, the lift rows riding along as
-extra synthesis rows, and the power acts on u(x) and u(1-x) made from
-them.  Each block is laid out as contiguous (re|im, x|1-x, rows, nodes
-x <= 1/2) planes, so the fold, the power and the unfold run on whole
-planes; a middle node x = 1/2 sits on both sides with a zero antisymmetric
-part, and its doubled fold meets a halved projection column.  The power
-takes |u|^(p-2) from s = |u|^2 by multiplication for an integer p,
-s^m sqrt(s)^b with p - 2 = 2m + b, and by ``**`` otherwise.  T* halves whenever
+coefficients.  A step builds nothing that the attempt already holds: the
+Duhamel step weights are built once per attempt (``lf.step_weights``), the
+kernel's folded operands once per basis and dtype (``Basis.folds``), and a
+step holds three (T, K) histories, lin, the iterate and a work buffer: the
+forcing is written into the work buffer, the Duhamel history over it, then
+times i plus lin, and the distance to the iterate is taken in the
+iterate's buffer, which the next step fills.
+
+One kernel, ``_grid_forcing``, gives both forcings in blocks of time rows,
+on stacked real (re; im) rows folded onto half the grid by the bases' parity
+under x -> 1-x: real GEMMs synthesize the parts of u symmetric and
+antisymmetric under that map, the lift rows riding along as extra synthesis
+rows, and the power acts on u(x) and u(1-x) made from them.  Each block is
+laid out as contiguous (re|im, x|1-x, rows, nodes x <= 1/2) planes, so the
+fold, the power and the unfold run on whole planes; a middle node x = 1/2
+sits on both sides with a zero antisymmetric part, and its doubled fold
+meets a halved projection column.  The power takes |u|^(p-2) from
+s = |u|^2 by multiplication for an integer p, s^m sqrt(s)^b with
+p - 2 = 2m + b, and by ``**`` otherwise.  T* halves whenever
 ``max_iter`` iterations leave the Picard distance above ``tol``.  Both
 families report the last Picard distance |c_n - c_{n-1}| as the residual:
 by the contraction it bounds the fixed-point residual |Phi(c_n) - c_n| up
@@ -188,7 +196,8 @@ class Basis:
     record to its older state layout: the hinged sine coefficients of
     u - gamma, gamma the lift at h(0), or the clamped u on the half-weight
     mixed basis.  Its arrays are read-only: ``_hinged_basis`` and
-    ``_clamped_basis`` build one per grid for every record on it.
+    ``_clamped_basis`` build one per grid for every record on it, and
+    ``folds`` builds the forcing kernel's folded operands once per dtype.
     """
 
     xi: np.ndarray
@@ -201,10 +210,21 @@ class Basis:
     L: np.ndarray
     a: np.ndarray
     states: Callable
+    _folds: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def weights(self, s: float) -> np.ndarray:
         """(K,) H^s weights (1 + xi^2)^s of the Picard distance and the norms."""
         return (1.0 + self.xi ** 2) ** s
+
+    def folds(self, dtype) -> tuple:
+        """The read-only ``_fold`` of (B, P, L) in ``dtype``: the operands of
+        every ``_grid_forcing`` call of a solve on this basis, built on the
+        first call per dtype."""
+        key = np.dtype(dtype).name
+        if key not in self._folds:
+            self._folds[key] = _read_only(*_fold(self.B, self.P, self.L, dtype))
+        return self._folds[key]
 
 
 @dataclass
@@ -280,18 +300,20 @@ def _dealias_points(N: int, p: float) -> int:
     return max(2, math.ceil(p / 2.0)) * N + 1
 
 
-def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
+def _power(u: np.ndarray, p: float, lam: float,
+           scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """lam |u|^(p-2) u in place on stacked real rows ``u``: its first half of
     rows are the real parts and its second half the imaginary parts of the
     same values, so s = |u|^2 = re^2 + im^2 on contiguous rows (p >= 3 keeps
     0 ** (p-2) = 0).  An integer p takes no ``pow``: with p - 2 = 2m + b,
     |u|^(p-2) = s^m sqrt(s)^b by multiplication, the paths numpy's ``**``
     already takes for p = 3, 4 and 6, and within an ulp or two of it at
-    p = 5; a fractional p takes s ** ((p-2)/2).  A non-finite value raises
-    ``OverflowError``."""
+    p = 5; a fractional p takes s ** ((p-2)/2).  ``scratch``, an array of
+    u's shape and dtype, holds the one temporary if given.  A non-finite
+    value raises ``OverflowError``."""
     r = len(u) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.square(u)               # one temporary: re^2 over im^2
+        sq = np.square(u, out=scratch)  # one temporary: re^2 over im^2
         fac, base = sq[:r], sq[r:]
         fac += base                     # s; base is free from here on
         if float(p).is_integer():       # p - 2 = 2m + b
@@ -319,10 +341,36 @@ def _power(u: np.ndarray, p: float, lam: float) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
+def _fold(B: np.ndarray, P: np.ndarray, lift: np.ndarray, dtype) -> tuple:
+    """The folded operands (Bs, Ba, Ps, Pa) of ``_grid_forcing`` in ``dtype``:
+    the synthesis rows of the parts of u symmetric (even rows of B, the
+    lifts' symmetric parts) and antisymmetric (odd rows, antisymmetric
+    parts) under x -> 1-x on the nodes x <= 1/2, and the even and odd rows
+    of P on those nodes, the middle node's A zeroed and its P column
+    halved."""
+    M1 = B.shape[1]
+    H, W = M1 // 2, (M1 + 1) // 2                  # nodes x < 1/2; x <= 1/2
+    work = {"dtype": dtype, "casting": "same_kind"}
+    flip = lift[:, ::-1]                           # lift rows at 1 - x
+    Bs = np.concatenate((B[0::2, :W], 0.5 * (lift + flip)[:, :W]), **work)
+    Ba = np.concatenate((B[1::2, :W], 0.5 * (lift - flip)[:, :W]), **work)
+    Ba[:, H:] = 0.0                                # A(1/2) = 0
+    Ps = P[0::2, :W].astype(dtype)
+    Ps[:, H:] *= 0.5                               # meets S'(1/2) = 2 g(1/2)
+    Pa = P[1::2, :H].astype(dtype)
+    return Bs, Ba, Ps, Pa
+
+
+def _rows(buf: np.ndarray, m: int, n: int) -> np.ndarray:
+    """A contiguous (m, n) view of the front of the buffer ``buf``."""
+    return buf.reshape(-1)[:m * n].reshape(m, n)
+
+
 def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
                   lam: float, vals: Optional[np.ndarray] = None,
                   lift: Optional[np.ndarray] = None,
-                  dtype=np.float64) -> np.ndarray:
+                  dtype=np.float64, out: Optional[np.ndarray] = None,
+                  folds: Optional[tuple] = None) -> np.ndarray:
     """(T, K) projections P @ g of the node values g = lam |u|^(p-2) u of
     u = c @ B + vals @ lift for the complex coefficient history ``c`` and,
     if given, the complex data ``vals`` (T, L) of the real lift rows
@@ -348,31 +396,31 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
     node x = 1/2 (M even) sits on both sides: A has a zero column there,
     the node is powered twice, folds back as S' = 2 g(1/2) and meets a
     projection column scaled by 0.5, so each product and sum is the one of
-    the unfolded node.
+    the unfolded node.  The buffers are made once per call, and every GEMM
+    and the power's square write into them: the syntheses S and A into one
+    buffer that the power then takes as its scratch, the projections into
+    the stacked rows' buffers.
 
     ``dtype`` is the working precision of the folded matrices, the stacked
     rows and the grid block (float64 or float32); the output is complex128
-    either way.  Overflow anywhere, in a cast to float32 included, raises
-    ``OverflowError``.
+    either way, written into ``out`` (T, K) if given.  The folded matrices
+    are ``folds``, the ``_fold`` of (B, P, lift) in ``dtype`` (a solve
+    passes its ``Basis.folds``), or are built here.  Overflow anywhere, in
+    a cast to float32 included, raises ``OverflowError``.
     """
     T, K = c.shape
     M1 = B.shape[1]
     H, W = M1 // 2, (M1 + 1) // 2                  # nodes x < 1/2; x <= 1/2
     if vals is None:
         vals, lift = np.zeros((T, 0)), np.zeros((0, M1))
-    work = {"dtype": dtype, "casting": "same_kind"}
-    flip = lift[:, ::-1]                           # lift rows at 1 - x
-    Bs = np.concatenate((B[0::2, :W], 0.5 * (lift + flip)[:, :W]), **work)
-    Ba = np.concatenate((B[1::2, :W], 0.5 * (lift - flip)[:, :W]), **work)
-    Ba[:, H:] = 0.0                                # A(1/2) = 0
-    Ps = P[0::2, :W].astype(dtype)
-    Ps[:, H:] *= 0.5                               # meets S'(1/2) = 2 g(1/2)
-    Pa = P[1::2, :H].astype(dtype)
+    Bs, Ba, Ps, Pa = _fold(B, P, lift, dtype) if folds is None else folds
     R = max(1, _BLOCK_BYTES // (2 * np.dtype(dtype).itemsize * M1))
     grid = np.empty(4 * R * W, dtype=dtype)        # (re|im, x|1-x, rows, W)
     xs_buf = np.empty((2 * R, len(Bs)), dtype=dtype)    # (re; im) of c_even | vals
     xa_buf = np.empty((2 * R, len(Ba)), dtype=dtype)    # (re; im) of c_odd | vals
-    out = np.empty((T, K), dtype=np.complex128)
+    sa_buf = np.empty(4 * R * W, dtype=dtype)      # S | A, and _power's scratch
+    if out is None:
+        out = np.empty((T, K), dtype=np.complex128)
     # an overflow shows as a non-finite value, which the checks raise on
     with np.errstate(over="ignore", invalid="ignore"):
         for r0 in range(0, T, R):
@@ -383,15 +431,19 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
                 k = part.shape[1]
                 xb[:r, :k], xb[r:, :k] = part.real, part.imag
                 xb[:r, k:], xb[r:, k:] = vals[rows].real, vals[rows].imag
-            S, A = xs @ Bs, xa @ Ba
+            n = 2 * r * W
+            S = np.matmul(xs, Bs, out=sa_buf[:n].reshape(2 * r, W))
+            A = np.matmul(xa, Ba, out=sa_buf[n:2 * n].reshape(2 * r, W))
             S3, A3 = S.reshape(2, r, W), A.reshape(2, r, W)
             u = grid[:4 * r * W].reshape(2, 2, r, W)
             np.add(S3, A3, out=u[:, 0])
             np.subtract(S3, A3, out=u[:, 1])
-            _power(u, p, lam)
+            _power(u, p, lam, sa_buf[:2 * n].reshape(u.shape))
             np.add(u[:, 0], u[:, 1], out=S3)
             np.subtract(u[:, 0], u[:, 1], out=A3)
-            fs, fa = S @ Ps.T, A[:, :H] @ Pa.T
+            # the projections go into the stacked rows' buffers, read by now
+            fs = np.matmul(S, Ps.T, out=_rows(xs_buf, 2 * r, len(Ps)))
+            fa = np.matmul(A[:, :H], Pa.T, out=_rows(xa_buf, 2 * r, len(Pa)))
             if not (np.isfinite(fs).all() and np.isfinite(fa).all()):
                 raise OverflowError("forcing overflow: blow-up candidate")
             # re, im interleaved: even modes at columns 0, 1 mod 4, odd at 2, 3
@@ -470,10 +522,15 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     project phi - e @ (1 - x, x), e phi's end values, which vanishes at both
     ends, so the trapezoid rule has no O(h^2) end term, and add e @ a[:2] in
     closed form; clamped, Gauss quadrature has no end term.
-    Each T* attempt builds lin = e^{i omega t} (c_phi - h(0) @ a)
+    Each T* attempt builds the Duhamel step weights of its grid once
+    (``lf.step_weights``), lin = e^{i omega t} (c_phi - h(0) @ a)
     - Duhamel(sum_i h_i' a_i) in one recurrence (``bops.lift_response``) and
-    forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u.
-    Distances are sup-in-time with the H^s weights ``basis.weights(s)``.
+    forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u on
+    the basis' cached folds.  A step writes forcing(c) into the work buffer,
+    the Duhamel history over it and then i V + lin in place; the distance
+    c_new - c is taken in c's buffer, which becomes the next work buffer, so
+    an attempt holds lin and two more (T, K) histories.  Distances are
+    sup-in-time with the H^s weights ``basis.weights(s)``.
 
     Mixed precision: ``_step_dtype`` picks each step's working dtype, and
     the stop test D_n = |c_n - c_{n-1}| < ``tol`` is read on float64 steps
@@ -499,39 +556,47 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     T_star = spec.T
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
+        weights = lf.step_weights(times, basis.omegas)
         vals, lin = bops.lift_response(spec.hs, times, basis.a, basis.omegas,
-                                       c_phi)
+                                       c_phi, weights)
 
-        def step(c, dtype):     # returning frees the (T, K) forcing
+        def step(c, dtype, out):
+            """Phi(c) into ``out``; returns the forcing's dtype."""
             args = (c, basis.B, basis.P, spec.p, spec.lam, vals, basis.L)
             try:
-                f = _grid_forcing(*args, dtype)
+                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype))
             except OverflowError:
                 if dtype == np.float64:
                     raise
                 dtype = np.float64
-                f = _grid_forcing(*args, dtype)
-            V = lf.duhamel_history(lf.ForcingHistory(times, f, basis.omegas))
-            V *= 1j
-            V += lin
-            return V, dtype
+                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype))
+            lf.duhamel_history(lf.ForcingHistory(times, out, basis.omegas),
+                               weights=weights, out=out)
+            out *= 1j
+            out += lin
+            return dtype
 
-        c, factors, dists, precisions = lin, [], [], []
+        # three histories: lin, the iterate c and the next one, ``work``
+        c, work, factors, dists, precisions = lin, np.empty_like(lin), [], [], []
         kappa_hat = math.nan
         converged = spec.lam == 0
         while not converged and len(dists) < spec.max_iter:
-            c_new, dtype = step(c, _step_dtype(dists, spec.tol, spec.max_iter,
-                                               kappa_hat))
-            d = float(np.sqrt(_hs_sq(c_new - c, wgt).max()))
+            if not dists:   # |lin|, squared in the buffer the step fills
+                work[...] = lin
+                lin_norm = float(np.sqrt(_hs_sq(work, wgt).max()))
+            dtype = step(c, _step_dtype(dists, spec.tol, spec.max_iter,
+                                        kappa_hat), work)
+            # the distance is squared in the old iterate's buffer, which the
+            # next step overwrites; lin's own buffer is kept
+            spare = np.empty_like(lin) if c is lin else c
+            d = float(np.sqrt(_hs_sq(np.subtract(work, c, out=spare), wgt).max()))
             if dists and dists[-1] > 0:
                 factors.append(d / dists[-1])
-            if not dists:               # |lin| is 0 for zero data
-                lin_norm = float(np.sqrt(_hs_sq(lin.copy(), wgt).max()))
-                if lin_norm > 0:
-                    kappa_hat = (spec.p - 1.0) * d / lin_norm
+            if not dists and lin_norm > 0:      # 0 for zero data
+                kappa_hat = (spec.p - 1.0) * d / lin_norm
             dists.append(d)
             precisions.append(np.dtype(dtype).name)
-            c = c_new
+            c, work = work, spare
             converged = dtype == np.float64 and d < spec.tol
         if converged:
             break

@@ -157,6 +157,12 @@ def matmul_real(a, B) -> np.ndarray:
     return out.reshape(a.shape[:-1] + (r.shape[1],))
 
 
+def transform_nodes(N: int) -> np.ndarray:
+    """The max(4N, 8) + 1 uniform nodes of [0, 1] on which
+    ``sine_coefficients`` and ``odd_even_extend`` sample a callable."""
+    return np.linspace(0.0, 1.0, max(4 * N, 8) + 1)
+
+
 def sine_coefficients(f, N: int) -> FourierState:
     """Full sine transform q_k = 2*int_0^1 f(x) sin(k pi x) dx, k=1..N.
 
@@ -166,7 +172,7 @@ def sine_coefficients(f, N: int) -> FourierState:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    vals = _sample(f, np.linspace(0.0, 1.0, max(4 * N, 8) + 1))
+    vals = _sample(f, transform_nodes(N))
     _, w, S = sine_grid(N, len(vals) - 1)
     return sine_state(2.0 * matmul_real(vals * w, S))
 
@@ -182,7 +188,7 @@ def odd_even_extend(f, N: int):
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    vals = _sample(f, np.linspace(0.0, 1.0, max(4 * N, 8) + 1))
+    vals = _sample(f, transform_nodes(N))
     _, w, S, C = uniform_grid(N, len(vals) - 1)
     vw = vals * w
     return (sine_state(matmul_real(vw, S)),

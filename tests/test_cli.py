@@ -491,6 +491,18 @@ def test_overflowing_datum_exits_2(tmp_path, family, kind, capsys):
     assert "non-finite" in capsys.readouterr().err and not out.exists()
 
 
+def test_traces_datum_non_finite_on_its_nodes_exits_2(tmp_path, capsys):
+    # the traces lab samples each datum when its config is read, so one that
+    # overflows on the split's nodes exits 2 with nothing written; the suite
+    # runs with warnings as errors, so no overflow warning escapes either
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "traces", "traces": {
+        "s_grid": [1.5], "N": 16,
+        "phi": [{"kind": "poly", "coefficients": [[1e308, 0], [1e308, 0]]}]}})
+    out = tmp_path / "o"
+    assert main(["traces", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err and not out.exists()
+
+
 CLAMPED_STIFF = {"family": "dirichlet", "N": 8, "K_clamped": 4, "s": 1.8,
                  "p": 4.0, "lam": 1.0, "T": 0.01, "dt": 1e-4, "tol": 1e-10,
                  "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [5, 0],

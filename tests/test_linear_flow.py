@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from bihns.linear_flow import (_DUHAMEL_BLOCK, ForcingHistory,
                                build_clamped_basis, duhamel,
                                duhamel_history, navier_eigenvalues,
-                               propagate_periodic)
+                               propagate_periodic, step_weights)
 from bihns.spectral import mixed_state, sine_state, sobolev_norm
 
 rng = np.random.default_rng(777)
@@ -322,6 +322,59 @@ def test_duhamel_history_block_edges_match_per_step(steps, start):
     V = duhamel_history(F, v0)
     assert V.shape == shape
     assert np.array_equal(V, _duhamel_per_step(F, v0))
+
+
+def _duhamel_grid(kind, g):
+    """The grids of the bit-exact tests above: ``uniform`` (one distinct
+    step), ``linspace`` (several, from rounding), ``random``, and the block
+    edges of one step, one block and a block plus one step."""
+    if kind == "uniform":
+        return np.arange(302) * 2.0 ** -14
+    if kind == "linspace":
+        return np.linspace(0.0, 0.013, 301)
+    steps = {"random": 300, "one_step": 1, "one_block": _DUHAMEL_BLOCK,
+             "block_plus_one": _DUHAMEL_BLOCK + 1}[kind]
+    return np.cumsum(np.concatenate(([0.0], g.uniform(1e-5, 1e-4, steps))))
+
+
+@pytest.mark.parametrize("weights", [False, True], ids=["own_weights", "weights"])
+@pytest.mark.parametrize("start", [False, True], ids=["no_v0", "v0"])
+@pytest.mark.parametrize("kind", ["uniform", "linspace", "random", "one_step",
+                                  "one_block", "block_plus_one"])
+def test_duhamel_history_in_place_matches_out_of_place(kind, start, weights):
+    # written over its own forcing, into a separate buffer, or on weights
+    # built once for the grid, the history is the out-of-place one bit for bit
+    g = np.random.default_rng(21)
+    t = _duhamel_grid(kind, g)
+    w = np.concatenate(([0.0, 1.0, 20.0], navier_eigenvalues(12)))
+    shape = (len(t), len(w))
+    c = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    v0 = g.standard_normal(len(w)) + 1j * g.standard_normal(len(w)) if start else None
+    want = duhamel_history(ForcingHistory(t, c, w), v0)
+    sw = step_weights(t, w) if weights else None
+    if kind == "uniform":
+        assert len(step_weights(t, w).steps) == 1
+    if kind == "linspace":
+        assert len(step_weights(t, w).steps) > 1
+    F = ForcingHistory(t, c.copy(), w)
+    got = duhamel_history(F, v0, sw, F.coeffs)
+    assert got is F.coeffs and np.array_equal(got, want)
+    out = np.full(shape, np.nan, dtype=complex)
+    F = ForcingHistory(t, c.copy(), w)
+    assert duhamel_history(F, v0, sw, out) is out and np.array_equal(out, want)
+    assert np.array_equal(F.coeffs, c)
+
+
+def test_duhamel_history_in_place_on_full_blocks():
+    # the solver-sized case of the test above: 1001 x 256 in 16 blocks
+    t = np.linspace(0.0, 0.01, 1001)
+    w = navier_eigenvalues(256)
+    g = np.random.default_rng(12)
+    c = g.standard_normal((1001, 256)) + 1j * g.standard_normal((1001, 256))
+    want = duhamel_history(ForcingHistory(t, c, w))
+    F = ForcingHistory(t, c.copy(), w)
+    assert np.array_equal(duhamel_history(F, None, step_weights(t, w), F.coeffs),
+                          want)
 
 
 def test_duhamel_out_of_range():

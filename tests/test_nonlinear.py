@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,6 +26,8 @@ from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
 from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
                             sine_grid, sine_state, sobolev_norm, trapezoid_grid,
                             uniform_grid)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 rng = np.random.default_rng(2024)
 
@@ -982,9 +990,9 @@ def test_picard_applies_the_map_once_per_iteration(make, monkeypatch):
     calls = []
     duhamel_history = lf.duhamel_history
 
-    def counted(F):
+    def counted(F, *args, **kwargs):
         calls.append(F)
-        return duhamel_history(F)
+        return duhamel_history(F, *args, **kwargs)
 
     monkeypatch.setattr(lf, "duhamel_history", counted)
     spec, rec = make()
@@ -1161,6 +1169,79 @@ def test_cold_and_warm_basis_cli_artifacts_are_byte_identical(family, tmp_path):
                 == (tmp_path / "warm" / name).read_bytes()), name
 
 
+_SERIES = {"kind": "series", "n": [-1, 0, 1], "a": [[0, 0.05], [0.1, 0], [-0.05, 0]]}
+#: solve configs of the buffer-reuse test: hinged, clamped, the hinged one at
+#: another T (another history length), and the first one again
+_SEQUENCE = {
+    "hinged": {"family": "navier", "N": 32, "s": 1.0, "p": 3.0, "lam": 1.0,
+               "T": 0.005, "dt": 1e-4, "h1": _SERIES,
+               "phi": {"kind": "sine", "coefficients": [[0.3, 0], [0, 0.2], [-0.1, 0]]}},
+    "clamped": {"family": "dirichlet", "N": 16, "K_clamped": 8, "s": 2.0, "p": 5.0,
+                "lam": 1.0, "T": 1e-3, "dt": 1e-5, "h1": _SERIES, "h3": _SERIES,
+                "phi": {"kind": "poly", "coefficients": [[0, 0], [0, 0], [2, 1],
+                                                         [-4, -2], [2, 1]]}},
+}
+_SEQUENCE["hinged_T"] = dict(_SEQUENCE["hinged"], T=0.003)
+#: a fresh interpreter solves each config of argv[1] in turn and prints the
+#: sha256 of its record's c and its step precisions
+_SOLVE_DIGESTS = """
+import hashlib, json, sys
+from bihns.cli import _build
+from bihns.nonlinear import NAVIER, picard_dirichlet, picard_navier
+for payload in json.loads(sys.argv[1]):
+    spec = _build("solve", payload)
+    rec = (picard_navier if spec.family == NAVIER else picard_dirichlet)(spec)
+    print(hashlib.sha256(rec.c.tobytes()).hexdigest(), *rec.step_precision)
+"""
+
+
+def _solve_digests(names):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SOLVE_DIGESTS,
+         json.dumps([_SEQUENCE[n] for n in names])],
+        capture_output=True, text=True, env=env, check=True)
+    return done.stdout.split("\n")[:-1]
+
+
+def test_solve_sequence_matches_cold_solves_bit_for_bit():
+    # buffers and folds carried from one solve to the next would show as a
+    # change of bits: each solve of the sequence equals the same solve alone
+    # in a fresh interpreter
+    order = ["hinged", "clamped", "hinged_T", "hinged"]
+    warm = _solve_digests(order)
+    cold = {name: _solve_digests([name])[0] for name in set(order)}
+    assert warm == [cold[name] for name in order]
+    assert warm[0] != warm[2]
+    # both folds of each basis are in use: float32 steps and float64 ones
+    for line in warm:
+        assert {"float32", "float64"} <= set(line.split()[1:])
+
+
+def test_picard_step_holds_three_histories():
+    # the tracemalloc peak of a warm hinged solve (N = 64, 4001 time rows,
+    # 4.1 MB per (T, K) history) is 3.45 histories: lin, the iterate and the
+    # work buffer, plus the forcing kernel's block buffers.  A step with a
+    # fresh forcing, Duhamel output and difference c_new - c peaks at 4.16,
+    # and one that keeps only the difference at 4.10
+    q0 = np.zeros(64, dtype=complex)
+    q0[:3] = [0.3, 0.2j, -0.1]
+    st0 = sine_state(q0)
+    h1 = BoundaryTrace.from_series([-1, 0, 1], [0.05j, 0.1, -0.05])
+    spec = ProblemSpec(family="navier", s=1.0, p=3.0, lam=1.0, T=0.02, N=64,
+                       dt=5e-6, h1=h1, phi=lambda x: reconstruct(st0, x))
+    picard_navier(spec)                 # the basis and its folds are cached
+    tracemalloc.start()
+    try:
+        rec = picard_navier(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rec.times) == 4001 and rec.iterations >= 3
+    assert peak <= 3.8 * rec.c.nbytes
+
+
 # ---------------------------------------------------------------------------
 # mixed-precision Picard steps
 
@@ -1265,14 +1346,14 @@ def test_float32_overflow_reruns_in_float64(monkeypatch):
     kernels = []
     grid_forcing = nl._grid_forcing
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         try:
-            grid_forcing(*args)
+            grid_forcing(*args, **kwargs)
         except OverflowError:
             kernels.append((np.dtype(args[-1]).name, "overflow"))
             raise
         kernels.append((np.dtype(args[-1]).name, "ok"))
-        return grid_forcing(*args)
+        return grid_forcing(*args, **kwargs)
 
     monkeypatch.setattr(nl, "_grid_forcing", recorded)
     rec = picard_navier(scaled)
