@@ -13,7 +13,7 @@ with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``lift_response`` gives the linear history of c_k for either.  The solvers
 record c itself; ``clamped_mixed_history`` projects a clamped history onto
 the half-weight mixed basis by Gauss-Legendre quadrature on the nodes of
-``clamped_grid``, for the clamped record's ``states`` view and
+``spectral.gauss_grid``, for the clamped record's ``states`` view and
 ``dirichlet_linear_history`` alone.
 
 The closed-form convolution weights of the boundary data stay as the
@@ -41,13 +41,12 @@ value lift is 12(1 - cos k pi)/(k pi)^4 instead.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, _read_only
+from .spectral import BoundaryTrace, FourierState, TRACE_FREQ, gauss_grid
 from .linear_flow import (ForcingHistory, build_clamped_basis,
                           duhamel_history, navier_eigenvalues)
 
@@ -199,20 +198,6 @@ def dirichlet_lifts(x):
                      dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
 
 
-@functools.lru_cache(maxsize=8)
-def clamped_grid(N: int, K: int):
-    """Read-only (x, w, S, C): N + K + 16 Gauss-Legendre nodes of [0, 1],
-    their weights and the (len(x), N) matrices sin(k pi x), cos(k pi x) of
-    the mixed view of a clamped solution with K modes.  The rule has no end
-    term and resolves phi_K cos(N pi x), near frequency (N + K) pi, with 16
-    nodes to spare."""
-    # an attribute lookup at call time, as in ``nonlinear._clamped_basis``
-    y, w = np.polynomial.legendre.leggauss(N + K + 16)
-    x = 0.5 * (y + 1.0)
-    kx = np.outer(x, np.pi * np.arange(1, N + 1))
-    return _read_only(x, 0.5 * w, np.sin(kx), np.cos(kx))
-
-
 def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
                   c0: np.ndarray, weights=None):
     """Linear history of c_k in u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
@@ -248,7 +233,7 @@ def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, lifts: np.ndarray,
                           phi: np.ndarray, w: np.ndarray, S: np.ndarray,
                           C: np.ndarray):
     """Half-weight mixed (q, p, p0) histories of u = vals @ lifts + c @ phi,
-    with ``lifts`` (4, n) and ``phi`` (K, n) on the nodes of ``clamped_grid``:
+    with ``lifts`` (4, n) and ``phi`` (K, n) on the nodes of ``gauss_grid``:
     q = (u w) @ S, p = (u w) @ C and p0 = sum(u w) / 2."""
     coef = np.concatenate((vals, c), axis=1)
     rows = np.concatenate((lifts, phi)) * w
@@ -268,7 +253,7 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     Returns (q, p, p0) histories shaped (len(times), N) / (len(times),).
     """
     basis = build_clamped_basis(K)
-    x, w, S, C = clamped_grid(N, K)
+    x, w, S, C = gauss_grid(N, K)
     lifts, phi = dirichlet_lifts(x), basis.evaluate(x)
     a = (lifts * w) @ phi.T
     vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues,

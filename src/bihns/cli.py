@@ -51,8 +51,9 @@ def _as_is(v, field):
 
 
 def _number(v, field) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{field}: expected a number (got {v!r})")
+    # json.loads reads NaN, Infinity and -Infinity as numbers
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{field}: expected a finite number (got {v!r})")
     return float(v)
 
 

@@ -79,7 +79,8 @@ import numpy as np
 from . import boundary_ops as bops
 from . import linear_flow as lf
 from .spectral import (BoundaryTrace, FourierState, _read_only, _sample,
-                       mixed_state, sine_grid, sine_state)
+                       gauss_grid, gauss_nodes, mixed_state, sine_grid,
+                       sine_state)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend,
 # nonlinear.reconstruct and nonlinear.sine_coefficients
 from .spectral import odd_even_extend, reconstruct, sine_coefficients
@@ -131,6 +132,8 @@ class ProblemSpec:
         if self.family not in (NAVIER, DIRICHLET):
             raise ValueError(f"unknown boundary family {self.family!r}")
         s, p = float(self.s), float(self.p)
+        if not all(map(math.isfinite, (s, p, self.lam, self.T, self.dt, self.tol))):
+            raise ValueError("s, p, lam, T, dt, tol must be finite")
         if _is_half_integer(s):
             raise ValueError(
                 f"s={s} excluded: s != n+1/2 (trace-exception exponents)")
@@ -285,8 +288,8 @@ def _sine_states(rec: SolutionRecord) -> List[FourierState]:
 
 def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
     """Clamped ``states``: u projected onto N half-weight mixed modes by
-    Gauss-Legendre quadrature on the nodes of ``bops.clamped_grid``."""
-    x, w, S, C = bops.clamped_grid(N, len(rec.basis.xi))
+    Gauss-Legendre quadrature on the nodes of ``gauss_grid``."""
+    x, w, S, C = gauss_grid(N, len(rec.basis.xi))
     q, p, p0 = bops.clamped_mixed_history(rec.vals, rec.c, rec.basis.lifts(x),
                                           rec.basis.modes(x), w, S, C)
     return [mixed_state(*row) for row in zip(q, p, p0)]
@@ -659,14 +662,11 @@ def _gauss_points(K: int, p: float) -> int:
 def _clamped_basis(N: int, K: int, n: int) -> Basis:
     """The read-only clamped ``Basis``: K modes on n Gauss-Legendre nodes of
     [0, 1], shared by every record on them; N sizes only ``states``, whose
-    Gauss nodes (``bops.clamped_grid``) are built when it is read."""
+    Gauss nodes (``gauss_grid``) are built when it is read."""
     cb = lf.build_clamped_basis(K)
-    # an attribute lookup at call time: numpy loads numpy.polynomial on first
-    # use (about 5 ms), so hinged and lab runs never load it
-    y, w = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (y + 1.0)
+    x, w = gauss_nodes(n)
     B, L = cb.evaluate(x), bops.dirichlet_lifts(x)
-    P = B * (0.5 * w)
+    P = B * w
     x, omegas, B, P, L, a = _read_only(x, cb.eigenvalues, B, P, L, L @ P.T)
     return Basis(xi=cb.mu, omegas=omegas, modes=cb.evaluate,
                  lifts=bops.dirichlet_lifts, x=x, B=B, P=P, L=L, a=a,

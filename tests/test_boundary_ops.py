@@ -207,8 +207,7 @@ def test_navier_lift_coeffs_match_gauss_legendre():
 
 
 def test_dirichlet_traces_cosine_mode():
-    x = np.linspace(0, 1, 4097)
-    fo, fe = odd_even_extend(np.cos(2 * np.pi * x) + 0j, 8)
+    fo, fe = odd_even_extend(lambda x: np.cos(2 * np.pi * x), 8)
     r1, r2, r3, r4 = bops.dirichlet_traces(fo, fe)
     t = 0.011
     # single even-part term at lattice index 2^4, half-weight normalization
@@ -217,8 +216,7 @@ def test_dirichlet_traces_cosine_mode():
 
 
 def test_dirichlet_traces_sine_mode():
-    x = np.linspace(0, 1, 4097)
-    fo, fe = odd_even_extend(np.sin(np.pi * x) + 0j, 8)
+    fo, fe = odd_even_extend(lambda x: np.sin(np.pi * x), 8)
     r1, r2, r3, r4 = bops.dirichlet_traces(fo, fe)
     t = 0.007
     assert abs(r3(t) - 0.5 * np.pi * np.exp(1j * np.pi ** 4 * t)) < 1e-6
@@ -249,7 +247,7 @@ def test_sine_endpoint_values_smooth_function():
     N = 128
     f = lambda x: np.cos(0.5 * np.pi * x) + 0.25 * x
     from bihns.spectral import sine_coefficients
-    q = sine_coefficients(f(np.linspace(0, 1, 64 * N + 1)), N).q
+    q = sine_coefficients(f, N).q
     a, b = bops.sine_endpoint_values(q[None, :])
     assert abs(a[0] - 1.0) < 1e-4
     assert abs(b[0] - 0.25) < 1e-4

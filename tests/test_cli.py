@@ -90,6 +90,12 @@ def _samples(t, h=None):
     {**TRACE_BASE, "h1": _samples(["0", 1e-3])},
     {**TRACE_BASE, "phi": {"kind": "poly", "coeficients": [[0, 0], [1, 0]]}},
     {**TRACE_BASE, "h1": {"kind": "series", "n": [0], "a": [[0.1, 0]], "t": [0]}},
+    {**TRACE_BASE, "T": float("nan")},
+    {**TRACE_BASE, "p": float("nan")},
+    {**TRACE_BASE, "tol": float("nan")},
+    {**TRACE_BASE, "dt": float("nan")},
+    {**TRACE_BASE, "T": float("inf")},
+    {**TRACE_BASE, "lam": float("inf")},
 ], ids=["s_below_clamped_range", "K_clamped_0", "max_iter_0", "N_null",
         "s_list", "trace_not_object", "phi_not_object", "series_n_fraction",
         "samples_empty", "samples_short_of_T", "clamped_samples_short_of_T",
@@ -98,7 +104,8 @@ def _samples(t, h=None):
         "clamped_h5", "hinged_h3", "unknown_key", "N_fraction",
         "max_iter_fraction", "metric_key", "N_bool", "lam_bool", "s_str",
         "sine_pair_bool", "poly_coefficient_str", "series_n_bool",
-        "samples_t_str", "poly_coeficients", "series_extra_key"])
+        "samples_t_str", "poly_coeficients", "series_extra_key", "T_nan",
+        "p_nan", "tol_nan", "dt_nan", "T_inf", "lam_inf"])
 def test_invalid_problem_exit2_no_artifacts(tmp_path, solve):
     cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
     out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,17 +16,16 @@ from scipy.optimize import brentq
 
 import bihns.linear_flow as lf
 import bihns.nonlinear as nl
-from bihns.boundary_ops import (clamped_grid, dirichlet_lifts,
-                                navier_boundary_history, navier_lift_coeffs,
-                                navier_lifts)
+from bihns.boundary_ops import (dirichlet_lifts, navier_boundary_history,
+                                navier_lift_coeffs, navier_lifts)
 from bihns.cli import ConfigError, _build, run
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
                              _grid_forcing, _power, picard_dirichlet,
                              picard_navier)
-from bihns.spectral import (BoundaryTrace, FourierState, reconstruct,
-                            sine_grid, sine_state, sobolev_norm, trapezoid_grid,
-                            uniform_grid)
+from bihns.spectral import (BoundaryTrace, FourierState, gauss_grid,
+                            gauss_nodes, reconstruct, sine_grid, sine_state,
+                            sobolev_norm, trapezoid_grid)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -67,6 +67,17 @@ def test_power_and_differentiability():
 def test_unknown_family():
     with pytest.raises(ValueError):
         ProblemSpec(family="periodic", s=1.0)
+
+
+@pytest.mark.parametrize("family", ["navier", "dirichlet"])
+@pytest.mark.parametrize("name", ["s", "p", "lam", "T", "dt", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_rejected(family, name, value):
+    # a NaN passes every range comparison and an infinity passes some, so
+    # the spec rejects both before any range check
+    base = {"family": family, "s": 1.8, "p": 4.0}
+    with pytest.raises(ValueError, match="must be finite"):
+        ProblemSpec(**{**base, name: value})
 
 
 @pytest.mark.parametrize("phi", [np.zeros(33, dtype=complex), 0.5, [0.0, 1.0]])
@@ -1097,7 +1108,7 @@ BASIS_GRIDS = {"hinged": (nl._hinged_basis, (16, 33), [(32, 33), (16, 65)]),
 
 def _clear_basis_caches():
     for cached in (nl._hinged_basis, nl._clamped_basis, sine_grid,
-                   uniform_grid, build_clamped_basis, clamped_grid):
+                   gauss_nodes, gauss_grid, build_clamped_basis):
         cached.cache_clear()
 
 
@@ -1109,7 +1120,7 @@ def test_hinged_solve_builds_no_cosine_matrix():
     assert sine_grid.cache_info().misses == 1
     S = sine_grid(spec.N, _dealias_points(spec.N, spec.p))[2]
     assert sine_grid.cache_info().misses == 1 and rec.basis.B.base is S
-    assert uniform_grid.cache_info().misses == 0
+    assert gauss_nodes.cache_info().misses == 0
 
 
 def test_clamped_solve_builds_no_sine_or_cosine_matrix():
@@ -1117,9 +1128,31 @@ def test_clamped_solve_builds_no_sine_or_cosine_matrix():
     _clear_basis_caches()
     _, rec = _clamped_record()
     assert nl._clamped_basis.cache_info().misses == 1 and rec.iterations > 0
-    assert uniform_grid.cache_info().misses == 0
     assert sine_grid.cache_info().misses == 0
-    assert clamped_grid.cache_info().misses == 0   # the states view's grid
+    assert gauss_grid.cache_info().misses == 0   # the states view's grid
+
+
+def test_leggauss_runs_once_per_node_count(tmp_path, monkeypatch):
+    # one Gauss builder serves the clamped basis, the clamped states view and
+    # the transforms of the traces lab; numpy's leggauss is looked up at call
+    # time, so each node count is counted once, however often it is read
+    _clear_basis_caches()
+    calls, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    for _ in range(2):
+        spec, rec = _clamped_record()
+        wide = picard_dirichlet(dataclasses.replace(spec, N=24))
+        rec.states, wide.states
+    n_basis = nl._gauss_points(spec.K_clamped, spec.p)
+    # the N = 16 view reads the basis' 40 nodes; the N = 24 view reads 48
+    assert n_basis == spec.N + spec.K_clamped + 16 == 40
+    assert calls == [n_basis, 24 + spec.K_clamped + 16]
+    assert wide.basis.x is rec.basis.x
+    for seed in range(2):
+        assert run({"mode": "traces", "traces": {"N": 40}},
+                   tmp_path / f"traces{seed}", seed) == 0
+    assert calls[2:] == [40 + 16]
 
 
 @pytest.mark.parametrize("family", ["hinged", "clamped"])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihns.spectral import (BoundaryTrace, TRACE_FREQ,
+from bihns.spectral import (BoundaryTrace, TRACE_FREQ, gauss_grid,
                             matmul_real, mixed_state,
                             odd_even_extend, reconstruct, sine_coefficients,
                             sine_state, sobolev_norm, trace_sobolev_norm,
-                            uniform_grid)
+                            transform_nodes)
 
 rng = np.random.default_rng(1234)
 
@@ -59,11 +59,15 @@ def test_reconstruct_matches_naive_summation():
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_sine_roundtrip(N, seed):
-    """sine_coefficients(reconstruct(state)) = state for band-limited input."""
+    """sine_coefficients(reconstruct(state)) = state for a sine datum of at
+    most 4 modes, the band that N + 16 nodes resolve at every N (wider bands
+    are pinned in ``test_transform_bandwidth_rule``)."""
     r = np.random.default_rng(seed)
-    q = r.standard_normal(N) + 1j * r.standard_normal(N)
+    q = np.zeros(N, dtype=np.complex128)
+    B = min(N, 4)
+    q[:B] = r.standard_normal(B) + 1j * r.standard_normal(B)
     state = sine_state(q)
-    back = sine_coefficients(reconstruct(state, np.linspace(0, 1, 8 * N + 1)), N)
+    back = sine_coefficients(lambda x: reconstruct(state, x), N)
     assert np.max(np.abs(back.q - q)) < 1e-12 * max(1.0, np.abs(q).max())
 
 
@@ -73,10 +77,50 @@ def test_odd_even_extend_reconstructs():
     x = np.linspace(0.1, 0.9, 33)
     target = f(x)
     for N in (16, 32, 64):
-        fo, fe = odd_even_extend(f(np.linspace(0, 1, 64 * N + 1)), N)
+        fo, fe = odd_even_extend(f, N)
         got = reconstruct(fo, x) + reconstruct(fe, x)
         errs.append(np.sqrt(np.mean(np.abs(got - target) ** 2)))
     assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_odd_even_extend_has_no_end_error(N):
+    """f = e^{a x} does not vanish at the ends, where a trapezoid rule keeps
+    an O(h^2) term; Gauss-Legendre quadrature meets the closed forms
+    q_k = k pi (1 - e^a cos k pi) / (a^2 + (k pi)^2),
+    p_k = a (e^a cos k pi - 1) / (a^2 + (k pi)^2) and p0 = (e^a - 1) / (2a)."""
+    a = 0.7
+    kp = np.pi * np.arange(1, N + 1)
+    cos_kpi = np.cos(kp)
+    q = kp * (1.0 - np.exp(a) * cos_kpi) / (a * a + kp * kp)
+    p = a * (np.exp(a) * cos_kpi - 1.0) / (a * a + kp * kp)
+    f = lambda x: np.exp(a * x)
+    fo, fe = odd_even_extend(f, N)
+    assert np.max(np.abs(fo.q - q)) < 5e-14
+    assert np.max(np.abs(fe.p - p)) < 5e-14
+    assert abs(fe.p0 - (np.exp(a) - 1.0) / (2.0 * a)) < 5e-14
+    assert not fo.p.any() and fo.p0 == 0 and not fe.q.any()
+    # the two coefficient conventions differ only by the factor 2
+    assert np.array_equal(sine_coefficients(f, N).q, 2.0 * fo.q)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_transform_bandwidth_rule(N):
+    """A sine datum of B modes needs N + B + 16 Gauss nodes: on the N + 16
+    nodes of the transforms B <= 8 comes out within 1e-13, and the full band
+    B = N does on ``gauss_grid(N, B)``."""
+    assert len(transform_nodes(N)) == N + 16
+    r = np.random.default_rng(N)
+    for B in (1, 2, 4, 8, N):
+        q = np.zeros(N, dtype=np.complex128)
+        q[:B] = r.standard_normal(B) + 1j * r.standard_normal(B)
+        state = sine_state(q)
+        if B <= 8:
+            back = sine_coefficients(lambda x: reconstruct(state, x), N).q
+        else:
+            x, w, S, _ = gauss_grid(N, B)
+            back = 2.0 * matmul_real(reconstruct(state, x) * w, S)
+        assert np.max(np.abs(back - q)) < 1e-13 * max(1.0, np.abs(q).max())
 
 
 def test_callable_must_return_one_value_per_node():
@@ -100,18 +144,20 @@ def test_odd_even_constant_mean_mode():
     assert errs[1] < errs[0]
 
 
-def test_uniform_grid_roundtrips_mixed_history():
-    """Synthesis and analysis of a band-limited (T, N) history on the shared grid.
+def test_gauss_grid_roundtrips_mixed_history():
+    """Synthesis and analysis of a band-limited (T, N) history on the shared
+    Gauss grid with K = N, which resolves the products of two N-mode series.
 
-    The odd part comes back through twice the trapezoid weights, the even
-    part and its mean through the weights themselves; the cached arrays are
-    read-only and shared between calls.
+    Both parts come back through twice the weights, the mean through the
+    weights themselves; the cached arrays are read-only and shared between
+    calls.
     """
     T, N = 9, 24
     q = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
     p = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
     p0 = rng.standard_normal(T) + 1j * rng.standard_normal(T)
-    x, w, S, C = uniform_grid(N, 2 * N)
+    x, w, S, C = gauss_grid(N, N)
+    assert len(x) == 2 * N + 16
     odd = matmul_real(q, S.T)
     even = matmul_real(p, C.T) + p0[:, None]
     assert np.allclose(odd[3], reconstruct(sine_state(q[3]), x), rtol=0, atol=1e-12)
@@ -119,10 +165,7 @@ def test_uniform_grid_roundtrips_mixed_history():
             (even * w).sum(axis=1))
     for got, want in zip(back, (q, p, p0)):
         assert np.max(np.abs(got - want)) < 1e-13 * np.abs(want).max()
-    # the two coefficient conventions differ only by the factor 2
-    assert np.array_equal(sine_coefficients(odd[0], N).q,
-                          2.0 * odd_even_extend(odd[0], N)[0].q)
-    assert uniform_grid(N, 2 * N)[2] is S
+    assert gauss_grid(N, N)[2] is S
     for a in (x, w, S, C):
         with pytest.raises(ValueError):
             a[0] = 0.0
