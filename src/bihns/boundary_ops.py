@@ -10,9 +10,10 @@ the data are attained identically.  The families differ only in the basis,
 its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``dirichlet_lifts`` for (h1, h2, h3, h4), projected by quadrature.
-``lift_response`` gives the linear history of c_k for either.  The solvers
-record c itself; ``clamped_mixed_history`` projects a clamped history onto
-the half-weight mixed basis by Gauss-Legendre quadrature on the nodes of
+``lift_response`` gives the linear history of c_k for either from the data
+and slopes of ``lift_data``.  The solvers record c itself;
+``clamped_mixed_history`` projects a clamped history onto the half-weight
+mixed basis by Gauss-Legendre quadrature on the nodes of
 ``spectral.gauss_grid``, for the clamped record's ``states`` view and
 ``dirichlet_linear_history`` alone.
 
@@ -198,13 +199,26 @@ def dirichlet_lifts(x):
                      dirichlet_lift(0, 1, u), -dirichlet_lift(0, 1, x)))
 
 
-def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
+def lift_data(hs, times: np.ndarray):
+    """(vals, slopes): the data h_i(t_j) and their slopes h_i'(t_j), (T, 4)
+    each, of the four traces ``hs`` on ``times``; inactive data give zeros."""
+    times = np.asarray(times, dtype=np.float64)
+    vals = np.zeros((len(times), 4), dtype=np.complex128)
+    slopes = np.zeros_like(vals)
+    for i, h in enumerate(hs):
+        if h.active:
+            vals[:, i] = h(times)
+            slopes[:, i] = h.derivative()(times)
+    return vals, slopes
+
+
+def lift_response(data, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
                   c0: np.ndarray, weights=None):
     """Linear history of c_k in u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
 
     The basis e_k meets the family's four homogeneous conditions, with
-    d^4/dx^4 e_k = omegas_k e_k, and the lifts of the four traces ``hs``
-    have a zero fourth derivative.  So c_k solves
+    d^4/dx^4 e_k = omegas_k e_k, and the lifts of the four traces have a
+    zero fourth derivative.  So c_k solves
     i c_k' + omegas_k c_k = -i sum_i h_i'(t) a[i, k] (plus the
     nonlinearity), where a[i, k] (4, K) is the projection of lift_i on e_k.
     With ``c0`` the projection of the initial datum, its linear part is
@@ -213,18 +227,16 @@ def lift_response(hs, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
 
     both terms from one ``duhamel_history`` recurrence started at that row,
     run in place over its own slope forcing, on the ``StepWeights``
-    ``weights`` of ``times`` if given.
+    ``weights`` of ``times`` if given.  The recurrence is linear in its
+    start row and its forcing, so a Picard step of the nonlinear solve is
+    the same pass with i times the nonlinear forcing added to the slope
+    forcing, and lin is its start iterate (``nonlinear._picard``).
 
-    Returns (vals, lin): the data h_i(t_j) (T, 4) and lin (T, K); inactive
-    data contribute zeros.
+    ``data`` is the (vals, slopes) of ``lift_data`` on ``times``, which a
+    Picard solve reads again in every step.  Returns (vals, lin): the data
+    h_i(t_j) (T, 4) and lin (T, K).
     """
-    times = np.asarray(times, dtype=np.float64)
-    vals = np.zeros((len(times), 4), dtype=np.complex128)
-    slopes = np.zeros_like(vals)                   # h_i'(t_j)
-    for i, h in enumerate(hs):
-        if h.active:
-            vals[:, i] = h(times)
-            slopes[:, i] = h.derivative()(times)
+    vals, slopes = data
     F = ForcingHistory(times, slopes @ -a, omegas)
     return vals, duhamel_history(F, c0 - vals[0] @ a, weights, F.coeffs)
 
@@ -256,8 +268,8 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     x, w, S, C = gauss_grid(N, K)
     lifts, phi = dirichlet_lifts(x), basis.evaluate(x)
     a = (lifts * w) @ phi.T
-    vals, c = lift_response((h1, h2, h3, h4), times, a, basis.eigenvalues,
-                            np.zeros(K, dtype=np.complex128))
+    vals, c = lift_response(lift_data((h1, h2, h3, h4), times), times, a,
+                            basis.eigenvalues, np.zeros(K, dtype=np.complex128))
     return clamped_mixed_history(vals, c, lifts, phi, w, S, C)
 
 

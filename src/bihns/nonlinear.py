@@ -26,13 +26,16 @@ linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
 both terms from one Duhamel recurrence (``boundary_ops.lift_response``), and
 the forcing, the projection of the nonlinearity of u onto B; it then
 iterates c -> lin + i Duhamel(forcing(c)) in the sup-in-time H^s-weighted
-coefficients.  A step builds nothing that the attempt already holds: the
+coefficients.  The recurrence is linear in its start row and its forcing,
+so a step is one pass of it from lin's start row c(0) - h(0) @ a over
+i forcing(c) - sum_i h_i' a_i, and lin is the start iterate, not a third
+history.  A step builds nothing that the attempt already holds: the
 Duhamel step weights are built once per attempt (``lf.step_weights``), the
 kernel's folded operands once per basis and dtype (``Basis.folds``), and a
-step holds three (T, K) histories, lin, the iterate and a work buffer: the
-forcing is written into the work buffer, the Duhamel history over it, then
-times i plus lin, and the distance to the iterate is taken in the
-iterate's buffer, which the next step fills.
+step holds two (T, K) histories, the iterate and a work buffer: the slope
+forcing is written into the work buffer, the kernel adds i forcing(c) to it
+and the Duhamel history runs over it, and the distance to the iterate is
+taken in the iterate's buffer, which the next step fills.
 
 One kernel, ``_grid_forcing``, gives both forcings in blocks of time rows,
 on stacked real (re; im) rows folded onto half the grid by the bases' parity
@@ -71,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -106,6 +110,7 @@ class ProblemSpec:
 
     ``N`` is the number of hinged sine modes; a clamped solve has
     ``K_clamped`` modes and reads N only for its record's ``states`` view.
+    N, ``max_iter`` and K_clamped are integers >= 1 (a bool is none).
     A datum ``phi`` is sampled on the solver's nodes here, so a wrong shape
     or a non-finite value raises ``ValueError`` before any solve.
     """
@@ -131,6 +136,14 @@ class ProblemSpec:
     def __post_init__(self):
         if self.family not in (NAVIER, DIRICHLET):
             raise ValueError(f"unknown boundary family {self.family!r}")
+        for name in ("N", "max_iter", "K_clamped"):
+            v = getattr(self, name)
+            try:    # a bool or a float is no count, though it compares like one
+                n = None if isinstance(v, bool) else operator.index(v)
+            except TypeError:
+                n = None
+            if n is None or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1 (got {v!r})")
         s, p = float(self.s), float(self.p)
         if not all(map(math.isfinite, (s, p, self.lam, self.T, self.dt, self.tol))):
             raise ValueError("s, p, lam, T, dt, tol must be finite")
@@ -152,10 +165,8 @@ class ProblemSpec:
         if s > 1 and not (math.floor(s) < p - 2):
             raise ValueError(
                 f"need floor(s) < p-2 for a differentiable nonlinearity (s={s}, p={p})")
-        if self.N < 1 or self.T <= 0 or self.dt <= 0 or self.tol <= 0:
-            raise ValueError("N, T, dt, tol must be positive")
-        if self.max_iter < 1 or self.K_clamped < 1:
-            raise ValueError("max_iter and K_clamped must be >= 1")
+        if self.T <= 0 or self.dt <= 0 or self.tol <= 0:
+            raise ValueError("T, dt, tol must be positive")
         if self.phi is not None and not callable(self.phi):
             raise ValueError("phi must be a callable on [0, 1] or None")
         unread = [name for name in ("h1", "h2", "h3", "h4", "h5", "h6")
@@ -373,7 +384,8 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
                   lam: float, vals: Optional[np.ndarray] = None,
                   lift: Optional[np.ndarray] = None,
                   dtype=np.float64, out: Optional[np.ndarray] = None,
-                  folds: Optional[tuple] = None) -> np.ndarray:
+                  folds: Optional[tuple] = None,
+                  add_i: bool = False) -> np.ndarray:
     """(T, K) projections P @ g of the node values g = lam |u|^(p-2) u of
     u = c @ B + vals @ lift for the complex coefficient history ``c`` and,
     if given, the complex data ``vals`` (T, L) of the real lift rows
@@ -408,8 +420,10 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
     rows and the grid block (float64 or float32); the output is complex128
     either way, written into ``out`` (T, K) if given.  The folded matrices
     are ``folds``, the ``_fold`` of (B, P, lift) in ``dtype`` (a solve
-    passes its ``Basis.folds``), or are built here.  Overflow anywhere, in
-    a cast to float32 included, raises ``OverflowError``.
+    passes its ``Basis.folds``), or are built here.  With ``add_i`` the
+    kernel adds i P @ g to ``out`` instead, block by block: a Picard step
+    (``_picard``) writes its slope forcing there first.  Overflow anywhere,
+    in a cast to float32 included, raises ``OverflowError``.
     """
     T, K = c.shape
     M1 = B.shape[1]
@@ -451,8 +465,13 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
                 raise OverflowError("forcing overflow: blow-up candidate")
             # re, im interleaved: even modes at columns 0, 1 mod 4, odd at 2, 3
             ob = out[rows].view(np.float64)
-            ob[:, 0::4], ob[:, 1::4] = fs[:r], fs[r:]
-            ob[:, 2::4], ob[:, 3::4] = fa[:r], fa[r:]
+            for col, f in ((0, fs), (2, fa)):
+                re, im = f[:r], f[r:]
+                if add_i:                          # + i (re + i im)
+                    ob[:, col::4] -= im
+                    ob[:, col + 1::4] += re
+                else:
+                    ob[:, col::4], ob[:, col + 1::4] = re, im
     return out
 
 
@@ -521,19 +540,24 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     ``spec.hs`` are the family's four traces and ``basis`` its modes, lifts
     and nodes.  The datum phi, sampled once on the nodes by ``_sample``
     (which checks its shape and finiteness), projects as c_phi = P @ phi(x)
-    with the forcing's projection ``basis.P``: hinged, P's end columns
+    with the forcing's projection ``basis.P``, in two real products, so that
+    no complex copy of P is made: hinged, P's end columns
     project phi - e @ (1 - x, x), e phi's end values, which vanishes at both
     ends, so the trapezoid rule has no O(h^2) end term, and add e @ a[:2] in
     closed form; clamped, Gauss quadrature has no end term.
     Each T* attempt builds the Duhamel step weights of its grid once
-    (``lf.step_weights``), lin = e^{i omega t} (c_phi - h(0) @ a)
-    - Duhamel(sum_i h_i' a_i) in one recurrence (``bops.lift_response``) and
-    forcing(c), the ``_grid_forcing`` projection of the nonlinearity of u on
-    the basis' cached folds.  A step writes forcing(c) into the work buffer,
-    the Duhamel history over it and then i V + lin in place; the distance
-    c_new - c is taken in c's buffer, which becomes the next work buffer, so
-    an attempt holds lin and two more (T, K) histories.  Distances are
-    sup-in-time with the H^s weights ``basis.weights(s)``.
+    (``lf.step_weights``), the data h_i and slopes h_i' on its grid
+    (``bops.lift_data``), the start iterate lin = e^{i omega t} v0
+    - Duhamel(sum_i h_i' a_i), v0 = c_phi - h(0) @ a, in one recurrence
+    (``bops.lift_response``) and forcing(c), the ``_grid_forcing``
+    projection of the nonlinearity of u on the basis' cached folds.  A step
+    is the same recurrence from v0 over i forcing(c) - sum_i h_i' a_i, equal
+    to lin + i Duhamel(forcing(c)) by linearity: it writes the slope
+    forcing into the work buffer by one product, the kernel adds
+    i forcing(c) to it block by block, and the Duhamel history runs over it
+    in place; the distance c_new - c is taken in c's buffer, which becomes
+    the next work buffer, so an attempt holds two (T, K) histories.
+    Distances are sup-in-time with the H^s weights ``basis.weights(s)``.
 
     Mixed precision: ``_step_dtype`` picks each step's working dtype, and
     the stop test D_n = |c_n - c_{n-1}| < ``tol`` is read on float64 steps
@@ -546,60 +570,67 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     overflow in float64 raises ``OverflowError`` (a blow-up candidate).
 
     T* starts at T and halves until the iteration converges; below dt
-    it raises ``RuntimeError`` with the data norm of ``lin[0]``.  lam = 0
+    it raises ``RuntimeError`` with the data norm of v0 = lin[0].  lam = 0
     takes zero iterations.  The record holds the data h_i(t_j), the last
     iterate c_n and the dtype name of each step.  Its residual is the last
     Picard distance |c_n - c_{n-1}|, below ``tol``, and 0 for lam = 0; as
     c_n = Phi(c_{n-1}) in float64, it bounds |Phi(c_n) - c_n| by the map's
     contraction factor kappa < 1 at no extra map application.
     """
-    c_phi = basis.P @ _sample(np.zeros_like if spec.phi is None else spec.phi,
-                              basis.x)
+    phi = _sample(np.zeros_like if spec.phi is None else spec.phi, basis.x)
+    # two real products: P @ phi would cast the real P to complex first
+    c_phi = basis.P @ phi.real + 1j * (basis.P @ phi.imag)
+    neg_a = -basis.a.astype(np.complex128)
     wgt = basis.weights(spec.s)
     T_star = spec.T
     while True:
         times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
         weights = lf.step_weights(times, basis.omegas)
-        vals, lin = bops.lift_response(spec.hs, times, basis.a, basis.omegas,
-                                       c_phi, weights)
+        data = bops.lift_data(spec.hs, times)
+        # c_0 = lin: the step's pass with no nonlinear forcing
+        vals, c = bops.lift_response(data, times, basis.a, basis.omegas, c_phi,
+                                     weights)
+        slopes, v0 = data[1], c[0].copy()
+        work = np.empty_like(c)
 
         def step(c, dtype, out):
             """Phi(c) into ``out``; returns the forcing's dtype."""
             args = (c, basis.B, basis.P, spec.p, spec.lam, vals, basis.L)
+            np.matmul(slopes, neg_a, out=out)       # the slope forcing - h' @ a
             try:
-                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype))
+                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype),
+                              add_i=True)
             except OverflowError:
                 if dtype == np.float64:
                     raise
                 dtype = np.float64
-                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype))
-            lf.duhamel_history(lf.ForcingHistory(times, out, basis.omegas),
-                               weights=weights, out=out)
-            out *= 1j
-            out += lin
+                np.matmul(slopes, neg_a, out=out)   # without the blocks added
+                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype),
+                              add_i=True)
+            lf.duhamel_history(lf.ForcingHistory(times, out, basis.omegas), v0,
+                               weights, out)
             return dtype
 
-        # three histories: lin, the iterate c and the next one, ``work``
-        c, work, factors, dists, precisions = lin, np.empty_like(lin), [], [], []
+        # two histories: the iterate c and the next one, ``work``
+        factors, dists, precisions = [], [], []
         kappa_hat = math.nan
         converged = spec.lam == 0
         while not converged and len(dists) < spec.max_iter:
             if not dists:   # |lin|, squared in the buffer the step fills
-                work[...] = lin
+                work[...] = c
                 lin_norm = float(np.sqrt(_hs_sq(work, wgt).max()))
             dtype = step(c, _step_dtype(dists, spec.tol, spec.max_iter,
                                         kappa_hat), work)
             # the distance is squared in the old iterate's buffer, which the
-            # next step overwrites; lin's own buffer is kept
-            spare = np.empty_like(lin) if c is lin else c
-            d = float(np.sqrt(_hs_sq(np.subtract(work, c, out=spare), wgt).max()))
+            # next step overwrites
+            d = float(np.sqrt(_hs_sq(np.subtract(work, c, out=c), wgt).max()))
             if dists and dists[-1] > 0:
                 factors.append(d / dists[-1])
             if not dists and lin_norm > 0:      # 0 for zero data
                 kappa_hat = (spec.p - 1.0) * d / lin_norm
             dists.append(d)
             precisions.append(np.dtype(dtype).name)
-            c, work = work, spare
+            c, work = work, c
             converged = dtype == np.float64 and d < spec.tol
         if converged:
             break
@@ -607,7 +638,7 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
         if T_star < spec.dt:
             raise RuntimeError(
                 "no contraction: T* underflowed below dt "
-                f"(data norm r={np.sqrt(np.abs(lin[0])**2 @ wgt):.3e})")
+                f"(data norm r={np.sqrt(np.abs(v0)**2 @ wgt):.3e})")
     return SolutionRecord(times=times, vals=vals, c=c, basis=basis,
                           tstar=T_star, contraction_factors=factors,
                           iterations=len(dists),

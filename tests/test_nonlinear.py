@@ -16,8 +16,9 @@ from scipy.optimize import brentq
 
 import bihns.linear_flow as lf
 import bihns.nonlinear as nl
-from bihns.boundary_ops import (dirichlet_lifts, navier_boundary_history,
-                                navier_lift_coeffs, navier_lifts)
+from bihns.boundary_ops import (dirichlet_lifts, lift_data, lift_response,
+                                navier_boundary_history, navier_lift_coeffs,
+                                navier_lifts)
 from bihns.cli import ConfigError, _build, run
 from bihns.linear_flow import ClampedBasis, build_clamped_basis
 from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
@@ -78,6 +79,20 @@ def test_non_finite_parameter_rejected(family, name, value):
     base = {"family": family, "s": 1.8, "p": 4.0}
     with pytest.raises(ValueError, match="must be finite"):
         ProblemSpec(**{**base, name: value})
+
+
+@pytest.mark.parametrize("family", ["navier", "dirichlet"])
+@pytest.mark.parametrize("name", ["N", "max_iter", "K_clamped"])
+@pytest.mark.parametrize("value", [2.5, 16.0, True, 0])
+def test_count_that_is_not_an_integer_from_one_rejected(family, name, value):
+    # a float count compares like a number, so a check by < 1 alone lets
+    # max_iter = 2.5 run 2 steps and K_clamped = 4.5 solve, and N = 16.5
+    # fail as a TypeError in the basis builder; a bool is an int to Python,
+    # but no count
+    base = {"family": family, "s": 1.8, "p": 4.0}
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        ProblemSpec(**base, **{name: value})
+    assert getattr(ProblemSpec(**base, **{name: np.int64(3)}), name) == 3
 
 
 @pytest.mark.parametrize("phi", [np.zeros(33, dtype=complex), 0.5, [0.0, 1.0]])
@@ -717,7 +732,7 @@ def test_hinged_solve_meets_its_fine_grid_solve(p, measured):
 def test_clamped_datum_zero_at_the_ends_is_its_grid_projection():
     # the clamped datum projects by plain Gauss quadrature on the basis' own
     # nodes, ceil((p + 1) K / 2) + 16 of them, with no end rule: bit-equal
-    # to (B w) @ phi(x) built here from leggauss
+    # to (B w) @ phi(x) built here from leggauss, as two real products
     N, K = 16, 8
     phi = lambda x: x ** 2 * (1.0 - x) ** 2 * ((2.0 + 1j) - 0.7j * x)
     rec, _ = _datum_coefficients(ProblemSpec(family="dirichlet", s=2.0, p=5.0,
@@ -726,8 +741,8 @@ def test_clamped_datum_zero_at_the_ends_is_its_grid_projection():
     y, w = np.polynomial.legendre.leggauss(40)
     x, w = 0.5 * (y + 1.0), 0.5 * w
     assert np.array_equal(rec.basis.x, x)
-    B = build_clamped_basis(K).evaluate(x)
-    assert np.array_equal(rec.c[0], (B * w) @ phi(x))
+    P, f = build_clamped_basis(K).evaluate(x) * w, phi(x)
+    assert np.array_equal(rec.c[0], P @ f.real + 1j * (P @ f.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -1014,6 +1029,42 @@ def test_picard_applies_the_map_once_per_iteration(make, monkeypatch):
 
 @pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
                          ids=["hinged", "clamped"])
+def test_picard_step_is_lin_plus_i_duhamel_of_the_forcing(make, monkeypatch):
+    # a step is one Duhamel pass from the datum's start row over
+    # i F(c) - h' @ a; the recurrence is linear in its start row and its
+    # forcing, so that is lin + i Duhamel(F(c)), lin the pass with F = 0.
+    # Each step's iterate c, its forcing's dtype and its output are recorded
+    steps, grid_forcing, duhamel_history = [], nl._grid_forcing, lf.duhamel_history
+
+    def forcing(*args, **kwargs):
+        steps.append([args[0].copy(), args[-1]])
+        return grid_forcing(*args, **kwargs)
+
+    def history(*args, **kwargs):
+        steps[-1].append(duhamel_history(*args, **kwargs).copy())
+        return steps[-1][-1]
+
+    monkeypatch.setattr(nl, "_grid_forcing", forcing)
+    monkeypatch.setattr(lf, "duhamel_history", history)
+    spec, rec = make()
+    monkeypatch.undo()
+    basis, times = rec.basis, rec.times
+    assert rec.tstar == spec.T and len(steps) == rec.iterations
+    assert {np.dtype(dtype).name for _, dtype, _ in steps} == {"float32", "float64"}
+    weights = lf.step_weights(times, basis.omegas)
+    vals, lin = lift_response(lift_data(spec.hs, times), times, basis.a,
+                              basis.omegas, basis.P @ spec.phi(basis.x), weights)
+    assert np.array_equal(vals, rec.vals)
+    for c, dtype, got in steps:
+        F = grid_forcing(c, basis.B, basis.P, spec.p, spec.lam, vals, basis.L,
+                         dtype)
+        want = lin + 1j * duhamel_history(
+            lf.ForcingHistory(times, F, basis.omegas), weights=weights)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
+                         ids=["hinged", "clamped"])
 def test_record_norms_equal_per_state_norms(make):
     # each time row's norm weighs its c like the Picard distance does
     spec, rec = make()
@@ -1252,12 +1303,12 @@ def test_solve_sequence_matches_cold_solves_bit_for_bit():
         assert {"float32", "float64"} <= set(line.split()[1:])
 
 
-def test_picard_step_holds_three_histories():
+def test_picard_step_holds_two_histories():
     # the tracemalloc peak of a warm hinged solve (N = 64, 4001 time rows,
-    # 4.1 MB per (T, K) history) is 3.45 histories: lin, the iterate and the
-    # work buffer, plus the forcing kernel's block buffers.  A step with a
-    # fresh forcing, Duhamel output and difference c_new - c peaks at 4.16,
-    # and one that keeps only the difference at 4.10
+    # 4.1 MB per (T, K) history) is 2.52 histories: the iterate and the work
+    # buffer, plus the forcing kernel's block buffers.  A step that keeps
+    # lin beside them peaks at 3.52, and one that forms its slope forcing
+    # - h' @ a as a (T, K) temporary at 3.16
     q0 = np.zeros(64, dtype=complex)
     q0[:3] = [0.3, 0.2j, -0.1]
     st0 = sine_state(q0)
@@ -1272,7 +1323,7 @@ def test_picard_step_holds_three_histories():
     finally:
         tracemalloc.stop()
     assert len(rec.times) == 4001 and rec.iterations >= 3
-    assert peak <= 3.8 * rec.c.nbytes
+    assert peak <= 2.8 * rec.c.nbytes
 
 
 # ---------------------------------------------------------------------------
