@@ -10,8 +10,8 @@ the data are attained identically.  The families differ only in the basis,
 its eigenvalues and the four lift rows: ``navier_lifts`` for (h1, h2, h5, h6)
 with the closed-form sine coefficients ``navier_lift_coeffs``, and
 ``dirichlet_lifts`` for (h1, h2, h3, h4), projected by quadrature.
-``lift_response`` gives the linear history of c_k for either from the data
-and slopes of ``lift_data``.  The solvers record c itself;
+``lift_data`` gives the data h_i and slopes h_i' on a time grid, from which
+``nonlinear._picard`` makes the linear history of c.  The solvers record c;
 ``clamped_mixed_history`` projects a clamped history onto the half-weight
 mixed basis by Gauss-Legendre quadrature on the nodes of
 ``spectral.gauss_grid``, for the clamped record's ``states`` view and
@@ -212,35 +212,6 @@ def lift_data(hs, times: np.ndarray):
     return vals, slopes
 
 
-def lift_response(data, times: np.ndarray, a: np.ndarray, omegas: np.ndarray,
-                  c0: np.ndarray, weights=None):
-    """Linear history of c_k in u = sum_i h_i(t) lift_i(x) + sum_k c_k(t) e_k(x).
-
-    The basis e_k meets the family's four homogeneous conditions, with
-    d^4/dx^4 e_k = omegas_k e_k, and the lifts of the four traces have a
-    zero fourth derivative.  So c_k solves
-    i c_k' + omegas_k c_k = -i sum_i h_i'(t) a[i, k] (plus the
-    nonlinearity), where a[i, k] (4, K) is the projection of lift_i on e_k.
-    With ``c0`` the projection of the initial datum, its linear part is
-
-        lin = e^{i omega t} (c0 - h(0) @ a) - Duhamel(sum_i h_i' a_i),
-
-    both terms from one ``duhamel_history`` recurrence started at that row,
-    run in place over its own slope forcing, on the ``StepWeights``
-    ``weights`` of ``times`` if given.  The recurrence is linear in its
-    start row and its forcing, so a Picard step of the nonlinear solve is
-    the same pass with i times the nonlinear forcing added to the slope
-    forcing, and lin is its start iterate (``nonlinear._picard``).
-
-    ``data`` is the (vals, slopes) of ``lift_data`` on ``times``, which a
-    Picard solve reads again in every step.  Returns (vals, lin): the data
-    h_i(t_j) (T, 4) and lin (T, K).
-    """
-    vals, slopes = data
-    F = ForcingHistory(times, slopes @ -a, omegas)
-    return vals, duhamel_history(F, c0 - vals[0] @ a, weights, F.coeffs)
-
-
 def clamped_mixed_history(vals: np.ndarray, c: np.ndarray, lifts: np.ndarray,
                           phi: np.ndarray, w: np.ndarray, S: np.ndarray,
                           C: np.ndarray):
@@ -257,10 +228,11 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
                              times: np.ndarray, N: int, K: int = 48):
     """Mixed-basis history of the clamped solution driven by boundary data.
 
-    The solution is built on the cubic lifts plus the clamped eigenbasis
-    (``lift_response``) and projected onto the half-weight mixed basis;
-    boundary-value extraction from that projection is Gibbs-limited in N by
-    design.
+    The coefficients on the cubic lifts plus the clamped eigenbasis are the
+    start iterate of the nonlinear solve (``nonlinear._picard``) at a zero
+    datum: one Duhamel pass from -h(0) @ a over the slope forcing
+    -sum_i h_i' a_i.  They are projected onto the half-weight mixed basis;
+    boundary-value extraction from that is Gibbs-limited in N by design.
 
     Returns (q, p, p0) histories shaped (len(times), N) / (len(times),).
     """
@@ -268,8 +240,9 @@ def dirichlet_linear_history(h1: BoundaryTrace, h2: BoundaryTrace,
     x, w, S, C = gauss_grid(N, K)
     lifts, phi = dirichlet_lifts(x), basis.evaluate(x)
     a = (lifts * w) @ phi.T
-    vals, c = lift_response(lift_data((h1, h2, h3, h4), times), times, a,
-                            basis.eigenvalues, np.zeros(K, dtype=np.complex128))
+    vals, slopes = lift_data((h1, h2, h3, h4), times)
+    F = ForcingHistory(times, slopes @ -a, basis.eigenvalues)
+    c = duhamel_history(F, -vals[0] @ a, out=F.coeffs)
     return clamped_mixed_history(vals, c, lifts, phi, w, S, C)
 
 

@@ -226,36 +226,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_head(f, anchor: str, header: Sequence[str]):
-    """The anchor row and the header row; returns the file's ``csv.writer``."""
-    w = csv.writer(f)
-    w.writerow(["anchor", anchor] + [""] * max(0, len(header) - 2))
-    w.writerow(header)
-    return w
+def _cells(rows: Sequence[Sequence]) -> List[List[str]]:
+    """The columns of the table ``rows`` as ``_fmt`` cells, for
+    ``_write_table``."""
+    return [list(map(_fmt, col)) for col in zip(*rows)]
 
 
-def _write_csv(path: Path, anchor: str, header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
-    """Anchor row, header row, then ``rows`` with each cell as ``_fmt`` writes it."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        _write_head(f, anchor, header).writerows(
-            [_fmt(v) for v in row] for row in rows)
-
-
-def _write_floats(path: Path, anchor: str, header: Sequence[str],
-                  cols: Sequence) -> List[List[str]]:
-    """Anchor row, header row, then the equal-length float columns ``cols``;
-    returns the columns' cells.  A column is formatted once, with
-    ``%.17g``, and a list of cells (a column this function returned) is
-    written as it is, so a table that repeats a column reuses its cells.  A
-    ``%.17g`` cell never needs quoting, so the bytes are those of
-    ``_write_csv`` on the same floats."""
+def _write_table(path: Path, anchor: str, header: Sequence[str],
+                 cols: Sequence) -> List[List[str]]:
+    """Anchor row, header row, then the equal-length columns ``cols``;
+    returns the columns' cells.  A float array column is formatted once,
+    with ``%.17g`` as ``_fmt`` formats a float, and a list of cells (a
+    column this function returned, or ``_cells`` of a table) is written as
+    it is, so a table that repeats a column reuses its cells.  The rows are
+    those ``csv.writer`` writes for cells that need no quoting, as
+    ``%.17g`` and ``_fmt`` cells of numbers and bools do."""
     cells = [col if isinstance(col, list) else
              ("%.17g\n" * len(col) % tuple(col.tolist())).splitlines()
              for col in cols]
     rows = list(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        _write_head(f, anchor, header)
+        w = csv.writer(f)
+        w.writerow(["anchor", anchor] + [""] * max(0, len(header) - 2))
+        w.writerow(header)
         f.write("\r\n".join(rows + [""]))
     return cells
 
@@ -273,18 +266,18 @@ def _run_solve(spec, outdir, seed):
     when T* was halved.
     """
     rec = picard_navier(spec) if spec.family == NAVIER else picard_dirichlet(spec)
-    t, hs = _write_floats(outdir / "solve_norms.csv",
-                          "(sum_k (1+xi_k^2)^s |c_k|^2)^(1/2) of the solver "
-                          "coefficients c with xi_k = k pi or mu_k; s = 0 for l2_norm",
-                          ["t", "hs_norm", "l2_norm"],
-                          (rec.times, rec.norms(spec.s), rec.norms(0.0)))[:2]
+    t, hs = _write_table(outdir / "solve_norms.csv",
+                         "(sum_k (1+xi_k^2)^s |c_k|^2)^(1/2) of the solver "
+                         "coefficients c with xi_k = k pi or mu_k; s = 0 for l2_norm",
+                         ["t", "hs_norm", "l2_norm"],
+                         (rec.times, rec.norms(spec.s), rec.norms(0.0)))[:2]
     u0, u1 = rec.traces["u0"], rec.traces["u1"]
-    _write_floats(outdir / "solve_traces.csv",
-                  "reconstructed endpoint values u(0,t), u(1,t)",
-                  ["t", "u0_re", "u0_im", "u1_re", "u1_im"],
-                  (t, u0.real, u0.imag, u1.real, u1.imag))
-    _write_floats(outdir / "solve_plot.csv", "norm history (t, hs_norm)",
-                  ["x", "y"], (t, hs))
+    _write_table(outdir / "solve_traces.csv",
+                 "reconstructed endpoint values u(0,t), u(1,t)",
+                 ["t", "u0_re", "u0_im", "u1_re", "u1_im"],
+                 (t, u0.real, u0.imag, u1.real, u1.imag))
+    _write_table(outdir / "solve_plot.csv", "norm history (t, hs_norm)",
+                 ["x", "y"], (t, hs))
     factors = [float(f) for f in rec.contraction_factors]
     summary = {
         "tstar": rec.tstar,
@@ -308,13 +301,13 @@ def _run_kato(sweep, outdir, seed):
     tables = [lab.kato_sweep(dataclasses.replace(sweep, s_grid=[s], seed=seed + idx))
               for idx, s in enumerate(sweep.s_grid)]
     rows = [r for table in tables for r in table]
-    _write_csv(outdir / "kato_sweep.csv", "smoothing_exponent:max(0,(s-i+eps)/4)",
-               ["s", "order", "measured", "predicted", "boundary_exponent",
-                "samples", "flagged"],
-               [[r["s"], r["order"], r["measured"], r["predicted"],
-                 r["boundary_exponent"], r["samples"], r["flagged"]] for r in rows])
-    _write_csv(outdir / "kato_plot.csv", "predicted vs measured exponent",
-               ["x", "y"], [[r["predicted"], r["measured"]] for r in rows])
+    header = ["s", "order", "measured", "predicted", "boundary_exponent",
+              "samples", "flagged"]
+    cells = _write_table(outdir / "kato_sweep.csv",
+                         "smoothing_exponent:max(0,(s-i+eps)/4)", header,
+                         _cells([[r[k] for k in header] for r in rows]))
+    _write_table(outdir / "kato_plot.csv", "predicted vs measured exponent",
+                 ["x", "y"], (cells[3], cells[2]))
     # monotone in the derivative order within each sweep (an s may repeat)
     mono = all(table[i]["measured"] >= table[i + 1]["measured"] - 1e-9
                for table in tables for i in range(len(table) - 1))
@@ -327,11 +320,11 @@ def _run_optimality(cfg, outdir, seed):
     header = ["n", "norm_u_sq", "norm_h", "ratio"]
     if cfg.order == 0:
         header += ["lower_bound", "bound_ok", "termwise_ok"]
-    _write_csv(outdir / "optimality.csv",
-               "ratio growth ||u||_{L2}/||h_n||_{H^alpha} vs n",
-               header, [[r.get(k, "") for k in header] for r in rows])
-    _write_csv(outdir / "optimality_plot.csv", "ratio vs n",
-               ["x", "y"], [[r["n"], r["ratio"]] for r in rows])
+    cells = _write_table(outdir / "optimality.csv",
+                         "ratio growth ||u||_{L2}/||h_n||_{H^alpha} vs n", header,
+                         _cells([[r.get(k, "") for k in header] for r in rows]))
+    _write_table(outdir / "optimality_plot.csv", "ratio vs n", ["x", "y"],
+                 (cells[0], cells[3]))
     checks = {"ratios_positive": all(r["ratio"] > 0 for r in rows)}
     if cfg.order == 0:
         checks["lower_bound_holds"] = all(r["bound_ok"] for r in rows)
@@ -345,12 +338,12 @@ def _run_optimality(cfg, outdir, seed):
 
 def _run_lambda4(K, outdir, seed):
     res = lab.count_lambda4(K)
-    _write_csv(outdir / "lambda4.csv",
-               "coincidence count of (k-l, k^4-l^4), nonzero buckets, max<=3",
-               ["multiplicity", "bucket_count"],
-               sorted(res["histogram"].items()))
-    _write_csv(outdir / "lambda4_plot.csv", "multiplicity histogram",
-               ["x", "y"], sorted(res["histogram"].items()))
+    cells = _write_table(
+        outdir / "lambda4.csv",
+        "coincidence count of (k-l, k^4-l^4), nonzero buckets, max<=3",
+        ["multiplicity", "bucket_count"], _cells(sorted(res["histogram"].items())))
+    _write_table(outdir / "lambda4_plot.csv", "multiplicity histogram",
+                 ["x", "y"], cells)
     summary = {k: v for k, v in res.items() if k != "histogram"}
     summary["histogram"] = {str(k): v for k, v in res["histogram"].items()}
     return summary, {"max_multiplicity_le_3": res["max_multiplicity"] <= 3}
@@ -360,11 +353,12 @@ def _run_identities(args, outdir, seed):
     checks_args, spot_args = args
     rep = lab.identity_checks(**checks_args)
     res = rep["series_residual_by_K"]
-    _write_csv(outdir / "identities.csv",
-               "partial sums of sum (k^3+ik a^2)/(k^4+a^4) sin(kx) vs closed form",
-               ["K", "max_residual"], sorted(res.items()))
-    _write_csv(outdir / "identities_plot.csv", "residual vs K",
-               ["x", "y"], sorted(res.items()))
+    cells = _write_table(
+        outdir / "identities.csv",
+        "partial sums of sum (k^3+ik a^2)/(k^4+a^4) sin(kx) vs closed form",
+        ["K", "max_residual"], _cells(sorted(res.items())))
+    _write_table(outdir / "identities_plot.csv", "residual vs K", ["x", "y"],
+                 cells)
     ks = sorted(res)
     # the tail is conditionally convergent, so the max residual oscillates
     # inside a summation-by-parts 1/K envelope instead of decaying pointwise
@@ -382,9 +376,9 @@ def _run_identities(args, outdir, seed):
         rows = [[lam, x, tb["values"][i, j]]
                 for i, lam in enumerate(tb["lam_grid"])
                 for j, x in enumerate(tb["x_grid"])]
-        _write_csv(outdir / "tail_bound.csv",
-                   "off-resonant tail |sum sin(k pi x)/(k-lam^(1/4))| vs envelope",
-                   ["lam", "x", "value"], rows)
+        _write_table(outdir / "tail_bound.csv",
+                     "off-resonant tail |sum sin(k pi x)/(k-lam^(1/4))| vs envelope",
+                     ["lam", "x", "value"], _cells(rows))
         summary["tail_bound"] = {"fitted_C": tb["fitted_C"],
                                  "slope_x": tb["slope_x"],
                                  "slope_lam": tb["slope_lam"],
@@ -400,11 +394,12 @@ def _run_traces(args, outdir, seed):
     header = ["s", "datum", "norm_r12", "norm_r34", "norm_phi_even",
               "norm_phi_odd", "fitted_C_even", "fitted_C_odd",
               "(s+3)/8<s", "(s+10)/8<s"]
-    _write_csv(outdir / "traces.csv",
-               "clamped trace norms vs extension norms; thresholds s>3/7, s>10/7",
-               header, [[r[k] for k in header] for r in rows])
-    _write_csv(outdir / "traces_plot.csv", "fitted constant vs s",
-               ["x", "y"], [[r["s"], r["fitted_C_even"]] for r in rows])
+    cells = _write_table(
+        outdir / "traces.csv",
+        "clamped trace norms vs extension norms; thresholds s>3/7, s>10/7",
+        header, _cells([[r[k] for k in header] for r in rows]))
+    _write_table(outdir / "traces_plot.csv", "fitted constant vs s",
+                 ["x", "y"], (cells[0], cells[6]))
     ok = all(r["(s+10)/8<s"] == (r["s"] > 10.0 / 7.0) for r in rows)
     ok &= all(r["(s+3)/8<s"] == (r["s"] > 3.0 / 7.0) for r in rows)
     finite = all(math.isfinite(r["norm_r12"]) and math.isfinite(r["norm_r34"])

@@ -21,21 +21,24 @@ per grid, keyed by (N, M) hinged and (N, K, n) clamped, like
 shares it.  A solve projects only its datum, with the same P as the forcing
 (``_picard``).
 
-One driver, ``_picard``, builds each T* attempt from those pieces alike: the
-linear history lin = e^{i omega t} (c(0) - h(0) @ a) - Duhamel(sum_i h_i' a_i),
-both terms from one Duhamel recurrence (``boundary_ops.lift_response``), and
-the forcing, the projection of the nonlinearity of u onto B; it then
-iterates c -> lin + i Duhamel(forcing(c)) in the sup-in-time H^s-weighted
-coefficients.  The recurrence is linear in its start row and its forcing,
-so a step is one pass of it from lin's start row c(0) - h(0) @ a over
-i forcing(c) - sum_i h_i' a_i, and lin is the start iterate, not a third
-history.  A step builds nothing that the attempt already holds: the
-Duhamel step weights are built once per attempt (``lf.step_weights``), the
-kernel's folded operands once per basis and dtype (``Basis.folds``), and a
-step holds two (T, K) histories, the iterate and a work buffer: the slope
-forcing is written into the work buffer, the kernel adds i forcing(c) to it
-and the Duhamel history runs over it, and the distance to the iterate is
-taken in the iterate's buffer, which the next step fills.
+One driver, ``_picard``, iterates c -> lin + i Duhamel(forcing(c)) for both
+families alike, forcing(c) the projection of the nonlinearity of u onto B,
+in the sup-in-time H^s-weighted coefficients.  B meets the homogeneous
+conditions and the lifts have a zero fourth derivative, so c solves
+i c' + omega c = -i sum_i h_i' a_i plus the nonlinearity, a (4, K) the
+projections of the lifts, with the data h_i and slopes h_i' of
+``boundary_ops.lift_data``.  One Duhamel recurrence is linear in its start
+row and its forcing, so a step is one pass of it from v0 = c(0) - h(0) @ a
+over i forcing(c) - sum_i h_i' a_i, and the start iterate
+lin = e^{i omega t} v0 - Duhamel(sum_i h_i' a_i) is the same pass without
+the nonlinear forcing.  A step builds nothing that the attempt already
+holds: the Duhamel step weights are built once per attempt
+(``lf.step_weights``), the kernel's folded operands once per basis and
+dtype (``Basis.folds``), and a step holds two (T, K) histories, the iterate
+and a work buffer: the slope forcing is written into the work buffer, the
+kernel adds i forcing(c) to it and the Duhamel history runs over it, and
+the distance to the iterate is taken in the iterate's buffer, which the
+next step fills.
 
 One kernel, ``_grid_forcing``, gives both forcings in blocks of time rows,
 on stacked real (re; im) rows folded onto half the grid by the bases' parity
@@ -104,6 +107,13 @@ def _is_half_integer(s: float) -> bool:
     return abs(s - (math.floor(s) + 0.5)) < 1e-12
 
 
+def _time_nodes(T: float, dt: float) -> int:
+    """The number of nodes of a solve's time grid on [0, T] at step dt,
+    max(2, ceil(T / dt) + 1); ``ProblemSpec`` checks that T / dt is
+    finite."""
+    return max(2, math.ceil(T / dt) + 1)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full problem description; validation happens at construction.
@@ -167,6 +177,15 @@ class ProblemSpec:
                 f"need floor(s) < p-2 for a differentiable nonlinearity (s={s}, p={p})")
         if self.T <= 0 or self.dt <= 0 or self.tol <= 0:
             raise ValueError("T, dt, tol must be positive")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T/dt overflows (T={self.T!r}, dt={self.dt!r})")
+        # the (nodes, K) complex histories must be indexable: numpy cannot
+        # allocate an array of more bytes than its index type holds
+        K = self.N if self.family == NAVIER else self.K_clamped
+        if _time_nodes(self.T, self.dt) * K * 16 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"T/dt = {self.T / self.dt:.3g} time steps: a (steps, {K}) "
+                "history is too large for an array")
         if self.phi is not None and not callable(self.phi):
             raise ValueError("phi must be a callable on [0, 1] or None")
         unread = [name for name in ("h1", "h2", "h3", "h4", "h5", "h6")
@@ -380,19 +399,17 @@ def _rows(buf: np.ndarray, m: int, n: int) -> np.ndarray:
     return buf.reshape(-1)[:m * n].reshape(m, n)
 
 
-def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
-                  lam: float, vals: Optional[np.ndarray] = None,
-                  lift: Optional[np.ndarray] = None,
-                  dtype=np.float64, out: Optional[np.ndarray] = None,
-                  folds: Optional[tuple] = None,
-                  add_i: bool = False) -> np.ndarray:
-    """(T, K) projections P @ g of the node values g = lam |u|^(p-2) u of
-    u = c @ B + vals @ lift for the complex coefficient history ``c`` and,
-    if given, the complex data ``vals`` (T, L) of the real lift rows
-    ``lift`` (L, M+1).
+def _grid_forcing(c: np.ndarray, vals: np.ndarray, folds: tuple, p: float,
+                  lam: float, out: np.ndarray) -> np.ndarray:
+    """Add i P @ g to ``out`` (T, K), for the projections P @ g of the node
+    values g = lam |u|^(p-2) u of u = c @ B + vals @ lift, with the complex
+    coefficient history ``c`` (T, K) and the complex data ``vals`` (T, L) of
+    the real lift rows ``lift`` (L, M+1).  A Picard step (``_picard``) writes
+    its slope forcing into ``out`` first.
 
-    ``B`` is a real (K, M+1) basis on M+1 nodes symmetric under x -> 1-x
-    (a uniform grid or Gauss-Legendre nodes) with the parity
+    ``folds`` is the ``_fold`` of (B, P, lift) (a solve passes its
+    ``Basis.folds``): ``B`` is a real (K, M+1) basis on M+1 nodes symmetric
+    under x -> 1-x (a uniform grid or Gauss-Legendre nodes) with the parity
     B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x) and the clamped phi_j
     both have it), and the projection ``P`` (K, M+1), ``Basis.P``, has that
     parity too.  So the work folds onto the W nodes x <= 1/2: the even rows
@@ -402,7 +419,10 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
     g, which folds back as S' = g(x) + g(1-x) onto the even rows of P and
     A' = g(x) - g(1-x) onto the odd ones.  At an end node x = 0 that pairs
     g(0) with g(1), so the hinged end correction in P's first column costs
-    no extra pass.
+    no extra pass.  The folds give the node split, W columns of the
+    synthesis rows and H = M+1 - W of the odd projection rows, and the
+    working precision (float64 or float32) of the stacked rows and the grid
+    block; ``out`` is complex128 either way.
 
     Time rows go in blocks of ``_BLOCK_BYTES``, each laid out as one
     (re|im, x|1-x, rows, W) prefix of a flat buffer, so the fold, the power
@@ -414,30 +434,17 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
     the unfolded node.  The buffers are made once per call, and every GEMM
     and the power's square write into them: the syntheses S and A into one
     buffer that the power then takes as its scratch, the projections into
-    the stacked rows' buffers.
-
-    ``dtype`` is the working precision of the folded matrices, the stacked
-    rows and the grid block (float64 or float32); the output is complex128
-    either way, written into ``out`` (T, K) if given.  The folded matrices
-    are ``folds``, the ``_fold`` of (B, P, lift) in ``dtype`` (a solve
-    passes its ``Basis.folds``), or are built here.  With ``add_i`` the
-    kernel adds i P @ g to ``out`` instead, block by block: a Picard step
-    (``_picard``) writes its slope forcing there first.  Overflow anywhere,
-    in a cast to float32 included, raises ``OverflowError``.
+    the stacked rows' buffers.  Overflow anywhere, in a cast to float32
+    included, raises ``OverflowError``.
     """
-    T, K = c.shape
-    M1 = B.shape[1]
-    H, W = M1 // 2, (M1 + 1) // 2                  # nodes x < 1/2; x <= 1/2
-    if vals is None:
-        vals, lift = np.zeros((T, 0)), np.zeros((0, M1))
-    Bs, Ba, Ps, Pa = _fold(B, P, lift, dtype) if folds is None else folds
-    R = max(1, _BLOCK_BYTES // (2 * np.dtype(dtype).itemsize * M1))
+    Bs, Ba, Ps, Pa = folds
+    T, dtype = len(c), Bs.dtype
+    W, H = Bs.shape[1], Pa.shape[1]                # nodes x <= 1/2; x < 1/2
+    R = max(1, _BLOCK_BYTES // (2 * dtype.itemsize * (W + H)))
     grid = np.empty(4 * R * W, dtype=dtype)        # (re|im, x|1-x, rows, W)
     xs_buf = np.empty((2 * R, len(Bs)), dtype=dtype)    # (re; im) of c_even | vals
     xa_buf = np.empty((2 * R, len(Ba)), dtype=dtype)    # (re; im) of c_odd | vals
     sa_buf = np.empty(4 * R * W, dtype=dtype)      # S | A, and _power's scratch
-    if out is None:
-        out = np.empty((T, K), dtype=np.complex128)
     # an overflow shows as a non-finite value, which the checks raise on
     with np.errstate(over="ignore", invalid="ignore"):
         for r0 in range(0, T, R):
@@ -463,15 +470,12 @@ def _grid_forcing(c: np.ndarray, B: np.ndarray, P: np.ndarray, p: float,
             fa = np.matmul(A[:, :H], Pa.T, out=_rows(xa_buf, 2 * r, len(Pa)))
             if not (np.isfinite(fs).all() and np.isfinite(fa).all()):
                 raise OverflowError("forcing overflow: blow-up candidate")
-            # re, im interleaved: even modes at columns 0, 1 mod 4, odd at 2, 3
+            # re, im interleaved: even modes at columns 0, 1 mod 4, odd at
+            # 2, 3; + i (re + i im) = -im + i re
             ob = out[rows].view(np.float64)
             for col, f in ((0, fs), (2, fa)):
-                re, im = f[:r], f[r:]
-                if add_i:                          # + i (re + i im)
-                    ob[:, col::4] -= im
-                    ob[:, col + 1::4] += re
-                else:
-                    ob[:, col::4], ob[:, col + 1::4] = re, im
+                ob[:, col::4] -= f[r:]
+                ob[:, col + 1::4] += f[:r]
     return out
 
 
@@ -545,18 +549,16 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     project phi - e @ (1 - x, x), e phi's end values, which vanishes at both
     ends, so the trapezoid rule has no O(h^2) end term, and add e @ a[:2] in
     closed form; clamped, Gauss quadrature has no end term.
-    Each T* attempt builds the Duhamel step weights of its grid once
-    (``lf.step_weights``), the data h_i and slopes h_i' on its grid
-    (``bops.lift_data``), the start iterate lin = e^{i omega t} v0
-    - Duhamel(sum_i h_i' a_i), v0 = c_phi - h(0) @ a, in one recurrence
-    (``bops.lift_response``) and forcing(c), the ``_grid_forcing``
-    projection of the nonlinearity of u on the basis' cached folds.  A step
-    is the same recurrence from v0 over i forcing(c) - sum_i h_i' a_i, equal
-    to lin + i Duhamel(forcing(c)) by linearity: it writes the slope
-    forcing into the work buffer by one product, the kernel adds
-    i forcing(c) to it block by block, and the Duhamel history runs over it
-    in place; the distance c_new - c is taken in c's buffer, which becomes
-    the next work buffer, so an attempt holds two (T, K) histories.
+    Each T* attempt builds the Duhamel step weights of its grid
+    (``_time_nodes`` nodes) once (``lf.step_weights``), the data h_i and
+    slopes h_i' on it (``bops.lift_data``) and v0 = c_phi - h(0) @ a.  A step
+    writes the slope forcing - sum_i h_i' a_i into its output buffer by one
+    product, the kernel ``_grid_forcing`` adds i forcing(c) to it block by
+    block on the basis' cached folds, and the Duhamel history from v0 runs
+    over it in place: lin + i Duhamel(forcing(c)) by linearity.  The start
+    iterate lin is that step without the kernel.  The distance c_new - c is
+    taken in c's buffer, which becomes the next step's output buffer, so an
+    attempt holds two (T, K) histories.
     Distances are sup-in-time with the H^s weights ``basis.weights(s)``.
 
     Mixed precision: ``_step_dtype`` picks each step's working dtype, and
@@ -584,33 +586,32 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     wgt = basis.weights(spec.s)
     T_star = spec.T
     while True:
-        times = np.linspace(0.0, T_star, max(2, math.ceil(T_star / spec.dt) + 1))
+        times = np.linspace(0.0, T_star, _time_nodes(T_star, spec.dt))
         weights = lf.step_weights(times, basis.omegas)
-        data = bops.lift_data(spec.hs, times)
-        # c_0 = lin: the step's pass with no nonlinear forcing
-        vals, c = bops.lift_response(data, times, basis.a, basis.omegas, c_phi,
-                                     weights)
-        slopes, v0 = data[1], c[0].copy()
-        work = np.empty_like(c)
+        vals, slopes = bops.lift_data(spec.hs, times)
+        v0 = c_phi - vals[0] @ basis.a
 
         def step(c, dtype, out):
-            """Phi(c) into ``out``; returns the forcing's dtype."""
-            args = (c, basis.B, basis.P, spec.p, spec.lam, vals, basis.L)
+            """Phi(c) into ``out``, and lin for c = None; returns the
+            forcing's dtype."""
             np.matmul(slopes, neg_a, out=out)       # the slope forcing - h' @ a
-            try:
-                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype),
-                              add_i=True)
-            except OverflowError:
-                if dtype == np.float64:
-                    raise
-                dtype = np.float64
-                np.matmul(slopes, neg_a, out=out)   # without the blocks added
-                _grid_forcing(*args, dtype, out=out, folds=basis.folds(dtype),
-                              add_i=True)
+            if c is not None:
+                try:
+                    _grid_forcing(c, vals, basis.folds(dtype), spec.p,
+                                  spec.lam, out)
+                except OverflowError:
+                    if dtype == np.float64:
+                        raise
+                    # again from the slope forcing, without the blocks added
+                    return step(c, np.float64, out)
             lf.duhamel_history(lf.ForcingHistory(times, out, basis.omegas), v0,
                                weights, out)
             return dtype
 
+        # c_0 = lin: the step's pass with no nonlinear forcing
+        c = np.empty((len(times), len(basis.omegas)), dtype=np.complex128)
+        step(None, None, c)
+        work = np.empty_like(c)
         # two histories: the iterate c and the next one, ``work``
         factors, dists, precisions = [], [], []
         kappa_hat = math.nan

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bihns.cli import (ConfigError, _fmt, _strict, _write_floats,
+from bihns.cli import (ConfigError, _cells, _fmt, _strict, _write_table,
                        load_config, main, run)
 
 PERIOD = 2.0 / np.pi ** 3
@@ -428,7 +428,7 @@ def test_csv_uses_full_precision_floats(tmp_path):
 
 
 def _write_fmt_rows(path, anchor, header, rows):
-    """Reference: the per-cell ``_fmt`` row path the float tables replaced."""
+    """Reference: the per-cell ``_fmt`` row path the column tables replaced."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["anchor", anchor] + [""] * max(0, len(header) - 2))
@@ -438,15 +438,23 @@ def _write_fmt_rows(path, anchor, header, rows):
 
 
 def test_float_table_bytes_match_fmt_rows(tmp_path):
+    # float array columns, and the ``_cells`` of bool, int, NaN and string
+    # cells as the lab tables pass them
     vals = np.array([-0.0, 0.0, 5e-324, 0.1, 1.0, 1e300])
     z = vals - 1j * vals[::-1]              # strided .real/.imag views
-    cols = (vals, z.real, z.imag)
-    header = ["t", "re", "im"]
-    _write_floats(tmp_path / "new.csv", "anchor text", header, cols)
-    _write_fmt_rows(tmp_path / "old.csv", "anchor text", header, zip(*cols))
+    lab = list(zip([True, False, np.bool_(True), False, True, np.bool_(False)],
+                   [0, -3, 7, np.int64(2 ** 40), 1, 12],
+                   [float("nan"), 1.5, np.nan, np.float64(np.nan), -2.0, 0.1],
+                   ["", "abc", "x^2", "", "y", "(s+3)/8<s"]))
+    cols = (vals, z.real, z.imag, *_cells(lab))
+    header = ["t", "re", "im", "flag", "count", "value", "word"]
+    _write_table(tmp_path / "new.csv", "anchor text", header, cols)
+    _write_fmt_rows(tmp_path / "old.csv", "anchor text", header,
+                    [(*f, *r) for f, r in zip(zip(vals, z.real, z.imag), lab)])
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.count(b"\r\n") == 2 + len(vals) and b"-0," in new
+    assert b",true,0,nan,\r\n" in new and b",false,1099511627776,nan,\r\n" in new
 
 
 def test_float_table_bytes_match_csv_writer_on_edge_floats(tmp_path):
@@ -457,7 +465,7 @@ def test_float_table_bytes_match_csv_writer_on_edge_floats(tmp_path):
                      -1.7976931348623157e308, -5e-324, 1e16, -0.1])
     cols = (vals, vals[::-1], -vals)
     header = ["t", "a,b", "c"]
-    _write_floats(tmp_path / "new.csv", "anchor, quoted", header, cols)
+    _write_table(tmp_path / "new.csv", "anchor, quoted", header, cols)
     with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["anchor", "anchor, quoted", ""])
@@ -496,6 +504,22 @@ def test_overflowing_datum_exits_2(tmp_path, family, kind, capsys):
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("family", ["navier", "dirichlet"])
+@pytest.mark.parametrize("T,dt,message", [(0.01, 1e-300, "too large"),
+                                          (1e300, 1e-300, "overflows")])
+def test_time_grid_past_numpy_exits_2(tmp_path, family, T, dt, message, capsys):
+    # 1e298 steps make a history of more bytes than numpy can index, and
+    # T/dt = inf has no node count: both are rejected when the config is
+    # read, with nothing written and no warning for warnings-as-errors
+    solve = {"family": family, "N": 8, "T": T, "dt": dt}
+    if family == "dirichlet":
+        solve.update(s=2.0, p=5.0, K_clamped=8)
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": solve})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
 
 
 def test_traces_datum_non_finite_on_its_nodes_exits_2(tmp_path, capsys):

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 import bihns.linear_flow as lf
 import bihns.nonlinear as nl
-from bihns.boundary_ops import (dirichlet_lifts, lift_data, lift_response,
+from bihns.boundary_ops import (dirichlet_lifts, lift_data,
                                 navier_boundary_history, navier_lift_coeffs,
                                 navier_lifts)
 from bihns.cli import ConfigError, _build, run
@@ -45,6 +45,17 @@ def test_half_integer_s_rejected():
 def test_dirichlet_threshold_rejected():
     with pytest.raises(ValueError, match="10/7"):
         ProblemSpec(family="dirichlet", s=1.0)
+
+
+def test_time_nodes_and_the_largest_indexable_grid():
+    assert [nl._time_nodes(T, dt) for T, dt in
+            ((1.0, 0.5), (1.0, 0.3), (1e-3, 1.0))] == [3, 5, 2]
+    # one mode: 2^58 + 1 nodes of complex128 fit in np.intp bytes, and
+    # 2^59 + 1 do not; nothing is allocated to check it
+    assert np.iinfo(np.intp).max == 2 ** 63 - 1
+    ProblemSpec(family="navier", N=1, T=2.0 ** 58, dt=1.0)
+    with pytest.raises(ValueError, match="too large"):
+        ProblemSpec(family="navier", N=1, T=2.0 ** 59, dt=1.0)
 
 
 def test_navier_range():
@@ -154,13 +165,25 @@ def _trapezoid_projection(q, p, lam, M=8192, base=None):
     return 2.0 * (lam * np.abs(u) ** (p - 2.0) * u * w) @ S
 
 
+def _projection(c, B, P, p, lam, vals=None, lift=None, dtype=np.float64):
+    """P @ g for g = lam |u|^(p-2) u, u = c @ B (+ vals @ lift), through the
+    kernel: the ``_fold`` of (B, P, lift) in ``dtype``, the kernel's i P @ g
+    added to a zero buffer, and -1j times that, which is exact up to the
+    sign of zero."""
+    if vals is None:
+        vals, lift = np.zeros((len(c), 0)), np.zeros((0, B.shape[1]))
+    out = np.zeros(c.shape, dtype=np.complex128)
+    _grid_forcing(c, vals, nl._fold(B, P, lift, dtype), p, lam, out)
+    return -1j * out
+
+
 def _sine_forcing(v, p, lam, vals=None, lift=None):
-    """The hinged forcing of a (T, N) history: ``_grid_forcing`` with the
+    """The hinged forcing of a (T, N) history: ``_projection`` with the
     sine basis and the trapezoid projection (twice the weights) of the
     solver's sine grid, without the solver's end correction."""
     N = v.shape[1]
     _, w, S = sine_grid(N, nl._dealias_points(N, p))
-    return _grid_forcing(v, S.T, S.T * (2.0 * w), p, lam, vals, lift)
+    return _projection(v, S.T, S.T * (2.0 * w), p, lam, vals, lift)
 
 
 def _nonlin_row(q, p, lam):
@@ -282,8 +305,8 @@ def test_grid_forcing_clamped_matches_dense(p, with_base, grid, monkeypatch):
         / np.arange(1, K + 1) ** 2
     vals = g.standard_normal((T, 2)) + 1j * g.standard_normal((T, 2))
     lift = np.stack((1.0 - x, x ** 2 * (3.0 - 2.0 * x)))
-    got = _grid_forcing(c, phi, phi * w, p, 1.3,
-                        *((vals, lift) if with_base else ()))
+    got = _projection(c, phi, phi * w, p, 1.3,
+                      *((vals, lift) if with_base else ()))
     expect = _dense_forcing(c, phi, phi * w, p, 1.3,
                             vals @ lift if with_base else None)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -305,8 +328,8 @@ def test_grid_forcing_reads_no_odd_row_at_the_middle_node(dtype, monkeypatch):
     c = g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
     args = (5.0, 1.3, vals, dirichlet_lifts(x), dtype)
-    assert np.array_equal(_grid_forcing(c, dirty, dirty * w, *args),
-                          _grid_forcing(c, clean, clean * w, *args))
+    assert np.array_equal(_projection(c, dirty, dirty * w, *args),
+                          _projection(c, clean, clean * w, *args))
 
 
 @pytest.mark.parametrize("family", ["hinged", "clamped"])
@@ -323,7 +346,7 @@ def test_grid_forcing_solver_sized_blocks(family):
     c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
         / np.arange(1, K + 1)
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
-    got = _grid_forcing(c, B, P, p, 1.3, vals, lift)
+    got = _projection(c, B, P, p, 1.3, vals, lift)
     expect = _dense_forcing(c, B, P, p, 1.3, vals @ lift)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -339,7 +362,7 @@ def test_grid_forcing_float32_within_its_rounding(family):
     c = (g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))) \
         / np.arange(1, K + 1)
     vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
-    got = _grid_forcing(c, B, P, p, 1.3, vals, lift, np.float32)
+    got = _projection(c, B, P, p, 1.3, vals, lift, np.float32)
     expect = _dense_forcing(c, B, P, p, 1.3, vals @ lift)
     assert got.dtype == np.complex128
     assert np.max(np.abs(got - expect)) <= 5e-6 * np.max(np.abs(expect))
@@ -355,9 +378,9 @@ def test_grid_forcing_float32_overflow_raises(p, lam, big):
     v = np.full((3, N), 0.1 + 0.1j)
     v[1, 0] = big
     P = S.T * (2.0 * w)
-    assert np.all(np.isfinite(_grid_forcing(v, S.T, P, p, lam)))
+    assert np.all(np.isfinite(_projection(v, S.T, P, p, lam)))
     with pytest.raises(OverflowError, match="blow-up"):
-        _grid_forcing(v, S.T, P, p, lam, dtype=np.float32)
+        _projection(v, S.T, P, p, lam, dtype=np.float32)
 
 
 def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
@@ -543,8 +566,8 @@ def test_picard_navier_nonlinear_galerkin_oracle():
 
     def rhs(t, y):
         rot = np.exp(1j * omegas * t)
-        f = 1j * _grid_forcing((rot * (y[:N] + 1j * y[N:]))[None], basis.B,
-                               basis.P, p, lam)[0] / rot
+        f = 1j * _projection((rot * (y[:N] + 1j * y[N:]))[None], basis.B,
+                             basis.P, p, lam)[0] / rot
         return np.concatenate((f.real, f.imag))
 
     ref = solve_ivp(rhs, (0.0, T), np.concatenate((q0.real, q0.imag)),
@@ -769,7 +792,7 @@ def test_clamped_gauss_forcing_on_rough_rows(p, bound):
     g = np.random.default_rng(30)
     c = (g.standard_normal((3, K)) + 1j * g.standard_normal((3, K))) \
         / np.arange(1, K + 1) ** 2
-    forcing = [_grid_forcing(c, b.B, b.P, p, 1.0) for b in (
+    forcing = [_projection(c, b.B, b.P, p, 1.0) for b in (
         nl._clamped_basis(K, K, nl._gauss_points(K, p)),
         nl._clamped_basis(K, K, 16 * K))]
     err = np.abs(forcing[0] - forcing[1]).max() / np.abs(forcing[1]).max()
@@ -1011,8 +1034,7 @@ def _clamped_record():
 @pytest.mark.parametrize("make", [_hinged_record, _clamped_record],
                          ids=["hinged", "clamped"])
 def test_picard_applies_the_map_once_per_iteration(make, monkeypatch):
-    # boundary_ops.lift_response calls its own import of duhamel_history,
-    # so only the Picard steps' Duhamel histories are counted here
+    # one Duhamel pass gives the start iterate lin, and one more each step
     calls = []
     duhamel_history = lf.duhamel_history
 
@@ -1023,7 +1045,7 @@ def test_picard_applies_the_map_once_per_iteration(make, monkeypatch):
     monkeypatch.setattr(lf, "duhamel_history", counted)
     spec, rec = make()
     assert spec.lam != 0 and rec.tstar == spec.T and rec.iterations > 0
-    assert len(calls) == rec.iterations
+    assert len(calls) == rec.iterations + 1
     assert 0 < rec.residual < spec.tol
 
 
@@ -1033,16 +1055,18 @@ def test_picard_step_is_lin_plus_i_duhamel_of_the_forcing(make, monkeypatch):
     # a step is one Duhamel pass from the datum's start row over
     # i F(c) - h' @ a; the recurrence is linear in its start row and its
     # forcing, so that is lin + i Duhamel(F(c)), lin the pass with F = 0.
-    # Each step's iterate c, its forcing's dtype and its output are recorded
-    steps, grid_forcing, duhamel_history = [], nl._grid_forcing, lf.duhamel_history
+    # Each step's iterate c and its forcing's dtype are recorded, and the
+    # output of every pass, the start pass that gives lin first
+    steps, passes = [], []
+    grid_forcing, duhamel_history = nl._grid_forcing, lf.duhamel_history
 
-    def forcing(*args, **kwargs):
-        steps.append([args[0].copy(), args[-1]])
-        return grid_forcing(*args, **kwargs)
+    def forcing(*args):
+        steps.append((args[0].copy(), args[2][0].dtype))
+        return grid_forcing(*args)
 
     def history(*args, **kwargs):
-        steps[-1].append(duhamel_history(*args, **kwargs).copy())
-        return steps[-1][-1]
+        passes.append(duhamel_history(*args, **kwargs).copy())
+        return passes[-1]
 
     monkeypatch.setattr(nl, "_grid_forcing", forcing)
     monkeypatch.setattr(lf, "duhamel_history", history)
@@ -1050,16 +1074,20 @@ def test_picard_step_is_lin_plus_i_duhamel_of_the_forcing(make, monkeypatch):
     monkeypatch.undo()
     basis, times = rec.basis, rec.times
     assert rec.tstar == spec.T and len(steps) == rec.iterations
-    assert {np.dtype(dtype).name for _, dtype, _ in steps} == {"float32", "float64"}
+    assert len(passes) == rec.iterations + 1
+    assert {dtype.name for _, dtype in steps} == {"float32", "float64"}
     weights = lf.step_weights(times, basis.omegas)
-    vals, lin = lift_response(lift_data(spec.hs, times), times, basis.a,
-                              basis.omegas, basis.P @ spec.phi(basis.x), weights)
+    vals, slopes = lift_data(spec.hs, times)
     assert np.array_equal(vals, rec.vals)
-    for c, dtype, got in steps:
-        F = grid_forcing(c, basis.B, basis.P, spec.p, spec.lam, vals, basis.L,
-                         dtype)
-        want = lin + 1j * duhamel_history(
-            lf.ForcingHistory(times, F, basis.omegas), weights=weights)
+    lin = duhamel_history(
+        lf.ForcingHistory(times, slopes @ -basis.a, basis.omegas),
+        basis.P @ spec.phi(basis.x) - vals[0] @ basis.a, weights)
+    assert np.abs(passes[0] - lin).max() <= 1e-13 * np.abs(lin).max()
+    for (c, dtype), got in zip(steps, passes[1:]):
+        iF = grid_forcing(c, vals, basis.folds(dtype), spec.p, spec.lam,
+                          np.zeros_like(c))
+        want = lin + duhamel_history(
+            lf.ForcingHistory(times, iF, basis.omegas), weights=weights)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -1430,14 +1458,15 @@ def test_float32_overflow_reruns_in_float64(monkeypatch):
     kernels = []
     grid_forcing = nl._grid_forcing
 
-    def recorded(*args, **kwargs):
+    def recorded(*args):
+        dtype = args[2][0].dtype.name
         try:
-            grid_forcing(*args, **kwargs)
+            out = grid_forcing(*args)
         except OverflowError:
-            kernels.append((np.dtype(args[-1]).name, "overflow"))
+            kernels.append((dtype, "overflow"))
             raise
-        kernels.append((np.dtype(args[-1]).name, "ok"))
-        return grid_forcing(*args, **kwargs)
+        kernels.append((dtype, "ok"))
+        return out
 
     monkeypatch.setattr(nl, "_grid_forcing", recorded)
     rec = picard_navier(scaled)
