@@ -429,14 +429,17 @@ _MODES = {
 
 
 def run(cfg: Dict, outdir, seed: int = 0) -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a validated config; returns the process exit code.
+
+    A runtime failure, a ``MemoryError`` included, exits 1 with a strict
+    ``summary.json`` that carries the error."""
     mode = cfg["mode"]
     args = _build(mode, cfg.get(mode, {}))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         summary, checks = _MODES[mode][1](args, outdir, seed)
-    except (RuntimeError, OverflowError, ArithmeticError) as e:
+    except (RuntimeError, ArithmeticError, MemoryError) as e:
         _write_summary(outdir, {"mode": mode, "seed": seed, "error": str(e),
                                 "checks": {}})
         return 1

@@ -220,6 +220,10 @@ def duhamel_history(F: ForcingHistory, v0=None, weights: StepWeights = None,
     given, a (T, K) complex128 array that is either ``F.coeffs`` itself or
     does not overlap it: each block's J is formed before its rows are
     written, and one carry row keeps the forcing at the block's first node.
+    Given weights must be those of F's grid, their steps ``steps[which]``
+    equal to ``np.diff(F.times)`` exactly, or ``ValueError`` is raised:
+    weights of another grid of the same length would give a wrong history
+    without an error.
 
     The interval terms J are formed for ``_DUHAMEL_BLOCK`` steps at a time
     in buffers made once per call, bit for bit the per-step products: every
@@ -229,11 +233,17 @@ def duhamel_history(F: ForcingHistory, v0=None, weights: StepWeights = None,
     step writes the phase product straight into V[j+1] and adds J[j] there
     (an addition rounds alike in place).  The steps walk the row views of V
     and J together, each row the next step's previous one, so no step
-    indexes V.
+    indexes V.  The weight rows are gathered into their block buffer with
+    ``np.take(..., mode="clip")``: the default ``mode="raise"`` always
+    gathers through a temporary buffer, and the grid check has already
+    indexed ``steps`` with every ``which``.
     """
     t, c, w = F.times, F.coeffs, F.omegas
-    steps, which, g0, g1, phases = (step_weights(t, w) if weights is None
-                                    else weights)
+    if weights is None:
+        weights = step_weights(t, w)
+    elif not np.array_equal(weights.steps[weights.which], np.diff(t)):
+        raise ValueError("step weights of another time grid")
+    steps, which, g0, g1, phases = weights
     V = np.empty_like(c) if out is None else out
     fa = c[0].copy()                    # the forcing at the block's first node
     V[0] = 0.0 if v0 is None else v0
@@ -243,10 +253,10 @@ def duhamel_history(F: ForcingHistory, v0=None, weights: StepWeights = None,
         s = which[a:a + _DUHAMEL_BLOCK]
         n = len(s)
         fb, Jb, Gb, Db, GDb = c[a + 1:a + 1 + n], J[:n], G[:n], D[:n], GD[:n]
-        np.multiply(fb, np.take(g0, s, axis=0, out=Gb), Jb)
+        np.multiply(fb, np.take(g0, s, axis=0, out=Gb, mode="clip"), Jb)
         np.subtract(fa, fb[0], Db[0])               # fa - fb, row by row
         np.subtract(c[a + 1:a + n], fb[1:], Db[1:])
-        Jb += np.multiply(Db, np.take(g1, s, axis=0, out=Gb), GDb)
+        Jb += np.multiply(Db, np.take(g1, s, axis=0, out=Gb, mode="clip"), GDb)
         Jb *= steps[s][:, None]
         np.copyto(fa, fb[-1])           # before V overwrites it in place
         prev = V[a]

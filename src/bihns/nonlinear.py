@@ -301,8 +301,9 @@ class SolutionRecord:
 
     def norms(self, s: float) -> np.ndarray:
         """(T,) norms (sum_k (1 + xi_k^2)^s |c_k|^2)^(1/2) of the rows of c,
-        in the weights of the Picard distance."""
-        return np.sqrt(_hs_sq(self.c.copy(), self.basis.weights(float(s))))
+        in the weights of the Picard distance, summed block by block without
+        a copy of c (``_hs_sq``)."""
+        return np.sqrt(_hs_sq(self.c, self.basis.weights(float(s))))
 
     def evaluate(self, j: int, x) -> np.ndarray:
         """u(x, times[j]): the lifts of the data plus the modes."""
@@ -370,7 +371,7 @@ def _power(u: np.ndarray, p: float, lam: float,
 
 #: bytes of the grid values of one block of time rows, R x (M+1) complex
 #: as 2R real rows of the working dtype: small enough to stay in L2 from
-#: synthesis to projection
+#: synthesis to projection.  It also bounds a block of ``_hs_sq``'s rows
 _BLOCK_BYTES = 1 << 19
 
 
@@ -483,16 +484,42 @@ def _grid_forcing(c: np.ndarray, vals: np.ndarray, folds: tuple, p: float,
 # Picard iteration: one driver, two families
 
 
-def _hs_sq(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(T,) sums sum_k w_k |d_k|^2 over the rows of a complex (T, K) history,
-    with |z|^2 = re^2 + im^2 squared in place on the float view of ``d``;
-    the Picard distance is the sup over t of their square roots.  A
-    diverging iterate gives +inf without a warning; its forcing raises
-    ``OverflowError``."""
-    f = d.view(np.float64)                         # re, im interleaved
+def _hs_sq(d: np.ndarray, w: np.ndarray, old: np.ndarray = None) -> np.ndarray:
+    """(T,) sums sum_k w_k |e_k|^2 over the rows of the complex (T, K)
+    history e = d, or e = d - old when ``old`` is given; the Picard distance
+    is the sup over t of their square roots.  A diverging iterate gives +inf
+    without a warning; its forcing raises ``OverflowError``.
+
+    One pass over blocks of time rows of at most ``_BLOCK_BYTES``, each
+    squared and summed while it is in cache: |z|^2 = re^2 + im^2 on the
+    float view, then one matrix-vector product with the weights.  With
+    ``old``, d - old and then its square are written into ``old``'s block
+    (a Picard step's old iterate, which the next step overwrites); without
+    it each block is squared into one block scratch and ``d`` is left as it
+    is.  So no (T, K) copy is made.  A block holds a multiple of 4 rows and
+    the last one never a single row (it takes one row more instead), so
+    every row meets the BLAS kernel it meets in the one product over all
+    rows and the sums equal that product bit for bit, when BLAS runs one
+    thread: a threaded product over all rows splits them where its threads
+    do.
+    """
+    T, K = d.shape
+    R = max(4, (_BLOCK_BYTES // (16 * K) - 1) // 4 * 4)    # R + 1 rows fit
+    f, w2, out = d.view(np.float64), np.repeat(w, 2), np.empty(T)
+    sq = (np.empty((min(T, R + 1), 2 * K)) if old is None
+          else old.view(np.float64))                 # re, im interleaved
+    r0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        f *= f
-        return f @ np.repeat(w, 2)
+        for r1 in [*range(R, T - 1, R), T]:
+            rows = slice(r0, r1)
+            if old is None:
+                b = np.multiply(f[rows], f[rows], out=sq[:r1 - r0])
+            else:
+                b = np.subtract(f[rows], sq[rows], out=sq[rows])
+                b *= b
+            np.matmul(b, w2, out=out[rows])
+            r0 = r1
+    return out
 
 
 #: a step may run in float32 only while the last distance exceeds this
@@ -559,7 +586,10 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
     iterate lin is that step without the kernel.  The distance c_new - c is
     taken in c's buffer, which becomes the next step's output buffer, so an
     attempt holds two (T, K) histories.
-    Distances are sup-in-time with the H^s weights ``basis.weights(s)``.
+    Distances are sup-in-time with the H^s weights ``basis.weights(s)``, each
+    one blocked pass of ``_hs_sq``: the distance squares c_new - c block by
+    block in c's buffer, and |lin| squares lin block by block in a block
+    scratch, so neither copies a history.
 
     Mixed precision: ``_step_dtype`` picks each step's working dtype, and
     the stop test D_n = |c_n - c_{n-1}| < ``tol`` is read on float64 steps
@@ -617,14 +647,13 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
         kappa_hat = math.nan
         converged = spec.lam == 0
         while not converged and len(dists) < spec.max_iter:
-            if not dists:   # |lin|, squared in the buffer the step fills
-                work[...] = c
-                lin_norm = float(np.sqrt(_hs_sq(work, wgt).max()))
+            if not dists:   # |lin|, with c = lin left as it is
+                lin_norm = float(np.sqrt(_hs_sq(c, wgt).max()))
             dtype = step(c, _step_dtype(dists, spec.tol, spec.max_iter,
                                         kappa_hat), work)
             # the distance is squared in the old iterate's buffer, which the
             # next step overwrites
-            d = float(np.sqrt(_hs_sq(np.subtract(work, c, out=c), wgt).max()))
+            d = float(np.sqrt(_hs_sq(work, wgt, old=c).max()))
             if dists and dists[-1] > 0:
                 factors.append(d / dists[-1])
             if not dists and lin_norm > 0:      # 0 for zero data

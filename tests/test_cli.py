@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bihns.cli as cli
 from bihns.cli import (ConfigError, _cells, _fmt, _strict, _write_table,
                        load_config, main, run)
 
@@ -408,6 +412,49 @@ def test_diverging_picard_exits_1_without_warning(tmp_path):
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"] == "nonlinearity overflow: blow-up candidate"
+
+
+def test_solve_out_of_memory_exits_1_with_summary(tmp_path, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "picard_navier", no_memory)
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        "family": "navier", "N": 8, "T": 0.01, "dt": 1e-3}})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "Unable to allocate 7.28 TiB"
+    assert summary["checks"] == {}
+
+
+#: a fresh interpreter under a 2 GiB address-space limit runs ``main`` on
+#: argv[1:]: no allocation past the limit can take real memory
+_UNDER_2GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+from bihns.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_solve_grid_past_memory_exits_1_with_summary(tmp_path):
+    # 1e12 time nodes: np.linspace asks for 7.28 TiB, which no address
+    # space of 2 GiB grants, so the solve fails before it touches memory
+    cfg = write_cfg(tmp_path, "c.json", {"mode": "solve", "solve": {
+        "family": "navier", "N": 8, "T": 0.01, "dt": 1e-14}})
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _UNDER_2GIB, "solve",
+         "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert "TiB" in summary["error"] and summary["checks"] == {}
 
 
 def test_different_seeds_differ(tmp_path):

@@ -377,6 +377,22 @@ def test_duhamel_history_in_place_on_full_blocks():
                           want)
 
 
+@pytest.mark.parametrize("other", ["same_length", "shorter"])
+def test_duhamel_history_rejects_weights_of_another_grid(other):
+    # weights of another grid of the same length would run without an error
+    # and give a wrong history; a shorter grid's would index past them
+    t = np.linspace(0.0, 0.01, 2 * _DUHAMEL_BLOCK + 4)
+    t_other = (np.linspace(0.0, 0.02, len(t)) if other == "same_length"
+               else t[:_DUHAMEL_BLOCK])
+    w = navier_eigenvalues(8)
+    c = np.ones((len(t), len(w)), dtype=complex)
+    F = ForcingHistory(t, c, w)
+    with pytest.raises(ValueError, match="another time grid"):
+        duhamel_history(F, None, step_weights(t_other, w))
+    assert np.array_equal(duhamel_history(F, None, step_weights(t, w)),
+                          duhamel_history(F))
+
+
 def test_duhamel_out_of_range():
     t = np.linspace(0.0, 0.1, 5)
     F = ForcingHistory(t, np.zeros((5, 1), dtype=complex), np.array([1.0]))

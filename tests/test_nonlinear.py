@@ -727,7 +727,7 @@ def _relative_distance(rec, ref, s):
     """max_t |c - c_ref|_s / max_t |c_ref|_s in the Picard weights of ``rec``."""
     w = rec.basis.weights(s)
     return float(np.sqrt(nl._hs_sq(rec.c - ref.c, w).max()
-                         / nl._hs_sq(ref.c.copy(), w).max()))
+                         / nl._hs_sq(ref.c, w).max()))
 
 
 @pytest.mark.parametrize("p,measured", [(3.0, 2.70e-10), (5.0, 3.50e-11)])
@@ -1352,6 +1352,58 @@ def test_picard_step_holds_two_histories():
         tracemalloc.stop()
     assert len(rec.times) == 4001 and rec.iterations >= 3
     assert peak <= 2.8 * rec.c.nbytes
+
+
+def _hs_sq_one_pass(d, w, old=None):
+    """The H^s row sums of d (or d - old) as one product over all rows, on
+    a squared copy: what ``nl._hs_sq`` computes block by block."""
+    f = (d.copy() if old is None else d - old).view(np.float64)
+    f *= f
+    return f @ np.repeat(w, 2)
+
+
+#: rows per block of ``nl._hs_sq`` at K = 64 modes when the block bytes hold
+#: 11 rows: the multiple of 4 at or below 11 - 1
+_HS_ROWS = 8
+
+
+@pytest.mark.parametrize("form", ["copy_free", "old"])
+@pytest.mark.parametrize("T", [1, _HS_ROWS - 1, _HS_ROWS, _HS_ROWS + 1,
+                               3 * _HS_ROWS + 5],
+                         ids=["1", "R-1", "R", "R+1", "3R+5"])
+def test_hs_sq_blocks_match_one_pass(T, form, monkeypatch):
+    # each row meets the BLAS kernel of the one product: blocks of a
+    # multiple of 4 rows, and R + 1 rows as one block, since a last block of
+    # one row would be a dot product that rounds unlike the product's row.
+    # The products are small enough that BLAS runs them on one thread
+    K = 64
+    monkeypatch.setattr(nl, "_BLOCK_BYTES", 16 * K * 11)
+    g = np.random.default_rng(T)
+    d, old = g.standard_normal((2, T, K)) + 1j * g.standard_normal((2, T, K))
+    w = 1.0 + (np.pi * np.arange(1, K + 1)) ** 2
+    d_in = d.copy()
+    if form == "copy_free":
+        assert np.array_equal(nl._hs_sq(d, w), _hs_sq_one_pass(d, w))
+    else:
+        want, sq = _hs_sq_one_pass(d, w, old), (d - old).view(np.float64) ** 2
+        assert np.array_equal(nl._hs_sq(d, w, old), want)
+        assert np.array_equal(old.view(np.float64), sq)
+    assert np.array_equal(d, d_in)
+
+
+def test_record_norms_make_no_history_copy():
+    # a hinged bench-sized record (1001 x 256, 4.1 MB): the norms square c
+    # in a block scratch of at most _BLOCK_BYTES, where a copy of c would
+    # peak at one history
+    rec = _solve(_bench_sized_spec("hinged"))
+    rec.norms(1.0)
+    tracemalloc.start()
+    try:
+        rec.norms(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * rec.c.nbytes
 
 
 # ---------------------------------------------------------------------------
