@@ -169,6 +169,7 @@ def _identity_args(tail=None, **checks):
     """(``identity_checks`` kwargs, ``tail_bound_spotcheck`` kwargs or None)."""
     if [] in checks.values():
         raise ConfigError("identities a_grid and K_grid must be nonempty lists")
+    lab.check_identity_a_grid(checks.get("a_grid", ()))
     return checks, tail
 
 

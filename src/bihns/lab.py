@@ -104,9 +104,15 @@ def _size_histogram(keys: np.ndarray) -> Dict[int, int]:
 # smoothing-exponent sweep
 
 
+#: exponents are sought in [0, _ALPHA_MAX]; past it a series counts as smooth
+_ALPHA_MAX = 6.0
+
+
 @dataclass(frozen=True)
 class RegularitySweep:
-    """Randomized ensemble for the trace-exponent measurement."""
+    """Randomized ensemble for the trace-exponent measurement.  Each s has
+    s + eps <= 4 ``_ALPHA_MAX`` - 2: its order-0 exponent (s + eps)/4 stays 1/2 below
+    the search cap, more than the estimator's bias (0.07 at N = 1024, 0.34 at N = 16)."""
 
     s_grid: Sequence[float] = (1.0, 2.0, 3.0)
     ensemble: int = 16
@@ -121,13 +127,13 @@ class RegularitySweep:
             raise ValueError("ensemble size must be >= 8")
         if not 0 < self.eps < math.inf or self.N < 16:
             raise ValueError("need finite eps > 0 and N >= 16")
+        if max(self.s_grid) + self.eps > 4.0 * _ALPHA_MAX - 2.0:
+            raise ValueError(f"need s + eps <= 4*{_ALPHA_MAX} - 2: the order-0 exponent "
+                             f"(s + eps)/4 stays 1/2 below the search cap {_ALPHA_MAX}, "
+                             f"past which every sample is +inf (got s = {max(self.s_grid)})")
 
 
 _N0_WINDOWS = (16, 32, 64, 128, 256, 512, 1024)
-
-
-#: exponents are sought in [0, _ALPHA_MAX]; past it a series counts as smooth
-_ALPHA_MAX = 6.0
 
 
 def _crossing_exponents(w: np.ndarray, a_sq: np.ndarray,
@@ -446,11 +452,26 @@ class CounterexampleRun:
         if self.interior_modes < need:
             raise ValueError(f"need interior_modes >= {need} at order {self.order} "
                              f"(got {self.interior_modes})")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf (1+n^2)^alpha * 0
+            norms = _boundary_family(self)[2]
+        bad = [n for n, h in zip(self.n_grid, norms) if not 0 < h < math.inf]
+        if bad:
+            raise ValueError(f"||h_n||_(H^alpha) is not finite and positive "
+                             f"at n = {bad[0]} (alpha={self.alpha}, beta={self.beta})")
 
     @property
     def is_boundedness_check(self) -> bool:
         """alpha at or above the critical (3-order)/4: expected bounded ratios."""
         return self.alpha >= (3 - self.order) / 4.0
+
+
+def _boundary_family(cfg: CounterexampleRun):
+    """The lattice indices k^4 + 1 and amplitudes 2 k^-beta, k <= max(n_grid),
+    of which h_n takes the first n, and ||h_n||_{H^alpha} for each n."""
+    kk = np.arange(1, max(cfg.n_grid) + 1, dtype=np.float64)
+    freqs, amps = kk ** 4 + 1.0, 2.0 * kk ** (-cfg.beta)   # +k and -k coincide
+    return freqs, amps, [trace_sobolev_norm(BoundaryTrace.from_series(
+        freqs[:n], amps[:n].astype(np.complex128)), cfg.alpha) for n in cfg.n_grid]
 
 
 def optimality_run(cfg: CounterexampleRun) -> List[Dict]:
@@ -472,10 +493,7 @@ def optimality_run(cfg: CounterexampleRun) -> List[Dict]:
     every R is formed and summed once.
     """
     w_exp = 3 - cfg.order
-    n_max = max(cfg.n_grid)
-    kk = np.arange(1, n_max + 1, dtype=np.float64)
-    freqs = kk ** 4 + 1.0                 # lattice indices of h_n
-    amps = 2.0 * kk ** (-cfg.beta)        # +k and -k coincide in frequency
+    freqs, amps, norms_h = _boundary_family(cfg)
 
     m = np.arange(1, cfg.interior_modes + 1, dtype=np.float64)
     wm = (m * np.pi) ** w_exp
@@ -483,7 +501,7 @@ def optimality_run(cfg: CounterexampleRun) -> List[Dict]:
     coh, inc = np.zeros(len(m)), np.zeros(len(m))   # sum R, sum R^2 over k <= n
     start = 0
     rows: List[Dict] = []
-    for n in cfg.n_grid:
+    for n, norm_h in zip(cfg.n_grid, norms_h):
         R = (freqs[start:n, None] - m4) * np.pi ** 4       # D, channels start < k <= n
         if np.any(R == 0):
             raise ArithmeticError("resonant frequency collision (should be impossible)")
@@ -492,13 +510,9 @@ def optimality_run(cfg: CounterexampleRun) -> List[Dict]:
         R *= R
         inc += R.sum(axis=0)
         start = n
-        A = amps[:n]
         term1 = wm ** 2 * inc
         term2 = (wm * coh) ** 2
         norm_u_sq = 2.0 * float(np.sum(term1 + term2))   # mirror modes m < 0
-
-        h = BoundaryTrace.from_series(freqs[:n], A.astype(np.complex128))
-        norm_h = trace_sobolev_norm(h, cfg.alpha)
         row = {
             "n": int(n),
             "norm_u_sq": norm_u_sq,
@@ -586,6 +600,16 @@ def trace_regularity_r(phis: Sequence[Callable], s_grid: Sequence[float],
 
 SQRT_I = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
 
+#: largest |a| of ``identity_checks`` (319.5), where exp(|a| pi / sqrt 2) overflows
+IDENTITY_A_MAX = math.log(np.finfo(np.float64).max) * math.sqrt(2.0) / math.pi
+
+
+def check_identity_a_grid(a_grid: Sequence[float]) -> None:
+    """Raise ValueError unless every a has 0 < |a| <= ``IDENTITY_A_MAX``."""
+    if not all(0.0 < abs(a) <= IDENTITY_A_MAX for a in a_grid):
+        raise ValueError(f"a_grid: need 0 < |a| <= {IDENTITY_A_MAX:.4g} (a = 0 "
+                         f"is 0/0, past it sin(e^(i pi/4) a pi) overflows)")
+
 
 def _series_partials(a_grid: Sequence[float], x: np.ndarray,
                      K_grid: Sequence[int]) -> Dict[int, np.ndarray]:
@@ -633,6 +657,7 @@ def identity_checks(a_grid: Sequence[float] = (0.5, 1.0, 2.0, 3.5, 5.0),
     precision.  The partial sums of every a, of the sawtooth's a and of
     every K come from one pass over k (``_series_partials``).
     """
+    check_identity_a_grid(a_grid)
     if x_grid is None:
         x_grid = np.linspace(0.3, math.pi - 0.3, 9)
     x_grid = np.asarray(x_grid, dtype=np.float64)
@@ -666,12 +691,15 @@ def check_tail_bound(lam_grid: Sequence[float], alpha: float,
     """Raise ValueError unless ``tail_bound_spotcheck`` accepts these arguments.
 
     lam < K^4 / 2 keeps the first summed index k0 at or below K; the slope
-    in lambda needs two distinct values.
+    in lambda needs two distinct fit abscissae log(1 + lam^(1/4)), which
+    distinct lam need not give (0 and 1e-300 do not).
     """
     if not 0.75 < alpha < 1.0:
         raise ValueError("need alpha in (3/4, 1)")
-    if len(set(lam_grid)) < 2 or not all(0.0 <= lam < K ** 4 / 2 for lam in lam_grid):
-        raise ValueError(f"need two or more distinct lam values in [0, K^4/2), K = {K}")
+    if not all(0.0 <= lam < K ** 4 / 2 for lam in lam_grid):
+        raise ValueError(f"need lam values in [0, K^4/2), K = {K}")
+    if len(np.unique(np.log(1.0 + np.asarray(lam_grid, float) ** 0.25))) < 2:
+        raise ValueError("need two or more distinct fit abscissae log(1 + lam^(1/4))")
 
 
 def tail_bound_spotcheck(lam_grid: Sequence[float], alpha: float,

@@ -7,18 +7,19 @@ homogeneous boundary conditions:
 
 * hinged family ("navier"): the sine modes sin(k pi x), eigenvalues
   (k pi)^4, lifts of (h1, h2, h5, h6) with closed-form sine coefficients;
-  the nodes are the sine grid of ``_dealias_points`` intervals, and its
+  the nodes are the uniform grid of ``_dealias_points`` intervals, and its
   trapezoid projection is corrected at the ends by the projected
   function's own end values;
 * clamped family ("dirichlet"): the clamped eigenfunctions phi_j,
   eigenvalues mu_j^4, lifts of (h1, h2, h3, h4); every projection is Gauss-
   Legendre quadrature on ``_gauss_points`` nodes, which has no end term.
 
-Each family's ``Basis`` (modes, lifts, their nodes and the projection P of
-node values onto the modes) depends on its nodes alone, so it is built once
-per grid, keyed by (N, M) hinged and (N, K, n) clamped, like
-``sine_grid``; its arrays are read-only and every record on that grid
-shares it.  A solve projects only its datum, with the same P as the forcing
+Each family's ``Basis`` (modes, lifts, their nodes, the projection P of
+node values onto the modes and the forcing kernel's folded operands) depends
+on its nodes alone, so it is built once per grid, keyed by (N, M) hinged and
+(N, K, n) clamped; its arrays are read-only and every record on that grid
+shares it.  Both families have an even node count, so x = 1/2 is no node.
+A solve projects only its datum, with the same P as the forcing
 (``_picard``).
 
 One driver, ``_picard``, iterates c -> lin + i Duhamel(forcing(c)) for both
@@ -33,8 +34,8 @@ over i forcing(c) - sum_i h_i' a_i, and the start iterate
 lin = e^{i omega t} v0 - Duhamel(sum_i h_i' a_i) is the same pass without
 the nonlinear forcing.  A step builds nothing that the attempt already
 holds: the Duhamel step weights are built once per attempt
-(``lf.step_weights``), the kernel's folded operands once per basis and
-dtype (``Basis.folds``), and a step holds two (T, K) histories, the iterate
+(``lf.step_weights``), the kernel's folded operands with the basis
+(``Basis.folds``), and a step holds two (T, K) histories, the iterate
 and a work buffer: the slope forcing is written into the work buffer, the
 kernel adds i forcing(c) to it and the Duhamel history runs over it, and
 the distance to the iterate is taken in the iterate's buffer, which the
@@ -45,11 +46,9 @@ on stacked real (re; im) rows folded onto half the grid by the bases' parity
 under x -> 1-x: real GEMMs synthesize the parts of u symmetric and
 antisymmetric under that map, the lift rows riding along as extra synthesis
 rows, and the power acts on u(x) and u(1-x) made from them.  Each block is
-laid out as contiguous (re|im, x|1-x, rows, nodes x <= 1/2) planes, so the
-fold, the power and the unfold run on whole planes; a middle node x = 1/2
-sits on both sides with a zero antisymmetric part, and its doubled fold
-meets a halved projection column.  The power takes |u|^(p-2) from
-s = |u|^2 by multiplication for an integer p, s^m sqrt(s)^b with
+laid out as contiguous (re|im, x|1-x, rows, nodes x < 1/2) planes, so the
+fold, the power and the unfold run on whole planes.  The power takes
+|u|^(p-2) from s = |u|^2 by multiplication for an integer p, s^m sqrt(s)^b with
 p - 2 = 2m + b, and by ``**`` otherwise.  T* halves whenever
 ``max_iter`` iterations leave the Picard distance above ``tol``.  Both
 families report the last Picard distance |c_n - c_{n-1}| as the residual:
@@ -86,8 +85,7 @@ import numpy as np
 from . import boundary_ops as bops
 from . import linear_flow as lf
 from .spectral import (BoundaryTrace, FourierState, _read_only, _sample,
-                       gauss_grid, gauss_nodes, mixed_state, sine_grid,
-                       sine_state)
+                       gauss_grid, gauss_nodes, mixed_state, sine_state)
 # unused here; kept because bench/tracing.py wraps nonlinear.odd_even_extend,
 # nonlinear.reconstruct and nonlinear.sine_coefficients
 from .spectral import odd_even_extend, reconstruct, sine_coefficients
@@ -228,9 +226,9 @@ class Basis:
     weights, with no end term to correct, and a = L @ P^T.  ``states`` maps a
     record to its older state layout: the hinged sine coefficients of
     u - gamma, gamma the lift at h(0), or the clamped u on the half-weight
-    mixed basis.  Its arrays are read-only: ``_hinged_basis`` and
-    ``_clamped_basis`` build one per grid for every record on it, and
-    ``folds`` builds the forcing kernel's folded operands once per dtype.
+    mixed basis.  ``folds`` maps np.float32 and np.float64 to the ``_fold``
+    of (B, P, L) in that dtype.  Its arrays are read-only: ``_hinged_basis``
+    and ``_clamped_basis`` build one per grid for every record on it.
     """
 
     xi: np.ndarray
@@ -243,21 +241,15 @@ class Basis:
     L: np.ndarray
     a: np.ndarray
     states: Callable
-    _folds: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    folds: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "folds", {t: _read_only(*_fold(self.B, self.P, self.L, t))
+                                           for t in (np.float32, np.float64)})
 
     def weights(self, s: float) -> np.ndarray:
         """(K,) H^s weights (1 + xi^2)^s of the Picard distance and the norms."""
         return (1.0 + self.xi ** 2) ** s
-
-    def folds(self, dtype) -> tuple:
-        """The read-only ``_fold`` of (B, P, L) in ``dtype``: the operands of
-        every ``_grid_forcing`` call of a solve on this basis, built on the
-        first call per dtype."""
-        key = np.dtype(dtype).name
-        if key not in self._folds:
-            self._folds[key] = _read_only(*_fold(self.B, self.P, self.L, dtype))
-        return self._folds[key]
 
 
 @dataclass
@@ -331,7 +323,9 @@ def _mixed_states(rec: SolutionRecord, N: int) -> List[FourierState]:
 
 
 def _dealias_points(N: int, p: float) -> int:
-    return max(2, math.ceil(p / 2.0)) * N + 1
+    """The number of intervals of the hinged grid, max(2, ceil(p/2)) N + 1
+    rounded up to odd, so that its nodes are even in number."""
+    return (max(2, math.ceil(p / 2.0)) * N + 1) | 1
 
 
 def _power(u: np.ndarray, p: float, lam: float,
@@ -379,20 +373,17 @@ def _fold(B: np.ndarray, P: np.ndarray, lift: np.ndarray, dtype) -> tuple:
     """The folded operands (Bs, Ba, Ps, Pa) of ``_grid_forcing`` in ``dtype``:
     the synthesis rows of the parts of u symmetric (even rows of B, the
     lifts' symmetric parts) and antisymmetric (odd rows, antisymmetric
-    parts) under x -> 1-x on the nodes x <= 1/2, and the even and odd rows
-    of P on those nodes, the middle node's A zeroed and its P column
-    halved."""
-    M1 = B.shape[1]
-    H, W = M1 // 2, (M1 + 1) // 2                  # nodes x < 1/2; x <= 1/2
+    parts) under x -> 1-x on the W = n/2 nodes x < 1/2, and the even and
+    odd rows of P on those nodes.  An odd n, a node at x = 1/2, raises
+    ``ValueError``."""
+    if B.shape[1] % 2:
+        raise ValueError(f"the fold needs an even node count (got {B.shape[1]})")
+    W = B.shape[1] // 2                            # nodes x < 1/2
     work = {"dtype": dtype, "casting": "same_kind"}
     flip = lift[:, ::-1]                           # lift rows at 1 - x
     Bs = np.concatenate((B[0::2, :W], 0.5 * (lift + flip)[:, :W]), **work)
     Ba = np.concatenate((B[1::2, :W], 0.5 * (lift - flip)[:, :W]), **work)
-    Ba[:, H:] = 0.0                                # A(1/2) = 0
-    Ps = P[0::2, :W].astype(dtype)
-    Ps[:, H:] *= 0.5                               # meets S'(1/2) = 2 g(1/2)
-    Pa = P[1::2, :H].astype(dtype)
-    return Bs, Ba, Ps, Pa
+    return Bs, Ba, P[0::2, :W].astype(dtype), P[1::2, :W].astype(dtype)
 
 
 def _rows(buf: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -408,40 +399,37 @@ def _grid_forcing(c: np.ndarray, vals: np.ndarray, folds: tuple, p: float,
     the real lift rows ``lift`` (L, M+1).  A Picard step (``_picard``) writes
     its slope forcing into ``out`` first.
 
-    ``folds`` is the ``_fold`` of (B, P, lift) (a solve passes its
-    ``Basis.folds``): ``B`` is a real (K, M+1) basis on M+1 nodes symmetric
-    under x -> 1-x (a uniform grid or Gauss-Legendre nodes) with the parity
-    B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x) and the clamped phi_j
-    both have it), and the projection ``P`` (K, M+1), ``Basis.P``, has that
-    parity too.  So the work folds onto the W nodes x <= 1/2: the even rows
-    of B and the lifts' symmetric parts synthesize the part S of u symmetric
-    under x -> 1-x, the odd rows and the lifts' antisymmetric parts its part
-    A, and u(x) = S + A, u(1-x) = S - A.  ``_power`` turns those values into
-    g, which folds back as S' = g(x) + g(1-x) onto the even rows of P and
-    A' = g(x) - g(1-x) onto the odd ones.  At an end node x = 0 that pairs
-    g(0) with g(1), so the hinged end correction in P's first column costs
-    no extra pass.  The folds give the node split, W columns of the
-    synthesis rows and H = M+1 - W of the odd projection rows, and the
-    working precision (float64 or float32) of the stacked rows and the grid
-    block; ``out`` is complex128 either way.
+    ``folds`` is the ``_fold`` of (B, P, lift) (a solve passes one of its
+    ``Basis.folds``): ``B`` is a real (K, M+1) basis on an even number M+1
+    of nodes symmetric under x -> 1-x (a uniform grid or Gauss-Legendre
+    nodes) with the parity B_k(1-x) = (-1)^k B_k(x), k = 0..K-1 (sin(k pi x)
+    and the clamped phi_j both have it), and the projection ``P`` (K, M+1),
+    ``Basis.P``, has that parity too.  So the work folds onto the
+    W = (M+1)/2 nodes x < 1/2: the even rows of B and the lifts' symmetric
+    parts synthesize the part S of u symmetric under x -> 1-x, the odd rows
+    and the lifts' antisymmetric parts its part A, and u(x) = S + A,
+    u(1-x) = S - A.  ``_power`` turns those values into g, which folds back
+    as S' = g(x) + g(1-x) onto the even rows of P and A' = g(x) - g(1-x)
+    onto the odd ones.  At an end node x = 0 that pairs g(0) with g(1), so
+    the hinged end correction in P's first column costs no extra pass.  The
+    folds give W, their column count, and the working precision (float64 or
+    float32) of the stacked rows and the grid block; ``out`` is complex128
+    either way.
 
     Time rows go in blocks of ``_BLOCK_BYTES``, each laid out as one
     (re|im, x|1-x, rows, W) prefix of a flat buffer, so the fold, the power
     and the unfold run on whole contiguous planes, and every GEMM is real
-    on stacked (re; im) rows: no complex grid block is formed.  A middle
-    node x = 1/2 (M even) sits on both sides: A has a zero column there,
-    the node is powered twice, folds back as S' = 2 g(1/2) and meets a
-    projection column scaled by 0.5, so each product and sum is the one of
-    the unfolded node.  The buffers are made once per call, and every GEMM
-    and the power's square write into them: the syntheses S and A into one
-    buffer that the power then takes as its scratch, the projections into
-    the stacked rows' buffers.  Overflow anywhere, in a cast to float32
-    included, raises ``OverflowError``.
+    on stacked (re; im) rows: no complex grid block is formed.  The buffers
+    are made once per call, and every GEMM and the power's square write
+    into them: the syntheses S and A into one buffer that the power then
+    takes as its scratch, the projections into the stacked rows' buffers.
+    Overflow anywhere, in a cast to float32 included, raises
+    ``OverflowError``.
     """
     Bs, Ba, Ps, Pa = folds
     T, dtype = len(c), Bs.dtype
-    W, H = Bs.shape[1], Pa.shape[1]                # nodes x <= 1/2; x < 1/2
-    R = max(1, _BLOCK_BYTES // (2 * dtype.itemsize * (W + H)))
+    W = Bs.shape[1]                                # nodes x < 1/2
+    R = max(1, _BLOCK_BYTES // (4 * dtype.itemsize * W))
     grid = np.empty(4 * R * W, dtype=dtype)        # (re|im, x|1-x, rows, W)
     xs_buf = np.empty((2 * R, len(Bs)), dtype=dtype)    # (re; im) of c_even | vals
     xa_buf = np.empty((2 * R, len(Ba)), dtype=dtype)    # (re; im) of c_odd | vals
@@ -468,7 +456,7 @@ def _grid_forcing(c: np.ndarray, vals: np.ndarray, folds: tuple, p: float,
             np.subtract(u[:, 0], u[:, 1], out=A3)
             # the projections go into the stacked rows' buffers, read by now
             fs = np.matmul(S, Ps.T, out=_rows(xs_buf, 2 * r, len(Ps)))
-            fa = np.matmul(A[:, :H], Pa.T, out=_rows(xa_buf, 2 * r, len(Pa)))
+            fa = np.matmul(A, Pa.T, out=_rows(xa_buf, 2 * r, len(Pa)))
             if not (np.isfinite(fs).all() and np.isfinite(fa).all()):
                 raise OverflowError("forcing overflow: blow-up candidate")
             # re, im interleaved: even modes at columns 0, 1 mod 4, odd at
@@ -627,7 +615,7 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
             np.matmul(slopes, neg_a, out=out)       # the slope forcing - h' @ a
             if c is not None:
                 try:
-                    _grid_forcing(c, vals, basis.folds(dtype), spec.p,
+                    _grid_forcing(c, vals, basis.folds[dtype], spec.p,
                                   spec.lam, out)
                 except OverflowError:
                     if dtype == np.float64:
@@ -678,23 +666,24 @@ def _picard(spec: ProblemSpec, basis: Basis) -> SolutionRecord:
 
 @functools.lru_cache(maxsize=8)
 def _hinged_basis(N: int, M: int) -> Basis:
-    """The read-only hinged ``Basis``: N sine modes on the sine grid of M
-    intervals, shared by every record on that grid.
+    """The read-only hinged ``Basis``: N sine modes on the uniform grid of
+    M intervals, shared by every record on that grid.
 
-    P is B times twice the trapezoid weights, the full sine coefficients,
-    but its end columns are a[:2] minus that rule's projections of the value
-    lifts 1 - x and x: so P @ f is the rule on f - f(0) (1 - x) - f(1) x,
-    which vanishes at both ends and leaves no O(k pi f(0) / M^2) end term,
-    plus the closed form f(0) a[0] + f(1) a[1].  B vanishes at both ends up
-    to rounding, so those columns held nothing else.
+    B = sin(k pi x) on the M+1 nodes, and P is B times twice the trapezoid
+    weights, the full sine coefficients, but its end columns are a[:2] minus
+    that rule's projections of the value lifts 1 - x and x: so P @ f is the rule
+    on f - f(0) (1 - x) - f(1) x, which vanishes at both ends and leaves no
+    O(k pi f(0) / M^2) end term, plus the closed form f(0) a[0] + f(1) a[1].
+    B vanishes at both ends up to rounding, so those columns held nothing else.
     """
-    x, w, S = sine_grid(N, M)
-    B, L, a = S.T, bops.navier_lifts(x), bops.navier_lift_coeffs(N)
-    P = B * (2.0 * w)
+    x = np.linspace(0.0, 1.0, M + 1)
+    B = np.sin(np.pi * np.outer(x, np.arange(1, N + 1))).T
+    L, a = bops.navier_lifts(x), bops.navier_lift_coeffs(N)
+    P = B * (2.0 / M)                              # twice the trapezoid weights
+    P[:, [0, -1]] *= 0.5                           # read by the end correction
     P[:, [0, -1]] = a[:2].T - P @ L[:2].T
-    xi, omegas, P, L, a = _read_only(
-        np.arange(1, N + 1, dtype=np.float64) * np.pi, lf.navier_eigenvalues(N),
-        P, L, a)
+    xi, omegas, x, B, P, L, a = _read_only(np.arange(1, N + 1, dtype=np.float64) * np.pi,
+                                           lf.navier_eigenvalues(N), x, B, P, L, a)
     return Basis(xi=xi, omegas=omegas, modes=lambda y: np.sin(np.outer(xi, y)),
                  lifts=bops.navier_lifts, x=x, B=B, P=P, L=L, a=a,
                  states=_sine_states)
@@ -702,7 +691,7 @@ def _hinged_basis(N: int, M: int) -> Basis:
 
 def _gauss_points(K: int, p: float) -> int:
     """The number of Gauss-Legendre nodes of the clamped quadrature,
-    ceil((p + 1) K / 2) + 16.
+    ceil((p + 1) K / 2) + 16 rounded up to even.
 
     It grows with the K modes and the degree p - 1 of the nonlinearity, like
     ``_dealias_points``.  Gauss quadrature has no end term, so on smooth
@@ -716,7 +705,7 @@ def _gauss_points(K: int, p: float) -> int:
     s > 10/7 admits, and 8.8e-6 to 4.7e-5 (p = 4) and 6.9e-7 to 9.3e-6
     (p = 5) for |c_k| ~ k^-1.
     """
-    return math.ceil((p + 1.0) * K / 2.0) + 16
+    return 2 * math.ceil(math.ceil((p + 1.0) * K / 2.0) / 2.0) + 16
 
 
 @functools.lru_cache(maxsize=8)

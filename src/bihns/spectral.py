@@ -7,20 +7,18 @@ Functions on (0,1) are represented by truncated series
 which is simultaneously a function on the two-periodic extension cell [-1,1]
 (sine part = odd reflection, cosine part = even reflection).
 
-The hinged basis projects on one cached uniform grid per (N, M):
-``sine_grid`` holds the M+1 nodes of [0,1], their trapezoid weights w
-(``trapezoid_grid``) and the read-only (M+1, N) matrix S = sin(k pi x).
-Every other projection is Gauss-Legendre quadrature of node values, which
-has no end term: ``gauss_nodes(n)`` is the one cached builder of the n nodes
-and weights, and ``gauss_grid(N, K)`` adds the (n, N) matrices
-S = sin(k pi x) and C = cos(k pi x) on n = N + K + 16 of them, for the
-clamped record's ``states`` view (K its modes) and for the transforms
-(K = 0).  Each family's read-only ``nonlinear.Basis`` is built once per
-grid, (N, M) hinged and (N, K, n) clamped, and shared by every record on
-it, and a solve projects its datum there with the basis' own matrix.
-Complex values meet S and C through ``matmul_real`` (the solvers' forcing
-folds S in ``nonlinear._grid_forcing`` instead).  The two transforms share
-the Gauss grid and differ only by a factor 2:
+The hinged basis projects by the trapezoid rule on its own uniform grid
+(``nonlinear._hinged_basis``).  Every other projection is Gauss-Legendre
+quadrature of node values, which has no end term: ``gauss_nodes(n)`` is the one
+cached builder of the n nodes and weights, and ``gauss_grid(N, K)`` adds the
+(n, N) matrices S = sin(k pi x) and C = cos(k pi x) on n = N + K + 16 of them,
+for the clamped record's ``states`` view (K its modes) and for the transforms
+(K = 0).  Each family's read-only ``nonlinear.Basis`` is built once per grid,
+(N, M) hinged and (N, K, n) clamped, and shared by every record on it, and a
+solve projects its datum there with the basis' own matrix.  Complex values meet
+S and C through ``matmul_real`` (the solvers' forcing folds S in
+``nonlinear._grid_forcing`` instead).  The two transforms share the Gauss grid
+and differ only by a factor 2:
 
 * ``odd_even_extend``    -- q_k = int_0^1 f sin, p_k = int_0^1 f cos,
   p0 = (1/2) int_0^1 f  (half-weight coefficients of the odd/even *split*
@@ -117,23 +115,6 @@ def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def trapezoid_grid(M: int):
-    """Read-only (x, w): the M+1 nodes of the uniform grid with M intervals
-    on [0, 1] and their trapezoid weights."""
-    x = np.linspace(0.0, 1.0, M + 1)
-    w = np.full(M + 1, 1.0 / M)
-    w[0] = w[-1] = 0.5 / M
-    return _read_only(x, w)
-
-
-@functools.lru_cache(maxsize=8)
-def sine_grid(N: int, M: int):
-    """Read-only (x, w, S): ``trapezoid_grid(M)`` and the (M+1, N) matrix
-    S = sin(k pi x), k = 1..N."""
-    x, w = trapezoid_grid(M)
-    return (x, w) + _read_only(np.sin(np.pi * np.outer(x, np.arange(1, N + 1))))
 
 
 @functools.lru_cache(maxsize=8)

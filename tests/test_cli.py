@@ -167,6 +167,11 @@ BAD_LAB = [
     ("traces", {"phi": [{"kind": "poly", "coefficients": [1], "x": 1}]}),
     ("lambda4", {"k": 20}),
     ("traces", {"s_grid": []}),
+    ("identities", {"a_grid": [0.0]}),
+    ("identities", {"a_grid": [1e6]}),
+    ("identities", {"tail": {"lam_grid": [0.0, 1e-300]}}),
+    ("kato_sweep", {"s_grid": [23.5]}),
+    ("optimality", {"alpha": 100, "beta": 1000}),
 ]
 
 
@@ -180,7 +185,9 @@ BAD_LAB = [
     "optimality_alpah", "optimality_alpha_str", "optimality_n_empty",
     "identities_K_grdi", "identities_a_str", "identities_K_bool", "tail_alpah",
     "tail_list", "traces_n", "traces_N_bool", "traces_s_numeric_str",
-    "traces_phi_extra_key", "lambda4_k", "traces_s_empty"])
+    "traces_phi_extra_key", "lambda4_k", "traces_s_empty", "identities_a_0",
+    "identities_a_overflow", "tail_one_abscissa", "kato_s_past_cap",
+    "optimality_norm_h_nan"])
 def test_invalid_lab_config_exit2_no_artifacts(tmp_path, mode, payload):
     cfg = write_cfg(tmp_path, "c.json", {"mode": mode, mode: payload})
     out = tmp_path / "o"

@@ -391,6 +391,18 @@ def test_sweep_validation():
         RegularitySweep(s_grid=[1.0], N=8)
 
 
+@pytest.mark.parametrize("eps", [0.05, 1.0])
+def test_sweep_rejects_s_past_the_exponent_cap(eps):
+    # s + eps <= 4 * 6 - 2: the order-0 samples stay below the search cap
+    # even on the shortest lattice; past the cap they are all +inf
+    s_max = 4.0 * lab._ALPHA_MAX - 2.0 - eps
+    with pytest.raises(ValueError, match="s \\+ eps <= 4\\*6.0 - 2"):
+        RegularitySweep(s_grid=[1.0, s_max + 1e-9], eps=eps)
+    rows = kato_sweep(RegularitySweep(s_grid=[s_max], ensemble=8, eps=eps, N=16))
+    assert all(r["samples"] == 8 and r["flagged"] == 0 for r in rows)
+    assert max(r["measured"] for r in rows) < lab._ALPHA_MAX
+
+
 def test_kato_sweep_monotone_in_order():
     rows = kato_sweep(RegularitySweep(s_grid=[2.0], ensemble=8, N=128, seed=3))
     meds = {r["order"]: r["measured"] for r in rows}
@@ -477,6 +489,18 @@ def test_counterexample_beta_window():
     assert CounterexampleRun(alpha=0.75, beta=3.6).is_boundedness_check
     with pytest.raises(ValueError):
         CounterexampleRun(alpha=0.75, beta=3.4)  # trace norm would diverge
+
+
+def test_counterexample_rejects_a_non_finite_trace_norm():
+    # (1 + n^2)^100 overflows at k = 3 where 3^-1000 underflows to zero:
+    # ||h_n|| would be inf * 0 = nan
+    with pytest.raises(ValueError, match="not finite and positive at n = 4"):
+        CounterexampleRun(alpha=100.0, beta=1000.0)
+    with pytest.raises(ValueError, match="at n = 3"):
+        CounterexampleRun(alpha=100.0, beta=1000.0, n_grid=(1, 2, 3))
+    rows = optimality_run(CounterexampleRun(alpha=100.0, beta=1000.0,
+                                            n_grid=(1, 2), interior_modes=2))
+    assert all(math.isfinite(r["norm_h"]) and r["ratio"] > 0 for r in rows)
 
 
 def test_counterexample_needs_interior_modes():
@@ -629,6 +653,19 @@ def test_identity_checks_convergence():
     assert rep["sawtooth_limit_residual"] < 1e-2
 
 
+@pytest.mark.parametrize("a", [0.0, -0.0, 320.0, -1e6, math.nan])
+def test_identity_checks_reject_a_without_a_closed_form(a):
+    with pytest.raises(ValueError, match="a_grid"):
+        identity_checks(a_grid=(1.0, a), K_grid=(64,))
+
+
+def test_identity_checks_finite_up_to_the_largest_a():
+    a_max = lab.IDENTITY_A_MAX
+    assert 319.5 < a_max < 319.6
+    rep = identity_checks(a_grid=(a_max, -a_max, 300.0), K_grid=(64,))
+    assert math.isfinite(rep["series_residual_by_K"][64])
+
+
 def test_identity_a1_halfpi_residual():
     # a=1, x=pi/2, K=1e4: slow 1/k tail, residual below 1e-3
     rep = identity_checks(a_grid=(1.0,), x_grid=np.array([np.pi / 2.0]),
@@ -703,6 +740,15 @@ def test_tail_bound_finite_and_decaying():
     env = (tb["x_grid"][None, :] ** (tb["alpha_minus_1"])
            * (1.0 + tb["lam_grid"][:, None] ** 0.25) ** (tb["alpha_minus_1"]))
     assert np.all(tb["values"] <= tb["fitted_C"] * env + 1e-12)
+
+
+def test_tail_bound_needs_two_distinct_fit_abscissae():
+    # 0 and 1e-300 are distinct lam but both fit at log(1 + lam^(1/4)) = 0
+    for lam_grid in ([0.0, 1e-300], [16.0, 16.0], [16.0]):
+        with pytest.raises(ValueError, match="abscissae"):
+            lab.check_tail_bound(lam_grid, 0.9)
+    tb = tail_bound_spotcheck([0.0, 1e-60], alpha=0.9, K=1000)
+    assert math.isfinite(tb["slope_lam"])
 
 
 def test_tail_bound_alpha_validation():

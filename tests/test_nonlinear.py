@@ -25,8 +25,8 @@ from bihns.nonlinear import (ProblemSpec, SolutionRecord, _dealias_points,
                              _grid_forcing, _power, picard_dirichlet,
                              picard_navier)
 from bihns.spectral import (BoundaryTrace, FourierState, gauss_grid,
-                            gauss_nodes, reconstruct, sine_grid, sine_state,
-                            sobolev_norm, trapezoid_grid)
+                            gauss_nodes, reconstruct, sine_state,
+                            sobolev_norm)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -152,6 +152,15 @@ def test_navier_lifts_corner_values():
 # nonlinearity
 
 
+def _trapezoid_grid(M):
+    """The M+1 nodes of the uniform grid of M intervals on [0, 1] and their
+    trapezoid weights."""
+    x = np.linspace(0.0, 1.0, M + 1)
+    w = np.full(M + 1, 1.0 / M)
+    w[[0, -1]] *= 0.5
+    return x, w
+
+
 def _trapezoid_projection(q, p, lam, M=8192, base=None):
     """2 int_0^1 lam |u|^(p-2) u sin(k pi x) dx, u = sum_k q_k sin(k pi x)
     (+ ``base`` on the grid), by the trapezoid rule on M intervals."""
@@ -180,10 +189,11 @@ def _projection(c, B, P, p, lam, vals=None, lift=None, dtype=np.float64):
 def _sine_forcing(v, p, lam, vals=None, lift=None):
     """The hinged forcing of a (T, N) history: ``_projection`` with the
     sine basis and the trapezoid projection (twice the weights) of the
-    solver's sine grid, without the solver's end correction."""
+    solver's uniform grid, without the solver's end correction."""
     N = v.shape[1]
-    _, w, S = sine_grid(N, nl._dealias_points(N, p))
-    return _projection(v, S.T, S.T * (2.0 * w), p, lam, vals, lift)
+    M = nl._dealias_points(N, p)
+    B, w = nl._hinged_basis(N, M).B, _trapezoid_grid(M)[1]
+    return _projection(v, B, B * (2.0 * w), p, lam, vals, lift)
 
 
 def _nonlin_row(q, p, lam):
@@ -248,11 +258,11 @@ def _small_blocks(monkeypatch, M1, rows=2):
 @pytest.mark.parametrize("with_base", [False, True])
 @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
 def test_grid_forcing_sine_matches_trapezoid(p, with_base, T, monkeypatch):
-    # N odd: M = 2N + 1 intervals for p = 3, 4 (no middle node) and M = 3N + 1
-    # for p = 5 (x = 1/2 is a node); T = 7 rows walk blocks of 2, 2, 2, 1
+    # N odd: M = 2N + 1 intervals for p = 3, 4 and 3N + 1 rounded up to
+    # odd, 3N + 2, for p = 5; T = 7 rows walk blocks of 2, 2, 2, 1
     N = 13
     M = nl._dealias_points(N, p)
-    assert M % 2 == (0 if p == 5.0 else 1)
+    assert M == (3 * N + 2 if p == 5.0 else 2 * N + 1)
     x = np.linspace(0.0, 1.0, M + 1)
     _small_blocks(monkeypatch, M + 1)
     g = np.random.default_rng(10)
@@ -288,16 +298,19 @@ def _bench_basis(family):
 @pytest.mark.parametrize("with_base", [False, True])
 @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
 def test_grid_forcing_clamped_matches_dense(p, with_base, grid, monkeypatch):
-    # the clamped eigenbasis on a uniform grid of M intervals, even (a middle
-    # node) and odd, and on an odd number of Gauss-Legendre nodes, the
-    # solver's nodes, where x = 1/2 is a node too
+    # the clamped eigenbasis on even node counts symmetric under x -> 1-x:
+    # the 96 midpoints of 96 uniform intervals (no end node), the 98 ends of
+    # 97 intervals (the trapezoid rule), and 98 Gauss-Legendre nodes, the
+    # solver's kind of nodes
     K, T = 24, 7
     if grid == "gauss":
-        y, w = np.polynomial.legendre.leggauss(4 * 24 + 1)
+        y, w = np.polynomial.legendre.leggauss(4 * 24 + 2)
         x, w = 0.5 * (y + 1.0), 0.5 * w
-        assert x[len(x) // 2] == 0.5
+    elif grid % 2:
+        x, w = _trapezoid_grid(grid)
     else:
-        x, w = trapezoid_grid(grid)
+        x, w = (np.arange(grid) + 0.5) / grid, np.full(grid, 1.0 / grid)
+    assert len(x) % 2 == 0
     phi = build_clamped_basis(K).evaluate(x)
     _small_blocks(monkeypatch, len(x), rows=3)
     g = np.random.default_rng(11)
@@ -312,24 +325,20 @@ def test_grid_forcing_clamped_matches_dense(p, with_base, grid, monkeypatch):
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_grid_forcing_reads_no_odd_row_at_the_middle_node(dtype, monkeypatch):
-    # the odd rows B_k(1-x) = -B_k(x) vanish at a middle node x = 1/2; the
-    # kernel takes that zero exactly, so u(x) = u(1-x) there is one value,
-    # and what an odd row holds at x = 1/2 is never read
-    K, M, T = 12, 48, 7
-    x, w = trapezoid_grid(M)
-    clean = build_clamped_basis(K).evaluate(x)
-    clean[1::2, M // 2] = 0.0
-    dirty = clean.copy()
-    dirty[1::2, M // 2] = 1.0
-    _small_blocks(monkeypatch, M + 1, rows=3)
-    g = np.random.default_rng(12)
-    c = g.standard_normal((T, K)) + 1j * g.standard_normal((T, K))
-    vals = g.standard_normal((T, 4)) + 1j * g.standard_normal((T, 4))
-    args = (5.0, 1.3, vals, dirichlet_lifts(x), dtype)
-    assert np.array_equal(_projection(c, dirty, dirty * w, *args),
-                          _projection(c, clean, clean * w, *args))
+@pytest.mark.parametrize("p", [3.0, 3.5, 4.0, 5.0, 5.5, 6.0, 7.0])
+def test_solver_grids_have_even_node_counts(p):
+    # an odd number of intervals hinged and an even number of Gauss nodes
+    # clamped, so x = 1/2 is never a node, each at most one node past the
+    # rule it rounds; the fold raises on an odd count
+    for n in range(1, 257):
+        M, m = nl._dealias_points(n, p), max(2, math.ceil(p / 2)) * n + 1
+        K, k = nl._gauss_points(n, p), math.ceil((p + 1) * n / 2) + 16
+        assert M % 2 == 1 and K % 2 == 0 and M - m in (0, 1) and K - k in (0, 1)
+    x, w = _trapezoid_grid(48)
+    B = build_clamped_basis(4).evaluate(x)
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(ValueError, match="even node count"):
+            nl._fold(B, B * w, dirichlet_lifts(x), dtype)
 
 
 @pytest.mark.parametrize("family", ["hinged", "clamped"])
@@ -374,13 +383,14 @@ def test_grid_forcing_float32_overflow_raises(p, lam, big):
     # 1e39 does not cast to float32 and 1e20 squares past its range; at
     # 1.4e19 the power stays finite (1.9e38) but its fold g(x) + g(1-x) does not
     N = 8
-    x, w, S = sine_grid(N, _dealias_points(N, p))
+    M = _dealias_points(N, p)
+    B, w = nl._hinged_basis(N, M).B, _trapezoid_grid(M)[1]
     v = np.full((3, N), 0.1 + 0.1j)
     v[1, 0] = big
-    P = S.T * (2.0 * w)
-    assert np.all(np.isfinite(_projection(v, S.T, P, p, lam)))
+    P = B * (2.0 * w)
+    assert np.all(np.isfinite(_projection(v, B, P, p, lam)))
     with pytest.raises(OverflowError, match="blow-up"):
-        _projection(v, S.T, P, p, lam, dtype=np.float32)
+        _projection(v, B, P, p, lam, dtype=np.float32)
 
 
 def test_grid_forcing_overflow_in_a_later_block(monkeypatch):
@@ -730,12 +740,14 @@ def _relative_distance(rec, ref, s):
                          / nl._hs_sq(ref.c, w).max()))
 
 
-@pytest.mark.parametrize("p,measured", [(3.0, 2.70e-10), (5.0, 3.50e-11)])
+@pytest.mark.parametrize("p,measured", [(3.0, 2.7e-10), (5.0, 3.5e-11)])
 def test_hinged_solve_meets_its_fine_grid_solve(p, measured):
     # the incompatible data of _hinged_norms_over_N, F(u) != 0 at the ends,
-    # at N = 64 against the same solve on 8N intervals.  The forcing's end
-    # correction leaves the O(h^4) term; without it the trapezoid rule's
-    # O(k pi F(end) h^2) term gave 4.3e-8 (p = 3) and 6.8e-9 (p = 5)
+    # at N = 64 against the same solve on 8N + 1 intervals (an even node
+    # count, as the fold needs): 2.71e-10 and 3.50e-11 measured.  The
+    # forcing's end correction leaves the O(h^4) term; without it the
+    # trapezoid rule's O(k pi F(end) h^2) term gave 4.3e-8 (p = 3) and
+    # 6.8e-9 (p = 5)
     n = [-2, -1, 0, 1, 2]
     h1 = BoundaryTrace.from_series(n, [-0.009 + 0.05j, -0.005 + 0.173j,
                                        0.474 - 0.195j, -0.12 - 0.003j,
@@ -748,7 +760,7 @@ def test_hinged_solve_meets_its_fine_grid_solve(p, measured):
                        N=64, tol=1e-12, max_iter=40, h1=h1, h5=h5,
                        phi=lambda x: reconstruct(st0, x))
     rec = picard_navier(spec)
-    ref = nl._picard(spec, nl._hinged_basis(spec.N, 8 * spec.N))
+    ref = nl._picard(spec, nl._hinged_basis(spec.N, 8 * spec.N + 1))
     assert _relative_distance(rec, ref, spec.s) <= 2 * measured
 
 
@@ -1084,7 +1096,7 @@ def test_picard_step_is_lin_plus_i_duhamel_of_the_forcing(make, monkeypatch):
         basis.P @ spec.phi(basis.x) - vals[0] @ basis.a, weights)
     assert np.abs(passes[0] - lin).max() <= 1e-13 * np.abs(lin).max()
     for (c, dtype), got in zip(steps, passes[1:]):
-        iF = grid_forcing(c, vals, basis.folds(dtype), spec.p, spec.lam,
+        iF = grid_forcing(c, vals, basis.folds[dtype.type], spec.p, spec.lam,
                           np.zeros_like(c))
         want = lin + duhamel_history(
             lf.ForcingHistory(times, iF, basis.omegas), weights=weights)
@@ -1186,20 +1198,25 @@ BASIS_GRIDS = {"hinged": (nl._hinged_basis, (16, 33), [(32, 33), (16, 65)]),
 
 
 def _clear_basis_caches():
-    for cached in (nl._hinged_basis, nl._clamped_basis, sine_grid,
-                   gauss_nodes, gauss_grid, build_clamped_basis):
+    for cached in (nl._hinged_basis, nl._clamped_basis, gauss_nodes,
+                   gauss_grid, build_clamped_basis):
         cached.cache_clear()
 
 
 def test_hinged_solve_builds_no_cosine_matrix():
-    # a cold hinged solve with a datum builds one sine grid, its basis grid,
-    # and projects the datum there: B is that grid's S
+    # a cold hinged solve with a datum builds one basis on its uniform grid
+    # and projects the datum there: B is sin(k pi x) on those nodes, and no
+    # Gauss grid is read
     _clear_basis_caches()
     spec, rec = _hinged_record()
-    assert sine_grid.cache_info().misses == 1
-    S = sine_grid(spec.N, _dealias_points(spec.N, spec.p))[2]
-    assert sine_grid.cache_info().misses == 1 and rec.basis.B.base is S
+    assert nl._hinged_basis.cache_info().misses == 1
+    M = _dealias_points(spec.N, spec.p)
+    x = np.linspace(0.0, 1.0, M + 1)
+    assert np.array_equal(rec.basis.x, x)
+    assert np.array_equal(
+        rec.basis.B, np.sin(np.pi * np.outer(x, np.arange(1, spec.N + 1))).T)
     assert gauss_nodes.cache_info().misses == 0
+    assert gauss_grid.cache_info().misses == 0
 
 
 def test_clamped_solve_builds_no_sine_or_cosine_matrix():
@@ -1207,7 +1224,6 @@ def test_clamped_solve_builds_no_sine_or_cosine_matrix():
     _clear_basis_caches()
     _, rec = _clamped_record()
     assert nl._clamped_basis.cache_info().misses == 1 and rec.iterations > 0
-    assert sine_grid.cache_info().misses == 0
     assert gauss_grid.cache_info().misses == 0   # the states view's grid
 
 
